@@ -9,8 +9,7 @@ diagonalization; with a VQE ground state they inherit its (tiny) error.
 import numpy as np
 
 from vibriq import (PesExpansion, PesTerm, QubitLayout, VqeConfig,
-                    apply_circuit, build_ansatz, build_sq_hamiltonian,
-                    excitation_energies, ground_state, ground_state_vector,
+                    build_sq_hamiltonian, excitation_energies, ground_state, ground_state_vector,
                     map_to_pauli, modal_operator_matrices, physical_spectrum,
                     solve_modals)
 
@@ -40,8 +39,7 @@ for got, want in zip(energies, reference_gaps):
 for ansatz in ("uvccsd", "chc"):
     config = VqeConfig(ansatz=ansatz, seed=2)
     result = ground_state(hamiltonian, layout, config)
-    state = apply_circuit(build_ansatz(layout, config), result.params)
-    energies, _, _ = excitation_energies(state, hamiltonian, layout)
+    energies, _, _ = excitation_energies(result.state, hamiltonian, layout)
     errors = energies - reference_gaps
     print(f"\nqEOM, {ansatz} ground state "
           f"(E0 error {result.energy - energy:+.2e}):")

@@ -16,11 +16,13 @@ from .mapping import (QubitLayout, SqTerm, build_sq_hamiltonian, map_to_pauli,
 from .circuits import (Circuit, Excitation, Gate, build_chc, build_heuristic,
                        build_uvcc, compose, count_resources, excitation_list,
                        generator_pauli, reference_circuit)
-from .simulator import (NoiseModel, ShotCounts, StateVector, apply_circuit,
-                        distribution_fidelity, expectation, expectation_value,
-                        noisy_counts, noisy_trajectory, run_fidelity_experiment,
-                        sample)
-from .vqe import VqeConfig, VqeResult, build_ansatz, ground_state, minimize
+from .simulator import (AnsatzProgram, CompiledPauliSum, NoiseModel,
+                        ShotCounts, StateVector, apply_circuit,
+                        compile_pauli_sum, distribution_fidelity, expectation,
+                        expectation_value, noisy_counts, noisy_trajectory,
+                        run_fidelity_experiment, sample)
+from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
+                  ground_state, minimize)
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,
                    compute_matrices, double_commutator, excitation_energies,
                    solve_pseudo_eigenproblem)

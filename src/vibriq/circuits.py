@@ -7,6 +7,12 @@ involved qubit, one RZ, and the mirror image.  A two-qubit string costs
 2 CNOTs and a four-qubit string 6, which reproduces the published per-
 excitation budgets: 4 CNOTs per single and 48 per double for the cluster
 ansatz, 2 and 6 for its compact heuristic approximation.
+
+Each ansatz is described once as a list of blocks (gates, Pauli
+rotations, cluster excitations).  The blocks are lowered to a gate-level
+``Circuit`` here, the source of truth for resource counts and noise, and
+compiled by the simulator into the vectorized steps of an
+``AnsatzProgram`` for the noise-free objective.
 """
 
 from __future__ import annotations
@@ -229,6 +235,127 @@ def reference_circuit(layout: QubitLayout) -> Circuit:
     return Circuit(layout.num_qubits, gates, 0)
 
 
+# -- ansatz blocks -----------------------------------------------------------
+
+class PauliRotation(NamedTuple):
+    """exp(-i * (scale * theta[param]) / 2 * P), P the letters on ``pairs``."""
+
+    pairs: tuple[tuple[int, str], ...]
+    param: int
+    scale: float
+
+
+class ExcitationRotation(NamedTuple):
+    """exp(scale * theta[param] * (T - T+)) of one cluster excitation T."""
+
+    excitation: Excitation
+    param: int
+    scale: float
+
+
+Block = Gate | PauliRotation | ExcitationRotation
+
+
+def uvcc_blocks(layout: QubitLayout, excitations: Sequence[Excitation],
+                trotter_steps: int = 1) -> list[Block]:
+    """Reference state followed by Trotterized cluster exponentials."""
+    if trotter_steps < 1:
+        raise ValueError("trotter_steps must be >= 1")
+    inv = 1.0 / trotter_steps
+    blocks = list(reference_circuit(layout).gates)
+    for _ in range(trotter_steps):
+        blocks.extend(ExcitationRotation(exc, index, inv)
+                      for index, exc in enumerate(excitations))
+    return blocks
+
+
+def chc_blocks(layout: QubitLayout,
+               excitations: Sequence[Excitation]) -> list[Block]:
+    """Reference state followed by one compact rotation per excitation."""
+    blocks = list(reference_circuit(layout).gates)
+    for index, exc in enumerate(excitations):
+        involved = sorted(exc.occupied_qubits + exc.virtual_qubits)
+        pairs = ((involved[0], "Y"),) + tuple((q, "X") for q in involved[1:])
+        blocks.append(PauliRotation(pairs, index, -2.0))
+    return blocks
+
+
+def heuristic_blocks(kind: str, num_qubits: int,
+                     depth: int) -> tuple[list[Block], int]:
+    """Hardware-efficient blocks and their parameter count."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if num_qubits < 1:
+        raise ValueError("num_qubits must be >= 1")
+    pairs = [(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)]
+    blocks: list[Block] = []
+    param = 0
+
+    def rotation_layer(kinds: tuple[str, ...]) -> None:
+        nonlocal param
+        for q in range(num_qubits):
+            for k in kinds:
+                blocks.append(Gate(k, (q,), param=param))
+                param += 1
+
+    if kind == "swaprz":
+        for _ in range(depth):
+            rotation_layer(("rz",))
+            for i, j in pairs:
+                blocks.append(PauliRotation(((i, "X"), (j, "X")), param, -2.0))
+                blocks.append(PauliRotation(((i, "Y"), (j, "Y")), param, -2.0))
+                param += 1
+        rotation_layer(("rz",))
+    elif kind == "ryrz":
+        for _ in range(depth):
+            rotation_layer(("ry", "rz"))
+            blocks.extend(Gate("cnot", (i, j)) for i, j in pairs)
+        rotation_layer(("ry", "rz"))
+    else:
+        raise ValueError(f"unknown heuristic kind {kind!r}")
+    return blocks, param
+
+
+def _role_qubits(exc: Excitation) -> tuple[int, ...]:
+    if exc.order == 1:
+        return (exc.occupied_qubits[0], exc.virtual_qubits[0])
+    return (exc.occupied_qubits[0], exc.virtual_qubits[0],
+            exc.occupied_qubits[1], exc.virtual_qubits[1])
+
+
+def _append_excitation(gates: list[Gate], block: ExcitationRotation) -> None:
+    """Stamp the canonical cluster-excitation program onto its qubits."""
+    exc = block.excitation
+    roles = _role_qubits(exc)
+    hs = [Gate("h", (q,)) for q in roles]
+    rxp = [Gate("rx", (q,), _HALF_PI) for q in roles]
+    rxm = [Gate("rx", (q,), -_HALF_PI) for q in roles]
+    cns = [Gate("cnot", (roles[i], roles[i + 1]))
+           for i in range(len(roles) - 1)]
+    banks = (hs, rxp, rxm, cns)
+    append = gates.append
+    for op, role, scale in _uvcc_program(exc.order):
+        if op == _OP_RZ:
+            append(Gate("rz", (roles[role],), None, block.param,
+                        scale * block.scale))
+        else:
+            append(banks[op][role])
+
+
+def circuit_from_blocks(num_qubits: int, blocks: Iterable[Block],
+                        num_parameters: int) -> Circuit:
+    """Lower ansatz blocks to gates."""
+    gates: list[Gate] = []
+    for block in blocks:
+        if isinstance(block, ExcitationRotation):
+            _append_excitation(gates, block)
+        elif isinstance(block, PauliRotation):
+            _append_pauli_gadget(gates, block.pairs, block.param, block.scale)
+        else:
+            gates.append(block)
+    return Circuit(num_qubits, tuple(gates), num_parameters)
+
+
 def build_uvcc(layout: QubitLayout, excitations: Sequence[Excitation],
                trotter_steps: int = 1) -> Circuit:
     """Reference state followed by Trotterized cluster exponentials.
@@ -237,33 +364,9 @@ def build_uvcc(layout: QubitLayout, excitations: Sequence[Excitation],
     Pauli strings mutually commute, so a single step is exact per
     excitation and only the ordering between excitations is approximate.
     """
-    if trotter_steps < 1:
-        raise ValueError("trotter_steps must be >= 1")
-    gates = list(reference_circuit(layout).gates)
-    append = gates.append
-    inv = 1.0 / trotter_steps
-    for _ in range(trotter_steps):
-        for index, exc in enumerate(excitations):
-            roles = _role_qubits(exc)
-            hs = [Gate("h", (q,)) for q in roles]
-            rxp = [Gate("rx", (q,), _HALF_PI) for q in roles]
-            rxm = [Gate("rx", (q,), -_HALF_PI) for q in roles]
-            cns = [Gate("cnot", (roles[i], roles[i + 1]))
-                   for i in range(len(roles) - 1)]
-            banks = (hs, rxp, rxm, cns)
-            for op, role, scale in _uvcc_program(exc.order):
-                if op == _OP_RZ:
-                    append(Gate("rz", (roles[role],), None, index, scale * inv))
-                else:
-                    append(banks[op][role])
-    return Circuit(layout.num_qubits, tuple(gates), len(excitations))
-
-
-def _role_qubits(exc: Excitation) -> tuple[int, ...]:
-    if exc.order == 1:
-        return (exc.occupied_qubits[0], exc.virtual_qubits[0])
-    return (exc.occupied_qubits[0], exc.virtual_qubits[0],
-            exc.occupied_qubits[1], exc.virtual_qubits[1])
+    return circuit_from_blocks(layout.num_qubits,
+                               uvcc_blocks(layout, excitations, trotter_steps),
+                               len(excitations))
 
 
 def build_chc(layout: QubitLayout, excitations: Sequence[Excitation]) -> Circuit:
@@ -274,12 +377,9 @@ def build_chc(layout: QubitLayout, excitations: Sequence[Excitation]) -> Circuit
     reference state both act exactly like the corresponding cluster
     exponential, with the excited amplitude growing as +sin(theta).
     """
-    gates = list(reference_circuit(layout).gates)
-    for index, exc in enumerate(excitations):
-        involved = sorted(exc.occupied_qubits + exc.virtual_qubits)
-        pairs = [(involved[0], "Y")] + [(q, "X") for q in involved[1:]]
-        _append_pauli_gadget(gates, pairs, index, -2.0)
-    return Circuit(layout.num_qubits, tuple(gates), len(excitations))
+    return circuit_from_blocks(layout.num_qubits,
+                               chc_blocks(layout, excitations),
+                               len(excitations))
 
 
 def build_heuristic(kind: str, num_qubits: int, depth: int) -> Circuit:
@@ -290,37 +390,8 @@ def build_heuristic(kind: str, num_qubits: int, depth: int) -> Circuit:
     i < j (4 CNOTs, one shared parameter per pair).  ryrz: depth+1 layers
     of per-qubit RY and RZ with all-pairs CNOT blocks in between.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if num_qubits < 1:
-        raise ValueError("num_qubits must be >= 1")
-    pairs = [(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)]
-    gates: list[Gate] = []
-    param = 0
-
-    def rotation_layer(kinds: tuple[str, ...]) -> None:
-        nonlocal param
-        for q in range(num_qubits):
-            for k in kinds:
-                gates.append(Gate(k, (q,), param=param))
-                param += 1
-
-    if kind == "swaprz":
-        for _ in range(depth):
-            rotation_layer(("rz",))
-            for i, j in pairs:
-                _append_pauli_gadget(gates, [(i, "X"), (j, "X")], param, -2.0)
-                _append_pauli_gadget(gates, [(i, "Y"), (j, "Y")], param, -2.0)
-                param += 1
-        rotation_layer(("rz",))
-    elif kind == "ryrz":
-        for _ in range(depth):
-            rotation_layer(("ry", "rz"))
-            gates.extend(Gate("cnot", (i, j)) for i, j in pairs)
-        rotation_layer(("ry", "rz"))
-    else:
-        raise ValueError(f"unknown heuristic kind {kind!r}")
-    return Circuit(num_qubits, tuple(gates), param)
+    blocks, num_parameters = heuristic_blocks(kind, num_qubits, depth)
+    return circuit_from_blocks(num_qubits, blocks, num_parameters)
 
 
 def count_resources(circuit: Circuit) -> dict[str, int]:

@@ -23,7 +23,7 @@ from .exact import physical_spectrum
 from .mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli, number_operator
 from .pes import load_pes, modal_operator_matrices, solve_modals
 from .qeom import excitation_energies
-from .simulator import NoiseModel, apply_circuit, expectation, run_fidelity_experiment
+from .simulator import NoiseModel, expectation, run_fidelity_experiment
 from .vqe import VqeConfig, build_ansatz, ground_state
 
 
@@ -141,15 +141,13 @@ def _run_vqe(args) -> tuple:
     pes, layout, hamiltonian = _hamiltonian_from_args(args)
     config = _vqe_config(args)
     result = ground_state(hamiltonian, layout, config)
-    circuit = build_ansatz(layout, config)
-    state = apply_circuit(circuit, result.params)
-    occupations = [expectation(state, number_operator(layout, l))
-                   for l in range(layout.num_modes)]
-    return layout, hamiltonian, config, result, state, occupations
+    return layout, hamiltonian, config, result
 
 
 def _cmd_vqe(args) -> None:
-    layout, hamiltonian, config, result, state, occupations = _run_vqe(args)
+    layout, hamiltonian, config, result = _run_vqe(args)
+    occupations = [expectation(result.state, number_operator(layout, l))
+                   for l in range(layout.num_modes)]
     payload = {"command": "vqe", "version": __version__,
                "config": _config_echo(args),
                "result": {**result.to_dict(),
@@ -159,9 +157,9 @@ def _cmd_vqe(args) -> None:
 
 
 def _cmd_qeom(args) -> None:
-    layout, hamiltonian, config, result, state, occupations = _run_vqe(args)
+    layout, hamiltonian, config, result = _run_vqe(args)
     energies, matrices, ops = excitation_energies(
-        state, hamiltonian, layout, max_order=args.order,
+        result.state, hamiltonian, layout, max_order=args.order,
         threshold=args.threshold)
     payload = {"command": "qeom", "version": __version__,
                "config": _config_echo(args),

@@ -87,7 +87,8 @@ def build_sq_hamiltonian(pes: PesExpansion, operators: ModalOperators,
                          n_body: int = 2) -> list[SqTerm]:
     """Expand the Hamiltonian into transfer-operator products.
 
-    The one-body block carries the full T + V^(l) modal matrices; every
+    The PES constant ``v0`` is the identity term (no factors); the
+    one-body block carries the full T + V^(l) modal matrices; every
     coupling term contributes the tensor product of its per-mode coordinate
     matrices.  The result is Hermitian as a whole because the underlying
     matrices are symmetric.
@@ -107,6 +108,7 @@ def build_sq_hamiltonian(pes: PesExpansion, operators: ModalOperators,
             return
         merged[factors] = merged.get(factors, 0.0) + coeff
 
+    accumulate((), float(pes.v0))
     for mode in range(pes.num_modes):
         h = operators.one_body[mode]
         for k in range(counts[mode]):

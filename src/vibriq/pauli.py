@@ -103,6 +103,10 @@ class PauliSum:
         return tuple(PauliString(l, self._coeffs[l])
                      for l in sorted(self._coeffs))
 
+    def items(self) -> list[tuple[str, complex]]:
+        """(label, coefficient) pairs, sorted by label like ``terms``."""
+        return sorted(self._coeffs.items())
+
     def coefficient(self, label: str) -> complex:
         return self._coeffs.get(label, 0.0 + 0.0j)
 

@@ -1,5 +1,13 @@
 """Exact statevector simulation, sampling, and stochastic Pauli noise.
 
+Two noise-free paths lead to a state.  ``apply_circuit`` runs a
+gate-level ``Circuit`` gate by gate; it serves the noise model and is the
+reference in tests.  An ``AnsatzProgram`` runs the same ansatz as a few
+vectorized steps (basis permutations, Pauli rotations, one Givens
+rotation per cluster excitation) and is what the VQE objective uses.
+Pauli sums are evaluated through ``CompiledPauliSum``, which groups the
+terms by the qubits they flip.
+
 Basis convention: bit q of a basis index is the value of qubit q, and
 bitstrings render qubit 0 as the leftmost character.  The noise model is
 the Monte-Carlo unraveling of depolarization: after each gate, with the
@@ -25,7 +33,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, build_chc, build_uvcc, excitation_list
+from .circuits import (Block, Circuit, Excitation, ExcitationRotation, Gate,
+                       PauliRotation, build_chc, build_uvcc, excitation_list)
 from .mapping import QubitLayout
 from .pauli import PauliSum
 
@@ -196,19 +205,90 @@ def _pauli_action(num_qubits: int, label: str) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase.astype(np.complex128)
 
 
-def expectation_value(state: StateVector, op: PauliSum) -> complex:
-    """<psi|op|psi> for an arbitrary (possibly non-Hermitian) Pauli sum."""
+# Largest (rows x 2^N) temporary built at once when compiling or applying
+# a Pauli sum, so that memory stays bounded for long sums on many qubits.
+_CHUNK_ELEMENTS = 1 << 20
+
+# (-i)^n_Y, indexed by n_Y mod 4.
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+@dataclass(frozen=True)
+class CompiledPauliSum:
+    """A Pauli sum grouped by X-flip mask.
+
+    (op psi)[j] = sum over masks g of diags[g, j] * psi[perms[g, j]].
+
+    All terms that flip the same qubits share one permutation, and their
+    phases and signs add into one complex diagonal, so applying the sum
+    costs one gather and one multiply per distinct mask, however many
+    terms the mask holds.
+    """
+
+    num_qubits: int
+    perms: np.ndarray   # (masks, 2^N) basis-index permutations j -> j ^ mask
+    diags: np.ndarray   # (masks, 2^N) summed complex diagonals
+
+    @property
+    def num_masks(self) -> int:
+        return self.perms.shape[0]
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """op|psi> for the amplitude vector ``amps``."""
+        out = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+        block = max(1, _CHUNK_ELEMENTS >> self.num_qubits)
+        for lo in range(0, self.num_masks, block):
+            sl = slice(lo, lo + block)
+            out += np.sum(self.diags[sl] * amps[self.perms[sl]], axis=0)
+        return out
+
+
+def compile_pauli_sum(op: PauliSum | CompiledPauliSum) -> CompiledPauliSum:
+    """The mask-grouped form of ``op``; compiled operators pass through."""
+    if isinstance(op, CompiledPauliSum):
+        return op
+    n = op.num_qubits
+    dim = 1 << n
+    items = op.items()
+    if not items:
+        return CompiledPauliSum(n, np.zeros((0, dim), dtype=np.int64),
+                                np.zeros((0, dim), dtype=np.complex128))
+    letters = np.frombuffer("".join(l for l, _ in items).encode("ascii"),
+                            dtype=np.uint8).reshape(len(items), n)
+    is_y = letters == ord("Y")
+    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
+    flips = (is_y | (letters == ord("X"))) @ bits
+    signs = (is_y | (letters == ord("Z"))) @ bits
+    # (P psi)_j = c (-i)^n_Y (-1)^popcount(j & z) psi_(j ^ x)
+    weights = (np.array([c for _, c in items], dtype=np.complex128)
+               * _MINUS_I_POWERS[is_y.sum(axis=1) % 4])
+    masks, group = np.unique(flips, return_inverse=True)
+    idx = np.arange(dim, dtype=np.int64)
+    diags = np.zeros((masks.size, dim), dtype=np.complex128)
+    block = max(1, _CHUNK_ELEMENTS // dim)
+    for lo in range(0, len(items), block):
+        sl = slice(lo, lo + block)
+        table = 1.0 - 2.0 * (np.bitwise_count(signs[sl, None] & idx) & 1)
+        onehot = np.zeros((masks.size, table.shape[0]), dtype=np.complex128)
+        onehot[group[sl], np.arange(table.shape[0])] = weights[sl]
+        diags += onehot.real @ table + 1j * (onehot.imag @ table)
+    return CompiledPauliSum(n, masks[:, None] ^ idx, diags)
+
+
+def expectation_value(state: StateVector,
+                      op: PauliSum | CompiledPauliSum) -> complex:
+    """<psi|op|psi> for an arbitrary (possibly non-Hermitian) Pauli sum.
+
+    A plain ``PauliSum`` is compiled on every call; compile it once with
+    ``compile_pauli_sum`` when it is evaluated repeatedly.
+    """
     if state.num_qubits != op.num_qubits:
         raise ValueError("state and operator disagree on the qubit count")
     amps = state.amplitudes
-    total = 0.0 + 0.0j
-    for term in op.terms:
-        perm, phase = _pauli_action(state.num_qubits, term.label)
-        total += term.coefficient * np.vdot(amps, phase * amps[perm])
-    return complex(total)
+    return complex(np.vdot(amps, compile_pauli_sum(op).apply(amps)))
 
 
-def expectation(state: StateVector, op: PauliSum,
+def expectation(state: StateVector, op: PauliSum | CompiledPauliSum,
                 imag_tol: float = 1e-10) -> float:
     """Real expectation value of a Hermitian Pauli sum.
 
@@ -222,6 +302,142 @@ def expectation(state: StateVector, op: PauliSum,
             f"expectation has imaginary part {value.imag:.3e}; operator is "
             "not Hermitian")
     return float(value.real)
+
+
+# -- ansatz programs -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class BitFlipStep:
+    """A run of X and CNOT gates, composed into one basis permutation."""
+
+    perm: np.ndarray
+
+    @classmethod
+    def from_gates(cls, num_qubits: int, gates: Sequence[Gate]) -> "BitFlipStep":
+        perm = np.arange(1 << num_qubits)
+        for gate in gates:
+            if gate.kind == "x":
+                perm = perm[_flip_permutation(num_qubits, 1 << gate.qubits[0])]
+            else:
+                perm = perm[_cnot_permutation(num_qubits, *gate.qubits)]
+        return cls(perm)
+
+    def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
+        return amps[self.perm]
+
+
+@dataclass(frozen=True)
+class PauliRotationStep:
+    """exp(i * scale * theta[param] * P) = cos * psi + i sin * P psi."""
+
+    perm: np.ndarray
+    phase: np.ndarray
+    param: int
+    scale: float
+
+    @classmethod
+    def from_pairs(cls, num_qubits: int, pairs: Sequence[tuple[int, str]],
+                   param: int, scale: float) -> "PauliRotationStep":
+        letters = ["I"] * num_qubits
+        for q, letter in pairs:
+            letters[q] = letter
+        perm, phase = _pauli_action(num_qubits, "".join(letters))
+        return cls(perm, phase, param, scale)
+
+    def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
+        angle = self.scale * params[self.param]
+        return (math.cos(angle) * amps
+                + (1j * math.sin(angle)) * (self.phase * amps[self.perm]))
+
+
+@dataclass(frozen=True)
+class GivensStep:
+    """exp(scale * theta[param] * (T - T+)) for one cluster excitation.
+
+    Applied in place, on the array ``AnsatzProgram.prepare`` owns.
+    T maps every basis state with the occupied modals on and the virtual
+    ones off (``src``) to the state with those bits swapped (``dst``) and
+    annihilates the rest, so the exponential is a real rotation within
+    each (src, dst) pair; the single and double excitation gates of
+    Arrazola et al., Quantum 6, 742 (2022).
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    param: int
+    scale: float
+
+    @classmethod
+    def from_excitation(cls, num_qubits: int, exc: Excitation, param: int,
+                        scale: float) -> "GivensStep":
+        occ = sum(1 << q for q in exc.occupied_qubits)
+        virt = sum(1 << q for q in exc.virtual_qubits)
+        idx = np.arange(1 << num_qubits)
+        src = idx[((idx & occ) == occ) & ((idx & virt) == 0)]
+        return cls(src, src ^ occ ^ virt, param, scale)
+
+    def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
+        angle = self.scale * params[self.param]
+        c, s = math.cos(angle), math.sin(angle)
+        a_src = amps[self.src]
+        a_dst = amps[self.dst]
+        amps[self.src] = c * a_src - s * a_dst
+        amps[self.dst] = s * a_src + c * a_dst
+        return amps
+
+
+@dataclass(frozen=True)
+class AnsatzProgram:
+    """Noise-free state preparation as a short list of vectorized steps.
+
+    Compiled from the same blocks as the ansatz ``Circuit`` and indexed by
+    the same parameters; the circuit stays the reference for resource
+    counts, noise and tests.
+    """
+
+    num_qubits: int
+    num_parameters: int
+    steps: tuple
+
+    @classmethod
+    def compile(cls, num_qubits: int, blocks: Sequence[Block],
+                num_parameters: int) -> "AnsatzProgram":
+        steps: list = []
+        flips: list[Gate] = []
+        for block in blocks:
+            if isinstance(block, Gate) and block.kind in ("x", "cnot"):
+                flips.append(block)
+                continue
+            if flips:
+                steps.append(BitFlipStep.from_gates(num_qubits, flips))
+                flips = []
+            if isinstance(block, ExcitationRotation):
+                steps.append(GivensStep.from_excitation(
+                    num_qubits, block.excitation, block.param, block.scale))
+            elif isinstance(block, PauliRotation):
+                steps.append(PauliRotationStep.from_pairs(
+                    num_qubits, block.pairs, block.param, -0.5 * block.scale))
+            elif block.kind in ("rx", "ry", "rz") and block.param is not None:
+                steps.append(PauliRotationStep.from_pairs(
+                    num_qubits, [(block.qubits[0], block.kind[1].upper())],
+                    block.param, -0.5 * block.scale))
+            else:
+                raise ValueError(f"no program step for block {block}")
+        if flips:
+            steps.append(BitFlipStep.from_gates(num_qubits, flips))
+        return cls(num_qubits, num_parameters, tuple(steps))
+
+    def prepare(self, params: Sequence[float]) -> StateVector:
+        """The ansatz state at ``params``, starting from the vacuum."""
+        params = np.asarray(params, dtype=float)
+        if params.shape != (self.num_parameters,):
+            raise ValueError(f"expected {self.num_parameters} parameters, "
+                             f"got {params.shape}")
+        amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+        amps[0] = 1.0
+        for step in self.steps:
+            amps = step.apply(amps, params)
+        return StateVector(self.num_qubits, amps)
 
 
 # -- sampling ------------------------------------------------------------------

@@ -6,25 +6,42 @@ which recovers from the stalls simplex methods hit on higher-dimensional
 penalty landscapes.  A simultaneous-perturbation optimizer is available
 for noisy objectives.  Convergence is declared when the best objective
 value stops improving by more than the tolerance over a trailing
-evaluation window.
+evaluation window, or across a restart; the result says which stop
+ended the run.
+
+The objective never touches the gate-level circuit: each run compiles
+the ansatz into an ``AnsatzProgram`` (one vectorized step per excitation
+or Pauli rotation) and the Hamiltonian into a mask-grouped
+``CompiledPauliSum``, once, outside the objective.  ``build_ansatz``
+still gives the ``Circuit`` used for resource counts, noise and as the
+reference the program is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize
 
-from .circuits import (Circuit, build_chc, build_heuristic, build_uvcc,
-                       compose, excitation_list, reference_circuit)
+from .circuits import (Block, Circuit, chc_blocks, circuit_from_blocks,
+                       excitation_list, heuristic_blocks, reference_circuit,
+                       uvcc_blocks)
 from .mapping import QubitLayout, number_operator, penalty_objective
 from .pauli import PauliSum
-from .simulator import apply_circuit, expectation
+from .simulator import (AnsatzProgram, StateVector, compile_pauli_sum,
+                        expectation)
 
 ANSATZ_KINDS = ("uvccsd", "chc", "swaprz", "ryrz")
 DEFAULT_PENALTY_WEIGHT = 1e5
+
+# Why a run stopped.  Only "tolerance" counts as converged: "max_evals"
+# means the evaluation budget ran out, "restarts" that the simplex was
+# still improving when its last restart ended.
+STOP_TOLERANCE = "tolerance"
+STOP_MAX_EVALS = "max_evals"
+STOP_RESTARTS = "restarts"
 
 
 @dataclass(frozen=True)
@@ -47,6 +64,8 @@ class VqeConfig:
             raise ValueError(f"unknown ansatz {self.ansatz!r}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be positive")
         if self.init_range[0] > self.init_range[1]:
             raise ValueError("initial-parameter range bounds must be ordered")
 
@@ -71,13 +90,22 @@ class VqeResult:
     history: list[float]
     evals: int
     seed: int
+    stop_reason: str
+    # The prepared state at ``params``; set by ``ground_state``, not serialized.
+    state: StateVector | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == STOP_TOLERANCE
 
     def to_dict(self) -> dict:
         return {"energy": self.energy,
                 "params": [float(p) for p in self.params],
                 "history": [float(v) for v in self.history],
                 "evals": self.evals,
-                "seed": self.seed}
+                "seed": self.seed,
+                "stop_reason": self.stop_reason,
+                "converged": self.converged}
 
 
 class _Converged(Exception):
@@ -85,7 +113,8 @@ class _Converged(Exception):
 
 
 class _Tracker:
-    """Records accepted (improving) values and stops on window stagnation."""
+    """Records accepted (improving) values and stops on window stagnation
+    or an exhausted budget, noting which in ``stop_reason``."""
 
     def __init__(self, objective: Callable, tol: float, window: int,
                  max_evals: int):
@@ -98,9 +127,11 @@ class _Tracker:
         self.best_params: np.ndarray | None = None
         self.history: list[float] = []
         self._best_trace: list[float] = []
+        self.stop_reason: str | None = None
 
     def __call__(self, params: np.ndarray) -> float:
         if self.evals >= self._max_evals:
+            self.stop_reason = STOP_MAX_EVALS
             raise _Converged
         value = float(self._objective(np.asarray(params, dtype=float)))
         if not np.isfinite(value):
@@ -116,6 +147,7 @@ class _Tracker:
         if len(self._best_trace) > self._window:
             gain = self._best_trace[-self._window - 1] - self.best_value
             if gain <= self._tol:
+                self.stop_reason = STOP_TOLERANCE
                 raise _Converged
         return value
 
@@ -124,7 +156,8 @@ class _Tracker:
 
 
 def _run_nelder_mead(tracker: _Tracker, start: np.ndarray,
-                     config: VqeConfig) -> None:
+                     config: VqeConfig) -> str:
+    """Simplex runs with restarts; returns the stop reason."""
     current = start
     previous_best = np.inf
     for _ in range(max(1, config.restarts)):
@@ -138,16 +171,21 @@ def _run_nelder_mead(tracker: _Tracker, start: np.ndarray,
                          "adaptive": len(current) >= 6})
         except _Converged:
             pass
-        if tracker.best_params is None:
-            break
+        if tracker.stop_reason == STOP_MAX_EVALS:
+            return STOP_MAX_EVALS
         current = tracker.best_params
         if previous_best - tracker.best_value <= config.tol:
-            break
+            return STOP_TOLERANCE
         previous_best = tracker.best_value
+    return STOP_RESTARTS
 
 
-def _run_spsa(tracker: _Tracker, start: np.ndarray, config: VqeConfig) -> None:
-    """Standard decaying-gain SPSA; each iteration costs two evaluations."""
+def _run_spsa(tracker: _Tracker, start: np.ndarray, config: VqeConfig) -> str:
+    """Standard decaying-gain SPSA; each iteration costs two evaluations.
+
+    Returns the stop reason.  The iteration count is derived from the
+    evaluation budget, so finishing the schedule counts as exhausting it.
+    """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5B5A)))
     theta = np.array(start, dtype=float)
     iterations = config.max_evals // 2
@@ -163,7 +201,8 @@ def _run_spsa(tracker: _Tracker, start: np.ndarray, config: VqeConfig) -> None:
             minus = tracker(theta - ck * delta)
             theta = theta - ak * (plus - minus) / (2.0 * ck) * (1.0 / delta)
     except _Converged:
-        pass
+        return tracker.stop_reason
+    return STOP_MAX_EVALS
 
 
 def minimize(objective: Callable[[np.ndarray], float], start: Sequence[float],
@@ -180,41 +219,63 @@ def minimize(objective: Callable[[np.ndarray], float], start: Sequence[float],
     except _Converged:
         pass
     if config.optimizer == "nelder-mead":
-        _run_nelder_mead(tracker, start, config)
+        stop_reason = _run_nelder_mead(tracker, start, config)
     else:
-        _run_spsa(tracker, start, config)
+        stop_reason = _run_spsa(tracker, start, config)
     return VqeResult(energy=tracker.best_value,
                      params=tracker.best_params,
                      history=tracker.history,
                      evals=tracker.evals,
-                     seed=config.seed)
+                     seed=config.seed,
+                     stop_reason=stop_reason)
+
+
+def _ansatz_blocks(layout: QubitLayout,
+                  config: VqeConfig) -> tuple[list[Block], int]:
+    """Blocks of the ansatz, reference-state preparation included, and
+    their parameter count."""
+    if config.ansatz in ("uvccsd", "chc"):
+        excitations = excitation_list(layout, 2)
+        if config.ansatz == "uvccsd":
+            blocks = uvcc_blocks(layout, excitations, config.trotter_steps)
+        else:
+            blocks = chc_blocks(layout, excitations)
+        return blocks, len(excitations)
+    heuristic, num_parameters = heuristic_blocks(
+        config.ansatz, layout.num_qubits, config.depth)
+    return list(reference_circuit(layout).gates) + heuristic, num_parameters
 
 
 def build_ansatz(layout: QubitLayout, config: VqeConfig) -> Circuit:
     """Ansatz circuit including the reference-state preparation."""
-    if config.ansatz in ("uvccsd", "chc"):
-        excitations = excitation_list(layout, 2)
-        if config.ansatz == "uvccsd":
-            return build_uvcc(layout, excitations, config.trotter_steps)
-        return build_chc(layout, excitations)
-    heuristic = build_heuristic(config.ansatz, layout.num_qubits, config.depth)
-    return compose(reference_circuit(layout), heuristic)
+    return circuit_from_blocks(layout.num_qubits,
+                               *_ansatz_blocks(layout, config))
+
+
+def ansatz_program(layout: QubitLayout, config: VqeConfig) -> AnsatzProgram:
+    """The ansatz of ``build_ansatz`` as vectorized noise-free steps."""
+    return AnsatzProgram.compile(layout.num_qubits,
+                                 *_ansatz_blocks(layout, config))
 
 
 def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
                  config: VqeConfig | None = None) -> VqeResult:
-    """Penalty-aware VQE on exact statevector expectations (noise-free)."""
+    """Penalty-aware VQE on exact statevector expectations (noise-free).
+
+    The returned result carries the prepared state of its best parameters.
+    """
     config = config or VqeConfig()
     if hamiltonian.num_qubits != layout.num_qubits:
         raise ValueError("Hamiltonian and layout disagree on the qubit count")
-    circuit = build_ansatz(layout, config)
+    program = ansatz_program(layout, config)
+    h = compile_pauli_sum(hamiltonian)
     mu = config.effective_mu()
-    number_ops = [number_operator(layout, l) for l in range(layout.num_modes)] \
-        if mu > 0 else []
+    number_ops = [compile_pauli_sum(number_operator(layout, l))
+                  for l in range(layout.num_modes)] if mu > 0 else []
 
     def objective(params: np.ndarray) -> float:
-        state = apply_circuit(circuit, params)
-        energy = expectation(state, hamiltonian)
+        state = program.prepare(params)
+        energy = expectation(state, h)
         if mu > 0:
             occupations = [expectation(state, op) for op in number_ops]
             return penalty_objective(energy, occupations, mu)
@@ -222,19 +283,13 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
 
     if config.initial_params is not None:
         start = np.asarray(config.initial_params, dtype=float)
-        if start.shape != (circuit.num_parameters,):
-            raise ValueError(f"expected {circuit.num_parameters} initial "
+        if start.shape != (program.num_parameters,):
+            raise ValueError(f"expected {program.num_parameters} initial "
                              f"parameters, got {start.shape}")
     else:
         rng = np.random.default_rng(config.seed)
         lo, hi = config.init_range
-        start = rng.uniform(lo, hi, size=circuit.num_parameters)
-    return minimize(objective, start, config)
-
-
-def mode_occupations(hamiltonian_layout: QubitLayout, circuit: Circuit,
-                     params: Sequence[float]) -> list[float]:
-    """Per-mode occupation expectations of the prepared state."""
-    state = apply_circuit(circuit, params)
-    return [expectation(state, number_operator(hamiltonian_layout, l))
-            for l in range(hamiltonian_layout.num_modes)]
+        start = rng.uniform(lo, hi, size=program.num_parameters)
+    result = minimize(objective, start, config)
+    result.state = program.prepare(result.params)
+    return result

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,39 @@ def test_vqe_subcommand(tmp_path, coupled_pes_file):
     assert result["occupations"] == pytest.approx([1.0, 1.0], abs=1e-9)
     assert result["mu"] == 0.0
     assert result["history"][-1] == result["energy"]
+
+
+def test_vqe_reports_exhausted_budget(tmp_path, coupled_pes_file):
+    out = tmp_path / "vqe.json"
+    assert run(["vqe", "--pes", coupled_pes_file, "--modals", "2",
+                "--max-evals", "40", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["evals"] == 40
+    assert result["stop_reason"] == "max_evals"
+    assert result["converged"] is False
+
+
+def test_pes_constant_shifts_energies_not_gaps(tmp_path, coupled_pes):
+    results = {}
+    for v0 in (0.0, 500.0):
+        pes_path = tmp_path / f"pes{v0:g}.json"
+        save_pes(replace(coupled_pes, v0=v0), pes_path)
+        for command in ("exact", "vqe", "qeom"):
+            out = tmp_path / f"{command}{v0:g}.json"
+            argv = [command, "--pes", str(pes_path), "--modals", "2",
+                    "--out", str(out)]
+            if command != "exact":
+                argv += ["--seed", "2"]
+            assert run(argv) == 0
+            results[command, v0] = json.loads(out.read_text())["result"]
+    np.testing.assert_allclose(
+        np.subtract(results["exact", 500.0]["eigenvalues"],
+                    results["exact", 0.0]["eigenvalues"]), 500.0, atol=1e-9)
+    assert results["vqe", 500.0]["energy"] - results["vqe", 0.0]["energy"] \
+        == pytest.approx(500.0, abs=1e-6)
+    assert results["qeom", 500.0]["vqe"]["stop_reason"] == "tolerance"
+    np.testing.assert_allclose(results["qeom", 500.0]["energies"],
+                               results["qeom", 0.0]["energies"], atol=1e-6)
 
 
 def test_qeom_subcommand(tmp_path, coupled_pes_file):

@@ -6,6 +6,7 @@ from helpers import dense_from_sum, onv_rule_matrix, physical_onvs, \
 from vibriq.mapping import (QubitLayout, SqTerm, build_sq_hamiltonian,
                             map_to_pauli, number_operator, penalty_objective,
                             sq_terms_from_records, sq_terms_to_records)
+from vibriq.pauli import PauliSum
 from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
                         solve_modals)
 
@@ -41,6 +42,17 @@ def test_single_harmonic_mode_terms():
     assert set(got) == {((0, 0, 0),), ((0, 1, 1),)}
     assert abs(got[((0, 0, 0),)] - 500.0) < 1e-9
     assert abs(got[((0, 1, 1),)] - 1500.0) < 1e-9
+
+
+def test_pes_constant_is_the_identity_term():
+    pes = PesExpansion((1000.0,), v0=500.0)
+    terms = build_sq_hamiltonian(pes, _operators(pes, [2]), n_body=1)
+    got = {t.factors: t.coefficient for t in terms}
+    assert got[()] == 500.0
+    layout = QubitLayout((2,))
+    shifted = map_to_pauli(terms, layout)
+    bare = map_to_pauli([t for t in terms if t.factors], layout)
+    assert shifted.allclose(bare + PauliSum.identity(2, 500.0), tol=1e-12)
 
 
 def test_no_coupling_terms_without_anharmonicity():

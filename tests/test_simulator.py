@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (dense_circuit_unitary, dense_from_sum,
+from helpers import (dense_circuit_unitary, dense_from_label, dense_from_sum,
                      density_matrix_simulation, random_pauli_sum)
 from vibriq.circuits import (Circuit, Gate, build_chc, build_uvcc,
                              excitation_list, reference_circuit)
 from vibriq.mapping import QubitLayout
 from vibriq.pauli import PauliSum
 from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
-                              apply_circuit, bitstring, distribution_fidelity,
-                              expectation, expectation_value, noisy_counts,
+                              apply_circuit, bitstring, compile_pauli_sum,
+                              distribution_fidelity, expectation,
+                              expectation_value, noisy_counts,
                               noisy_trajectory, run_fidelity_experiment,
                               sample)
 
@@ -110,6 +111,43 @@ def test_expectation_raises_on_non_hermitian():
     op = PauliSum.from_label("X", 1.0 + 0.5j)
     with pytest.raises(ValueError, match="Hermitian"):
         expectation(state, op)
+
+
+def test_compiled_sum_matches_per_term_loop_on_non_hermitian_sums():
+    rng = np.random.default_rng(47)
+    for num_qubits, n_terms in ((1, 3), (3, 12), (5, 40), (6, 90)):
+        for _ in range(4):
+            op = random_pauli_sum(rng, num_qubits, n_terms)
+            dim = 1 << num_qubits
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            amps /= np.linalg.norm(amps)
+            expected = 0.0j
+            for term in op.terms:
+                expected += term.coefficient * np.vdot(
+                    amps, dense_from_label(term.label) @ amps)
+            state = StateVector(num_qubits, amps)
+            for got in (expectation_value(state, op),
+                        expectation_value(state, compile_pauli_sum(op))):
+                assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_compiled_sum_groups_terms_by_flip_mask():
+    op = PauliSum(3, {"XZI": 1.0, "YII": 0.5, "IZZ": 2.0, "ZII": -1.0,
+                      "IXX": 0.25})
+    compiled = compile_pauli_sum(op)
+    assert compiled.num_masks == 3  # flips of qubit 0, none, qubits 1 and 2
+    assert compile_pauli_sum(compiled) is compiled
+    assert compile_pauli_sum(PauliSum.zero(2)).num_masks == 0
+    assert expectation(StateVector.vacuum(2), PauliSum.zero(2)) == 0.0
+
+
+def test_expectation_raises_on_compiled_non_hermitian():
+    state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
+    op = compile_pauli_sum(PauliSum.from_label("X", 1.0 + 0.5j))
+    with pytest.raises(ValueError, match="Hermitian"):
+        expectation(state, op)
+    with pytest.raises(ValueError, match="qubit count"):
+        expectation(StateVector.vacuum(2), op)
 
 
 def test_sample_basis_state_and_determinism():

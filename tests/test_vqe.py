@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from vibriq.exact import physical_spectrum
-from vibriq.mapping import number_operator, penalty_objective
+from vibriq.mapping import QubitLayout, number_operator, penalty_objective
 from vibriq.simulator import apply_circuit, expectation
-from vibriq.vqe import VqeConfig, build_ansatz, ground_state, minimize
+from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
+                        minimize)
 
 from conftest import build_qubit_hamiltonian
 
@@ -133,6 +134,66 @@ def test_result_serialization(coupled_system):
     result = ground_state(h, layout,
                           VqeConfig(ansatz="uvccsd", seed=5, max_evals=500))
     data = result.to_dict()
-    assert set(data) == {"energy", "params", "history", "evals", "seed"}
+    assert set(data) == {"energy", "params", "history", "evals", "seed",
+                         "stop_reason", "converged"}
     assert data["seed"] == 5
     assert len(data["params"]) == 3
+    assert data["stop_reason"] == result.stop_reason
+    assert data["converged"] == result.converged
+
+
+@pytest.mark.parametrize("ansatz,depth,trotter_steps", [
+    ("uvccsd", 1, 1), ("uvccsd", 1, 3), ("chc", 1, 1),
+    ("swaprz", 1, 1), ("swaprz", 2, 1), ("ryrz", 1, 1), ("ryrz", 2, 1),
+])
+@pytest.mark.parametrize("modals", [(2, 2), (2, 4), (3, 3), (3, 3, 2)])
+def test_program_state_matches_circuit(modals, ansatz, depth, trotter_steps):
+    layout = QubitLayout(modals)
+    config = VqeConfig(ansatz=ansatz, depth=depth,
+                       trotter_steps=trotter_steps)
+    circuit = build_ansatz(layout, config)
+    program = ansatz_program(layout, config)
+    assert program.num_parameters == circuit.num_parameters
+    rng = np.random.default_rng(len(modals) * 100 + sum(modals))
+    for _ in range(3):
+        params = rng.uniform(-np.pi, np.pi, circuit.num_parameters)
+        expected = apply_circuit(circuit, params).amplitudes
+        got = program.prepare(params).amplitudes
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_program_checks_parameter_count():
+    program = ansatz_program(QubitLayout((2, 2)), VqeConfig())
+    with pytest.raises(ValueError, match="parameters"):
+        program.prepare([0.0])
+
+
+def test_result_carries_prepared_state(coupled_system):
+    layout, _, h = coupled_system
+    config = VqeConfig(ansatz="chc", seed=4, max_evals=300)
+    result = ground_state(h, layout, config)
+    expected = apply_circuit(build_ansatz(layout, config), result.params)
+    assert np.max(np.abs(result.state.amplitudes
+                         - expected.amplitudes)) <= 1e-12
+    assert expectation(result.state, h) == pytest.approx(result.energy,
+                                                         abs=1e-9)
+    assert "state" not in result.to_dict()
+
+
+def test_stop_reason_budget_versus_tolerance(coupled_system):
+    layout, _, h = coupled_system
+    budget = ground_state(h, layout, VqeConfig(seed=1, max_evals=40))
+    assert budget.evals == 40
+    assert budget.stop_reason == "max_evals"
+    assert not budget.converged
+    full = ground_state(h, layout, VqeConfig(seed=1))
+    assert full.stop_reason == "tolerance"
+    assert full.converged
+    spsa = minimize(lambda p: float(np.sum(p ** 2)), [0.5, 0.5],
+                    VqeConfig(optimizer="spsa", max_evals=41))
+    assert spsa.stop_reason == "max_evals"
+
+
+def test_max_evals_must_be_positive():
+    with pytest.raises(ValueError, match="max_evals"):
+        VqeConfig(max_evals=0)
