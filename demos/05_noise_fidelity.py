@@ -1,8 +1,9 @@
 """Why the compact circuit wins on noisy hardware.
 
 Random small-angle parameter sets are run through both ansatz circuits
-under stochastic depolarizing noise (device-average error rates per gate
-class).  Each noisy count distribution is scored against the ideal
+under the exact depolarizing channel (device-average error rates per gate
+class), and the noisy counts are drawn shot by shot from its outcome
+distribution.  Each noisy count distribution is scored against the ideal
 cluster-ansatz reference with the count-overlap fidelity.  The compact
 circuit pays a small approximation cost but survives with an order of
 magnitude fewer CNOTs, so its distributions stay far closer to the

@@ -1,8 +1,8 @@
 """Vibrational anharmonic eigenstates via simulated variational quantum
 algorithms: n-mode second quantization, direct modal-to-qubit mapping,
 cluster and heuristic ansatz circuits, penalty-constrained ground-state
-optimization, equation-of-motion excited states, stochastic depolarizing
-noise, and a dense brute-force oracle."""
+optimization, equation-of-motion excited states, depolarizing noise, and
+a dense brute-force oracle."""
 
 __version__ = "0.1.0"
 
@@ -19,8 +19,8 @@ from .circuits import (Circuit, Excitation, Gate, build_chc, build_heuristic,
 from .simulator import (AnsatzProgram, CompiledPauliSum, NoiseModel,
                         ShotCounts, StateVector, apply_circuit,
                         compile_pauli_sum, distribution_fidelity, expectation,
-                        expectation_value, noisy_counts, noisy_trajectory,
-                        run_fidelity_experiment, sample)
+                        expectation_value, noisy_counts, noisy_distribution,
+                        noisy_trajectory, run_fidelity_experiment, sample)
 from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
                   ground_state, minimize)
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,

@@ -18,6 +18,7 @@ compiled by the simulator into the vectorized steps of an
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -168,35 +169,36 @@ def _generator_pattern(order: int) -> tuple[tuple[str, float], ...]:
     return tuple(pattern)
 
 
-_OP_H, _OP_RXP, _OP_RXM, _OP_CNOT, _OP_RZ = range(5)
-
-
 @lru_cache(maxsize=None)
-def _uvcc_program(order: int) -> tuple[tuple[int, int, float], ...]:
-    """Flat gate program of one cluster-excitation block on canonical roles.
+def _uvcc_program(order: int) -> tuple[operator.itemgetter,
+                                       tuple[tuple[int, float], ...]]:
+    """Gate program of one cluster-excitation block on canonical roles.
 
-    Entries are (op, role, scale); ops select the H / RX(+pi/2) /
-    RX(-pi/2) / ladder-CNOT banks or a parametrized RZ.  Compiled once per
-    order from the generic gadget emission, then stamped per excitation.
+    Returns ``(pick, rotations)``: ``pick`` selects the block's gates, in
+    order, from the role bank (see ``_gate_bank``) followed by one RZ per
+    ``rotations`` entry (role, scale).  Compiled once per order from the
+    generic gadget emission, then stamped per excitation.
     """
+    k = 2 * order
     gates: list[Gate] = []
-    roles = tuple(range(2 * order))
     for letters, gamma in _generator_pattern(order):
-        pairs = [(q, letter) for q, letter in zip(roles, letters)
+        pairs = [(q, letter) for q, letter in enumerate(letters)
                  if letter != "I"]
         _append_pauli_gadget(gates, pairs, 0, -2.0 * gamma)
-    program = []
+    slots = []
+    rotations = []
     for g in gates:
         q = g.qubits[0]
         if g.kind == "h":
-            program.append((_OP_H, q, 0.0))
+            slots.append(q)
         elif g.kind == "rx":
-            program.append((_OP_RXP if g.angle > 0 else _OP_RXM, q, 0.0))
+            slots.append((1 if g.angle > 0 else 2) * k + q)
         elif g.kind == "cnot":
-            program.append((_OP_CNOT, q, 0.0))
+            slots.append(3 * k + q)
         else:
-            program.append((_OP_RZ, q, g.scale))
-    return tuple(program)
+            slots.append(4 * k - 1 + len(rotations))
+            rotations.append((q, g.scale))
+    return operator.itemgetter(*slots), tuple(rotations)
 
 
 # -- gate emission -----------------------------------------------------------
@@ -204,29 +206,35 @@ def _uvcc_program(order: int) -> tuple[tuple[int, int, float], ...]:
 _HALF_PI = math.pi / 2.0
 
 
+@lru_cache(maxsize=None)
+def _fixed_gate(kind: str, qubits: tuple[int, ...],
+                angle: float | None = None) -> Gate:
+    """A gate without a parameter, built once and shared between circuits."""
+    return Gate(kind, qubits, angle)
+
+
 def _append_pauli_gadget(gates: list[Gate], pairs: Sequence[tuple[int, str]],
                          param: int, scale: float) -> None:
     """exp(-i * (scale * theta[param]) / 2 * P) for P on the given qubits."""
     pairs = sorted(pairs)
-    append = gates.append
+    into: list[Gate] = []
+    out: list[Gate] = []
     for q, letter in pairs:
         if letter == "X":
-            append(Gate("h", (q,)))
+            into.append(_fixed_gate("h", (q,)))
+            out.append(into[-1])
         elif letter == "Y":
-            append(Gate("rx", (q,), _HALF_PI))
+            into.append(_fixed_gate("rx", (q,), _HALF_PI))
+            out.append(_fixed_gate("rx", (q,), -_HALF_PI))
         elif letter != "Z":
             raise ValueError(f"cannot exponentiate letter {letter!r}")
     qubits = [q for q, _ in pairs]
-    for i in range(len(qubits) - 1):
-        append(Gate("cnot", (qubits[i], qubits[i + 1])))
-    append(Gate("rz", (qubits[-1],), None, param, scale))
-    for i in range(len(qubits) - 2, -1, -1):
-        append(Gate("cnot", (qubits[i], qubits[i + 1])))
-    for q, letter in reversed(pairs):
-        if letter == "X":
-            append(Gate("h", (q,)))
-        elif letter == "Y":
-            append(Gate("rx", (q,), -_HALF_PI))
+    ladder = [_fixed_gate("cnot", pair) for pair in zip(qubits, qubits[1:])]
+    gates += into
+    gates += ladder
+    gates.append(Gate("rz", (qubits[-1],), None, param, scale))
+    gates += reversed(ladder)
+    gates += reversed(out)
 
 
 def reference_circuit(layout: QubitLayout) -> Circuit:
@@ -323,23 +331,25 @@ def _role_qubits(exc: Excitation) -> tuple[int, ...]:
             exc.occupied_qubits[1], exc.virtual_qubits[1])
 
 
+@lru_cache(maxsize=4096)
+def _gate_bank(roles: tuple[int, ...]) -> tuple[Gate, ...]:
+    """H, RX(+pi/2) and RX(-pi/2) per role, then the role-ladder CNOTs."""
+    return (tuple(_fixed_gate("h", (q,)) for q in roles)
+            + tuple(_fixed_gate("rx", (q,), _HALF_PI) for q in roles)
+            + tuple(_fixed_gate("rx", (q,), -_HALF_PI) for q in roles)
+            + tuple(_fixed_gate("cnot", pair)
+                    for pair in zip(roles, roles[1:])))
+
+
 def _append_excitation(gates: list[Gate], block: ExcitationRotation) -> None:
     """Stamp the canonical cluster-excitation program onto its qubits."""
     exc = block.excitation
     roles = _role_qubits(exc)
-    hs = [Gate("h", (q,)) for q in roles]
-    rxp = [Gate("rx", (q,), _HALF_PI) for q in roles]
-    rxm = [Gate("rx", (q,), -_HALF_PI) for q in roles]
-    cns = [Gate("cnot", (roles[i], roles[i + 1]))
-           for i in range(len(roles) - 1)]
-    banks = (hs, rxp, rxm, cns)
-    append = gates.append
-    for op, role, scale in _uvcc_program(exc.order):
-        if op == _OP_RZ:
-            append(Gate("rz", (roles[role],), None, block.param,
-                        scale * block.scale))
-        else:
-            append(banks[op][role])
+    pick, rotations = _uvcc_program(exc.order)
+    bank = _gate_bank(roles) + tuple(
+        Gate("rz", (roles[role],), None, block.param, scale * block.scale)
+        for role, scale in rotations)
+    gates.extend(pick(bank))
 
 
 def circuit_from_blocks(num_qubits: int, blocks: Iterable[Block],

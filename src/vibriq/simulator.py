@@ -1,4 +1,4 @@
-"""Exact statevector simulation, sampling, and stochastic Pauli noise.
+"""Exact statevector simulation, sampling, and depolarizing noise.
 
 Two noise-free paths lead to a state.  ``apply_circuit`` runs a
 gate-level ``Circuit`` gate by gate; it serves the noise model and is the
@@ -10,11 +10,12 @@ terms by the qubits they flip.
 
 Basis convention: bit q of a basis index is the value of qubit q, and
 bitstrings render qubit 0 as the leftmost character.  The noise model is
-the Monte-Carlo unraveling of depolarization: after each gate, with the
-gate-class probability, one uniformly random non-identity Pauli acts on
-the gate's qubits (15 choices for a CNOT).  Averaging trajectories
-converges to the depolarizing channel; a single trajectory stays a pure
-state, so memory is 2^N amplitudes throughout.
+depolarization: after each gate, with the gate-class probability, one
+uniformly random non-identity Pauli acts on the gate's qubits (15 choices
+for a CNOT).  ``noisy_counts`` draws multinomial shots from the diagonal
+of the density matrix evolved through that exact channel (4^N amplitudes,
+so at most ``MAX_DENSITY_QUBITS``); ``noisy_trajectory`` is its
+Monte-Carlo unraveling, one pure state per run, and the tests' reference.
 
 Gate classes follow the published rates: H, RX(+-pi/2) and PHASE are
 U2-like, every other single-qubit rotation (including X) is U3-like, and
@@ -25,8 +26,6 @@ a fixed master seed fixes every derived stream.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -40,13 +39,9 @@ from .pauli import PauliSum
 
 NORM_TOL = 1e-10
 
-
-def max_threads() -> int:
-    """Parallelism cap for embarrassingly parallel loops (VIBRIQ_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("VIBRIQ_THREADS", "1")))
-    except ValueError:
-        return 1
+# Largest register the noisy path simulates: its density matrix holds 4^N
+# complex amplitudes, 268 MB at 12 qubits.
+MAX_DENSITY_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -458,17 +453,22 @@ class ShotCounts:
         return {k: self.counts[k] for k in sorted(self.counts)}
 
 
+def _draw_counts(probs: np.ndarray, num_qubits: int, shots: int,
+                 seed) -> ShotCounts:
+    """Multinomial draw of ``shots`` outcomes from basis probabilities."""
+    rng = np.random.default_rng(seed)
+    probs = np.clip(probs, 0.0, None)  # rounding can leave -1e-17 entries
+    draws = rng.multinomial(shots, probs / probs.sum())
+    counts = {bitstring(i, num_qubits): int(c)
+              for i, c in enumerate(draws) if c > 0}
+    return ShotCounts(counts, shots)
+
+
 def sample(state: StateVector, shots: int, seed=None) -> ShotCounts:
     """Multinomial draw from |amplitude|^2; deterministic for a fixed seed."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    rng = np.random.default_rng(seed)
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    draws = rng.multinomial(shots, probs)
-    n = state.num_qubits
-    counts = {bitstring(i, n): int(c) for i, c in enumerate(draws) if c > 0}
-    return ShotCounts(counts, shots)
+    return _draw_counts(state.probabilities(), state.num_qubits, shots, seed)
 
 
 def distribution_fidelity(a: ShotCounts, ref: ShotCounts) -> float:
@@ -481,7 +481,7 @@ def distribution_fidelity(a: ShotCounts, ref: ShotCounts) -> float:
     return 1.0 - l1 / denom
 
 
-# -- depolarizing trajectories -------------------------------------------------
+# -- depolarizing noise -------------------------------------------------------
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -507,21 +507,6 @@ class NoiseModel:
         return self.p_u3
 
 
-def _pauli_choice_label(choice: int, qubits: tuple[int, ...],
-                        num_qubits: int) -> str:
-    letters = ["I"] * num_qubits
-    for j, q in enumerate(qubits):
-        letters[q] = "IXYZ"[(choice >> (2 * j)) & 3]
-    return "".join(letters)
-
-
-def _insert_pauli(amps: np.ndarray, choice: int, qubits: tuple[int, ...],
-                  num_qubits: int) -> np.ndarray:
-    label = _pauli_choice_label(choice, qubits, num_qubits)
-    perm, phase = _pauli_action(num_qubits, label)
-    return phase * amps[..., perm]
-
-
 def noisy_trajectory(circuit: Circuit, params: Sequence[float],
                      noise: NoiseModel, seed=None,
                      state: StateVector | None = None) -> StateVector:
@@ -539,54 +524,70 @@ def noisy_trajectory(circuit: Circuit, params: Sequence[float],
         if p > 0.0 and rng.random() < p:
             n_paulis = (1 << (2 * len(gate.qubits))) - 1
             choice = int(rng.integers(1, n_paulis + 1))
-            amps = _insert_pauli(amps, choice, gate.qubits, n)
+            letters = ["I"] * n
+            for j, q in enumerate(gate.qubits):
+                letters[q] = "IXYZ"[(choice >> (2 * j)) & 3]
+            perm, phase = _pauli_action(n, "".join(letters))
+            amps = phase * amps[perm]
     return StateVector(n, amps)
 
 
-def _noisy_batch(circuit: Circuit, params: Sequence[float], noise: NoiseModel,
-                 batch: int, rng: np.random.Generator) -> np.ndarray:
-    """(batch, 2^N) stack of independent trajectories, vectorized per gate."""
+def _pauli_twirl(rho: np.ndarray, qubits: tuple[int, ...],
+                 num_qubits: int) -> np.ndarray:
+    """Sum of P rho P over all 4^k Paulis P on ``qubits``.
+
+    Per qubit the sum is 2 Tr_q(rho) (x) I_q, and the k-qubit sum is the
+    composition of the per-qubit ones: 2^k Tr_k(rho) (x) I_k.
+    """
+    for q in qubits:
+        lo = 1 << q
+        hi = 1 << (num_qubits - q - 1)
+        view = rho.reshape(hi, 2, lo, hi, 2, lo)
+        traced = 2.0 * (view[:, 0, :, :, 0] + view[:, 1, :, :, 1])
+        out = np.zeros_like(view)
+        out[:, 0, :, :, 0] = traced
+        out[:, 1, :, :, 1] = traced
+        rho = out.reshape(rho.shape)
+    return rho
+
+
+def noisy_distribution(circuit: Circuit, params: Sequence[float],
+                       noise: NoiseModel) -> np.ndarray:
+    """Outcome probabilities diag(rho) of the exact depolarizing channel.
+
+    Each gate maps rho to U (U rho)^+, the statevector kernel acting on
+    rows; a noisy one on k qubits then mixes in p / (4^k - 1) of every
+    non-identity Pauli conjugation P rho P.
+    """
     n = circuit.num_qubits
-    amps = np.zeros((batch, 1 << n), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    if n > MAX_DENSITY_QUBITS:
+        raise ValueError(
+            f"noisy simulation of {n} qubits needs a {16 * 4 ** n / 1e6:.0f} MB "
+            f"density matrix; the limit is {MAX_DENSITY_QUBITS} qubits")
+    params = np.asarray(params, dtype=float)
+    if params.shape != (circuit.num_parameters,):
+        raise ValueError(f"expected {circuit.num_parameters} parameters")
+    rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    rho[0, 0] = 1.0
     for gate in circuit.gates:
         angle = gate.resolved_angle(params)
-        amps = _apply_gate(amps, gate, angle, n)
+        rho = _apply_gate(rho.T, gate, angle, n).T       # U rho
+        rho = _apply_gate(rho.conj(), gate, angle, n).T  # U (U rho)^+
         p = noise.gate_probability(gate, angle)
-        if p <= 0.0:
-            continue
-        hit = rng.random(batch) < p
-        rows = np.nonzero(hit)[0]
-        if rows.size == 0:
-            continue
-        n_paulis = (1 << (2 * len(gate.qubits))) - 1
-        choices = rng.integers(1, n_paulis + 1, size=rows.size)
-        for choice in np.unique(choices):
-            sel = rows[choices == choice]
-            label = _pauli_choice_label(int(choice), gate.qubits, n)
-            perm, phase = _pauli_action(n, label)
-            amps[sel] = phase * amps[sel][:, perm]
-    return amps
+        if p > 0.0:
+            share = p / ((1 << (2 * len(gate.qubits))) - 1)
+            twirl = _pauli_twirl(rho, gate.qubits, n)
+            rho = (1.0 - p) * rho + share * (twirl - rho)
+    return np.diagonal(rho).real.copy()
 
 
 def noisy_counts(circuit: Circuit, params: Sequence[float], noise: NoiseModel,
                  shots: int, seed=None) -> ShotCounts:
-    """Measurement counts with a fresh trajectory per shot."""
+    """Measurement counts, each shot a fresh noisy run measured once."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    params = np.asarray(params, dtype=float)
-    rng = np.random.default_rng(seed)
-    amps = _noisy_batch(circuit, params, noise, shots, rng)
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum(axis=1, keepdims=True)
-    u = rng.random((shots, 1))
-    dim = 1 << circuit.num_qubits
-    outcomes = (np.cumsum(probs, axis=1) < u).sum(axis=1)
-    outcomes = np.minimum(outcomes, dim - 1)  # cumsum can end at 1 - eps
-    draws = np.bincount(outcomes, minlength=dim)
-    n = circuit.num_qubits
-    counts = {bitstring(i, n): int(c) for i, c in enumerate(draws) if c > 0}
-    return ShotCounts(counts, shots)
+    return _draw_counts(noisy_distribution(circuit, params, noise),
+                        circuit.num_qubits, shots, seed)
 
 
 # -- distribution-fidelity experiment -----------------------------------------
@@ -610,26 +611,18 @@ def run_fidelity_experiment(modal_counts: Sequence[int], trials: int = 10,
     circuits = {"uvccsd": build_uvcc(layout, excitations),
                 "chc": build_chc(layout, excitations)}
     n_params = len(excitations)
-    children = np.random.SeedSequence(seed).spawn(trials)
-
-    def run_trial(trial: int) -> dict[str, float]:
-        s_params, s_ref, s_uvcc, s_chc = children[trial].spawn(4)
+    per_trial = []
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        s_params, s_ref, s_uvcc, s_chc = child.spawn(4)
         rng = np.random.default_rng(s_params)
         params = rng.uniform(-param_range, param_range, size=n_params)
         ideal = apply_circuit(circuits["uvccsd"], params)
         ref = sample(ideal, shots, seed=s_ref)
         noisy_seeds = {"uvccsd": s_uvcc, "chc": s_chc}
-        return {name: distribution_fidelity(
-                    noisy_counts(circ, params, noise, shots,
-                                 seed=noisy_seeds[name]), ref)
-                for name, circ in circuits.items()}
-
-    workers = min(max_threads(), trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(run_trial, range(trials)))
-    else:
-        per_trial = [run_trial(t) for t in range(trials)]
+        per_trial.append({name: distribution_fidelity(
+                              noisy_counts(circ, params, noise, shots,
+                                           seed=noisy_seeds[name]), ref)
+                          for name, circ in circuits.items()})
 
     report: dict = {
         "trials": trials,

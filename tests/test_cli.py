@@ -162,6 +162,14 @@ def test_missing_pes_file_exits_one(tmp_path, capsys):
     assert "error in exact diagonalization" in err
 
 
+def test_noise_fidelity_refuses_oversized_register(capsys):
+    assert run(["noise-fidelity", "--modals", "7,6", "--trials", "1",
+                "--shots", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "error in noise experiment" in err
+    assert "13 qubits" in err
+
+
 def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as info:
         run(["vqe", "--modals", "2"])  # --pes required

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
                               apply_circuit, bitstring, compile_pauli_sum,
                               distribution_fidelity, expectation,
                               expectation_value, noisy_counts,
-                              noisy_trajectory, run_fidelity_experiment,
-                              sample)
+                              noisy_distribution, noisy_trajectory,
+                              run_fidelity_experiment, sample)
 
 
 def random_circuit(rng, num_qubits, depth=30):
@@ -253,6 +254,81 @@ def test_trajectory_average_matches_density_matrix_for_chc():
     assert abs(np.mean(values) - oracle) < 3 * sigma
 
 
+@pytest.mark.parametrize("builder", [build_uvcc, build_chc])
+def test_noisy_distribution_matches_density_matrix_oracle(builder):
+    layout = QubitLayout((2, 2))
+    circ = builder(layout, excitation_list(layout))
+    rng = np.random.default_rng(61)
+    params = rng.uniform(-0.2, 0.2, circ.num_parameters)
+    oracle = np.diag(density_matrix_simulation(circ, params, NoiseModel()))
+    np.testing.assert_allclose(noisy_distribution(circ, params, NoiseModel()),
+                               oracle.real, rtol=0, atol=1e-12)
+
+
+def test_noisy_distribution_covers_every_gate_kind():
+    rng = np.random.default_rng(79)
+    noise = NoiseModel(p_u2=0.05, p_u3=0.1, p_cx=0.2)
+    for _ in range(4):
+        circ = random_circuit(rng, 3, depth=40)
+        params = rng.uniform(-np.pi, np.pi, circ.num_parameters)
+        oracle = np.diag(density_matrix_simulation(circ, params, noise)).real
+        np.testing.assert_allclose(noisy_distribution(circ, params, noise),
+                                   oracle, rtol=0, atol=1e-12)
+
+
+def test_noisy_distribution_full_strength_cnot():
+    circ = Circuit(2, (Gate("cnot", (0, 1)),), 0)
+    noise = NoiseModel(p_u2=0.0, p_u3=0.0, p_cx=1.0)
+    oracle = np.diag(density_matrix_simulation(circ, [], noise)).real
+    np.testing.assert_allclose(noisy_distribution(circ, [], noise), oracle,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(oracle, [3 / 15, 4 / 15, 4 / 15, 4 / 15],
+                               atol=1e-12)
+
+
+def test_noisy_distribution_without_noise_is_ideal():
+    layout = QubitLayout((2, 4))
+    circ = build_uvcc(layout, excitation_list(layout))
+    rng = np.random.default_rng(67)
+    params = rng.uniform(-0.5, 0.5, circ.num_parameters)
+    silent = NoiseModel(0.0, 0.0, 0.0)
+    np.testing.assert_allclose(noisy_distribution(circ, params, silent),
+                               apply_circuit(circ, params).probabilities(),
+                               rtol=0, atol=1e-12)
+
+
+def test_noisy_counts_follow_oracle_diagonal():
+    """Every outcome's count lies within 5 sigma of the channel's
+    probability; a bit-order slip in the draw would move whole outcomes."""
+    layout = QubitLayout((2, 2))
+    circ = build_uvcc(layout, excitation_list(layout))
+    rng = np.random.default_rng(71)
+    params = rng.uniform(-0.6, 0.6, circ.num_parameters)
+    noise = NoiseModel(p_u2=0.01, p_u3=0.02, p_cx=0.05)
+    probs = np.diag(density_matrix_simulation(circ, params, noise)).real
+    shots = 10_000
+    counts = noisy_counts(circ, params, noise, shots, seed=73).counts
+    for index, p in enumerate(probs):
+        observed = counts.get(bitstring(index, 4), 0)
+        sigma = math.sqrt(shots * p * (1.0 - p))
+        assert abs(observed - shots * p) <= 5.0 * sigma + 1e-9, index
+
+
+def test_noisy_distribution_refuses_large_registers_before_allocating():
+    layout = QubitLayout((7, 6))
+    circ = build_chc(layout, excitation_list(layout))
+    assert circ.num_qubits == 13
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"13 qubits .* 1074 MB"):
+            noisy_distribution(circ, np.zeros(circ.num_parameters),
+                               NoiseModel())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_noisy_counts_deterministic_and_consistent():
     layout = QubitLayout((2, 2))
     circ = build_uvcc(layout, excitation_list(layout))
@@ -290,10 +366,3 @@ def test_fidelity_experiment_deterministic():
     a = run_fidelity_experiment((2, 2), trials=2, shots=500, seed=9)
     b = run_fidelity_experiment((2, 2), trials=2, shots=500, seed=9)
     assert a == b
-
-
-def test_fidelity_experiment_thread_cap_keeps_results(monkeypatch):
-    sequential = run_fidelity_experiment((2, 2), trials=3, shots=300, seed=4)
-    monkeypatch.setenv("VIBRIQ_THREADS", "3")
-    threaded = run_fidelity_experiment((2, 2), trials=3, shots=300, seed=4)
-    assert threaded == sequential
