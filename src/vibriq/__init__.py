@@ -2,7 +2,8 @@
 algorithms: n-mode second quantization, direct modal-to-qubit mapping,
 cluster and heuristic ansatz circuits, penalty-constrained ground-state
 optimization, equation-of-motion excited states, depolarizing noise, and
-a dense brute-force oracle."""
+an exact reference that diagonalizes only the physical (Π N_l) block of
+the Hamiltonian."""
 
 __version__ = "0.1.0"
 
@@ -24,7 +25,7 @@ from .simulator import (AnsatzProgram, CompiledPauliSum, NoiseModel,
 from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
                   ground_state, minimize)
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,
-                   compute_matrices, double_commutator, excitation_energies,
-                   solve_pseudo_eigenproblem)
+                   compute_matrices, double_commutator, eom_diagnostics,
+                   excitation_energies, solve_pseudo_eigenproblem)
 from .exact import (PhysicalProjector, dense_matrix, ground_state_vector,
                     physical_spectrum)

@@ -22,7 +22,7 @@ from .circuits import count_resources
 from .exact import physical_spectrum
 from .mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli, number_operator
 from .pes import load_pes, modal_operator_matrices, solve_modals
-from .qeom import excitation_energies
+from .qeom import eom_diagnostics, excitation_energies
 from .simulator import NoiseModel, expectation, run_fidelity_experiment
 from .vqe import VqeConfig, build_ansatz, ground_state
 
@@ -164,6 +164,7 @@ def _cmd_qeom(args) -> None:
     payload = {"command": "qeom", "version": __version__,
                "config": _config_echo(args),
                "result": {"energies": energies,
+                          "diagnostics": eom_diagnostics(matrices),
                           "pool_size": ops.size,
                           "filtered_count": int(2 * ops.size - len(energies)),
                           "ground_energy": result.energy,

@@ -1,49 +1,57 @@
-"""Dense brute-force reference: full matrices and physical-subspace spectra.
+"""Exact reference: the Hamiltonian's physical block and its spectrum.
 
-The physical subspace is spanned by basis states with exactly one set bit
-per mode register.  Its ordering enumerates occupied modals with mode 0
-varying fastest, which coincides with ascending basis-index order for the
-register layout used here.
+The physical subspace is the Π N_l direct-product (VCI) modal basis: the
+basis states with one set bit per mode register, in ascending index order
+(mode 0 varying fastest).  Only that block is built, straight from the
+Pauli terms' bit masks; the 2^N × 2^N operator is never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from .mapping import QubitLayout
 from .pauli import PauliSum
-from .simulator import StateVector
+from .simulator import _CHUNK_ELEMENTS, StateVector, pauli_term_masks
 
-DENSE_QUBIT_CAP = 14
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-}
+# Largest dimension of a matrix built here: 268 MB of complex entries.
+MAX_DENSE_DIM = 4096
 
 
-def _check_cap(num_qubits: int) -> None:
-    if num_qubits > DENSE_QUBIT_CAP:
+def _check_dimension(dim: int) -> None:
+    if dim > MAX_DENSE_DIM:
         raise ValueError(
-            f"dense construction capped at {DENSE_QUBIT_CAP} qubits, "
-            f"got {num_qubits}")
+            f"dense matrix of dimension {dim} needs {16 * dim * dim / 1e6:.0f} "
+            f"MB; the limit is dimension {MAX_DENSE_DIM}")
 
 
-def dense_matrix(op: PauliSum) -> np.ndarray:
-    """Kronecker assembly of a Pauli sum (qubit 0 = least significant bit)."""
+def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
+    """Block of ``op``'s matrix on the ascending basis states ``indices``.
+
+    ``None`` means all 2^N states (qubit 0 = least significant bit).  A
+    term puts c (-i)^n_Y (-1)^popcount(j & sign) at row j, column j ^ flip.
+    """
     n = op.num_qubits
-    _check_cap(n)
-    dim = 1 << n
+    _check_dimension(1 << n if indices is None else len(indices))
+    indices = np.asarray(np.arange(1 << n) if indices is None else indices,
+                         dtype=np.int64)
+    if np.any(np.diff(indices) <= 0):
+        raise ValueError("basis indices must be strictly ascending")
+    dim = indices.size
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for term in op.terms:
-        mats = [_PAULI_MATS[term.label[q]] for q in range(n - 1, -1, -1)]
-        out += term.coefficient * reduce(np.kron, mats)
+    flips, signs, weights = pauli_term_masks(op)
+    block = max(1, _CHUNK_ELEMENTS // max(dim, 1))
+    for lo in range(0, flips.size, block):
+        sl = slice(lo, lo + block)
+        cols = indices ^ flips[sl, None]
+        pos = np.minimum(np.searchsorted(indices, cols), dim - 1)
+        term, row = np.nonzero(indices[pos] == cols)
+        parity = np.bitwise_count(indices[row] & signs[sl][term]) & 1
+        np.add.at(out, (row, pos[term, row]),
+                  weights[sl][term] * (1.0 - 2.0 * parity))
     return out
 
 
@@ -57,43 +65,34 @@ class PhysicalProjector:
 
     @classmethod
     def build(cls, layout: QubitLayout) -> "PhysicalProjector":
-        offsets = layout.offsets
-        onvs = []
-        indices = []
         ranges = [range(n) for n in reversed(layout.modal_counts)]
-        for rev in product(*ranges):
-            onv = rev[::-1]
-            onvs.append(onv)
-            indices.append(sum(1 << (offsets[l] + k) for l, k in enumerate(onv)))
-        return cls(layout, tuple(onvs), np.array(indices, dtype=np.int64))
+        onvs = tuple(rev[::-1] for rev in product(*ranges))
+        indices = [sum(1 << (layout.offsets[l] + k) for l, k in enumerate(onv))
+                   for onv in onvs]
+        return cls(layout, onvs, np.array(indices, dtype=np.int64))
 
     @property
     def dimension(self) -> int:
         return len(self.indices)
 
 
-def project_physical(matrix: np.ndarray, layout: QubitLayout) -> np.ndarray:
+def _physical_block(h: PauliSum, layout: QubitLayout) -> tuple:
+    _check_dimension(int(np.prod(layout.modal_counts)))
+    if h.num_qubits != layout.num_qubits:
+        raise ValueError("operator and layout disagree on the qubit count")
     proj = PhysicalProjector.build(layout)
-    return matrix[np.ix_(proj.indices, proj.indices)]
+    return proj, dense_matrix(h, proj.indices)
 
 
 def physical_spectrum(h: PauliSum, layout: QubitLayout) -> np.ndarray:
     """Ascending eigenvalues of the Hamiltonian within the physical subspace."""
-    if h.num_qubits != layout.num_qubits:
-        raise ValueError("operator and layout disagree on the qubit count")
-    _check_cap(layout.num_qubits)
-    sub = project_physical(dense_matrix(h), layout)
-    return np.linalg.eigvalsh(sub)
+    return np.linalg.eigvalsh(_physical_block(h, layout)[1])
 
 
 def ground_state_vector(h: PauliSum, layout: QubitLayout
                         ) -> tuple[float, StateVector]:
     """Lowest physical eigenpair, embedded back into the full qubit space."""
-    if h.num_qubits != layout.num_qubits:
-        raise ValueError("operator and layout disagree on the qubit count")
-    _check_cap(layout.num_qubits)
-    proj = PhysicalProjector.build(layout)
-    sub = dense_matrix(h)[np.ix_(proj.indices, proj.indices)]
+    proj, sub = _physical_block(h, layout)
     vals, vecs = np.linalg.eigh(sub)
     vec = vecs[:, 0]
     # deterministic gauge: largest-magnitude component real and positive

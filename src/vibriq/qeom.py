@@ -4,7 +4,10 @@ The operator pool reuses the ansatz excitation set (orders 1 and 2).
 Matrix elements are expectations of commutators and symmetrized double
 commutators in the supplied ground state, evaluated exactly from the
 statevector; the resulting block problem is solved classically and its
-positive branch returned.
+positive branch returned.  ``eom_diagnostics`` reports how far to trust
+that solve: the metric's conditioning and the complex eigenvalues whose
+imaginary parts the real branch drops, which signal a reference state
+that is not an exact eigenstate (Ollitrault et al., arXiv:1910.12890).
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .pauli import PauliSum, commutator
 from .simulator import StateVector, expectation_value
 
 METRIC_SINGULARITY_RTOL = 1e-10
+# An eigenvalue counts as complex when |Im E| exceeds this times max |E|.
+COMPLEX_EIGENVALUE_RTOL = 1e-8
 
 
 def double_commutator(a: PauliSum, h: PauliSum, b: PauliSum) -> PauliSum:
@@ -87,14 +92,8 @@ def compute_matrices(ground: StateVector, h: PauliSum,
     return EomMatrices(m, q, v, w)
 
 
-def solve_pseudo_eigenproblem(matrices: EomMatrices,
-                              threshold: float = 1e-6) -> np.ndarray:
-    """Positive excitation energies of the block generalized problem.
-
-    Eigenvalues come in +-E pairs; the negative mirrors and anything with
-    |E| below the threshold are discarded, the rest returned ascending
-    with multiplicity.
-    """
+def _solve_pencil(matrices: EomMatrices) -> tuple[np.ndarray, dict]:
+    """Finite eigenvalues of the block pencil and their diagnostics."""
     m, q, v, w = matrices.m, matrices.q, matrices.v, matrices.w
     a = np.block([[m, q], [np.conj(q), np.conj(m)]])
     b = np.block([[v, w], [-np.conj(w), -np.conj(v)]])
@@ -108,8 +107,38 @@ def solve_pseudo_eigenproblem(matrices: EomMatrices,
             f"{null_dim} of {b.shape[0]}")
     values = linalg.eigvals(a, b)
     values = values[np.isfinite(values)]
-    energies = np.sort(values.real[values.real > threshold])
-    return energies
+    imag = np.abs(values.imag)
+    limit = COMPLEX_EIGENVALUE_RTOL * np.abs(values).max(initial=0.0)
+    condition = (singular_values.max() / singular_values.min()
+                 if singular_values.size else 1.0)
+    return values, {"metric_condition": float(condition),
+                    "complex_eigenvalues": int(np.sum(imag > limit)),
+                    "max_imag": float(imag.max(initial=0.0))}
+
+
+def solve_pseudo_eigenproblem(matrices: EomMatrices,
+                              threshold: float = 1e-6) -> np.ndarray:
+    """Positive excitation energies of the block generalized problem.
+
+    Eigenvalues come in +-E pairs; the negative mirrors and anything with
+    |E| below the threshold are discarded, the rest returned ascending
+    with multiplicity.  Only real parts are kept: ``eom_diagnostics``
+    counts the eigenvalues whose imaginary parts this drops.
+    """
+    values, _ = _solve_pencil(matrices)
+    return np.sort(values.real[values.real > threshold])
+
+
+def eom_diagnostics(matrices: EomMatrices) -> dict:
+    """How trustworthy the pencil's solve is.
+
+    ``metric_condition`` is the metric block's sigma_max / sigma_min,
+    ``complex_eigenvalues`` the number of eigenvalues with |Im E| above
+    ``COMPLEX_EIGENVALUE_RTOL`` max |E|, and ``max_imag`` the largest
+    |Im E|.  Raises like ``solve_pseudo_eigenproblem`` on a singular
+    metric.
+    """
+    return _solve_pencil(matrices)[1]
 
 
 def excitation_energies(ground: StateVector, h: PauliSum, layout: QubitLayout,

@@ -43,6 +43,10 @@ NORM_TOL = 1e-10
 # complex amplitudes, 268 MB at 12 qubits.
 MAX_DENSITY_QUBITS = 12
 
+# Largest masks x 2^N table a compiled Pauli sum holds: an int64
+# permutation plus a complex diagonal per entry, 403 MB at the limit.
+MAX_COMPILED_ELEMENTS = 1 << 24
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -238,30 +242,47 @@ class CompiledPauliSum:
         return out
 
 
-def compile_pauli_sum(op: PauliSum | CompiledPauliSum) -> CompiledPauliSum:
-    """The mask-grouped form of ``op``; compiled operators pass through."""
-    if isinstance(op, CompiledPauliSum):
-        return op
+def pauli_term_masks(op: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each term's flip mask, sign mask and weight, as three arrays.
+
+    Term t maps basis state j to j ^ flips[t] with the factor
+    weights[t] * (-1)^popcount(j & signs[t]): X and Y flip their qubit,
+    Z and Y read its sign, and the weight is c (-i)^n_Y.
+    """
     n = op.num_qubits
-    dim = 1 << n
     items = op.items()
-    if not items:
-        return CompiledPauliSum(n, np.zeros((0, dim), dtype=np.int64),
-                                np.zeros((0, dim), dtype=np.complex128))
     letters = np.frombuffer("".join(l for l, _ in items).encode("ascii"),
                             dtype=np.uint8).reshape(len(items), n)
     is_y = letters == ord("Y")
     bits = np.left_shift(1, np.arange(n, dtype=np.int64))
     flips = (is_y | (letters == ord("X"))) @ bits
     signs = (is_y | (letters == ord("Z"))) @ bits
-    # (P psi)_j = c (-i)^n_Y (-1)^popcount(j & z) psi_(j ^ x)
     weights = (np.array([c for _, c in items], dtype=np.complex128)
                * _MINUS_I_POWERS[is_y.sum(axis=1) % 4])
+    return flips, signs, weights
+
+
+def compile_pauli_sum(op: PauliSum | CompiledPauliSum) -> CompiledPauliSum:
+    """The mask-grouped form of ``op``; compiled operators pass through.
+
+    Raises ``ValueError`` before allocating when the (masks, 2^N) tables
+    would exceed ``MAX_COMPILED_ELEMENTS`` entries.
+    """
+    if isinstance(op, CompiledPauliSum):
+        return op
+    n = op.num_qubits
+    dim = 1 << n
+    flips, signs, weights = pauli_term_masks(op)
     masks, group = np.unique(flips, return_inverse=True)
+    if masks.size * dim > MAX_COMPILED_ELEMENTS:
+        raise ValueError(
+            f"compiling {masks.size} flip masks on {n} qubits needs "
+            f"{masks.size * dim * 24 / 1e6:.0f} MB; the limit is "
+            f"{MAX_COMPILED_ELEMENTS} mask-by-state entries")
     idx = np.arange(dim, dtype=np.int64)
     diags = np.zeros((masks.size, dim), dtype=np.complex128)
     block = max(1, _CHUNK_ELEMENTS // dim)
-    for lo in range(0, len(items), block):
+    for lo in range(0, flips.size, block):
         sl = slice(lo, lo + block)
         table = 1.0 - 2.0 * (np.bitwise_count(signs[sl, None] & idx) & 1)
         onehot = np.zeros((masks.size, table.shape[0]), dtype=np.complex128)

@@ -109,15 +109,24 @@ def test_pes_constant_shifts_energies_not_gaps(tmp_path, coupled_pes):
 
 def test_qeom_subcommand(tmp_path, coupled_pes_file):
     out = tmp_path / "qeom.json"
-    assert run(["qeom", "--pes", coupled_pes_file, "--modals", "2",
-                "--ansatz", "uvccsd", "--seed", "2", "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
+    argv = ["qeom", "--pes", coupled_pes_file, "--modals", "2",
+            "--ansatz", "uvccsd", "--seed", "2", "--out", str(out)]
+    assert run(argv) == 0
+    first = out.read_bytes()
+    data = json.loads(first)
     result = data["result"]
     np.testing.assert_allclose(
         result["energies"],
         [163.8299079212743, 240.3839686158763, 404.21424818421826], atol=1e-4)
     assert result["pool_size"] == 3
     assert result["filtered_count"] == 3
+    diagnostics = result["diagnostics"]
+    assert set(diagnostics) == {"metric_condition", "complex_eigenvalues",
+                                "max_imag"}
+    assert 1.0 <= diagnostics["metric_condition"] < 1.01
+    assert diagnostics["complex_eigenvalues"] == 0
+    assert run(argv) == 0
+    assert out.read_bytes() == first
 
 
 def test_noise_fidelity_subcommand(tmp_path):

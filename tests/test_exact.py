@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import dense_from_sum
+from helpers import (dense_from_sum, onv_rule_matrix, random_pauli_sum,
+                     random_sq_hamiltonian)
 from vibriq.exact import (PhysicalProjector, dense_matrix, ground_state_vector,
-                          physical_spectrum, project_physical)
+                          physical_spectrum)
 from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
 from vibriq.pauli import PauliSum
 from vibriq.simulator import expectation
@@ -52,20 +55,59 @@ def test_projector_dimension_is_product_of_counts():
     assert PhysicalProjector.build(layout).dimension == 12
 
 
-def test_projection_idempotent():
-    layout = QubitLayout((2, 2))
-    dim = 1 << layout.num_qubits
-    proj = PhysicalProjector.build(layout)
-    p = np.zeros((dim, dim))
-    p[proj.indices, proj.indices] = 1.0
-    np.testing.assert_allclose(p @ p, p, atol=0)
-    rng = np.random.default_rng(5)
-    mat = rng.normal(size=(dim, dim))
-    once = project_physical(mat, layout)
-    dsub = once.shape[0]
-    np.testing.assert_allclose(project_physical(p @ mat @ p, layout), once,
-                               atol=1e-12)
-    assert dsub == 4
+def test_dense_block_equals_slice_of_kron_oracle():
+    rng = np.random.default_rng(11)
+    ops = [random_pauli_sum(rng, n, int(rng.integers(1, 12)))
+           for n in (3, 4, 5, 6) for _ in range(3)]
+    ops += [PauliSum.zero(4), PauliSum.identity(4, 0.5 - 2j),
+            PauliSum(5, [("YYYYY", 1.5j), ("IYIYI", -0.25)])]
+    for op in ops:
+        full = dense_from_sum(op)
+        dim = full.shape[0]
+        for size in (1, dim // 3, dim - 1, dim):
+            idx = np.sort(rng.choice(dim, size=size, replace=False))
+            np.testing.assert_allclose(dense_matrix(op, idx),
+                                       full[np.ix_(idx, idx)], rtol=0,
+                                       atol=1e-12)
+
+
+def test_dense_rejects_unsorted_indices():
+    with pytest.raises(ValueError, match="ascending"):
+        dense_matrix(PauliSum.identity(3), np.array([3, 1]))
+
+
+def test_physical_spectrum_matches_onv_rule_oracle():
+    rng = np.random.default_rng(13)
+    for counts in ((2, 2), (3, 3), (2, 3, 4), (3, 2, 2)):
+        layout = QubitLayout(counts)
+        terms = random_sq_hamiltonian(rng, layout)
+        expected = np.linalg.eigvalsh(onv_rule_matrix(terms, layout))
+        got = physical_spectrum(map_to_pauli(terms, layout), layout)
+        np.testing.assert_allclose(got, expected, rtol=1e-10,
+                                   atol=1e-10 * np.abs(expected).max())
+
+
+def test_sixteen_qubit_layout_with_64_physical_states():
+    layout = QubitLayout((8, 8))
+    rng = np.random.default_rng(17)
+    terms = []
+    for mode in range(2):
+        sym = rng.normal(size=(8, 8))
+        sym = sym + sym.T
+        terms += [SqTerm(float(sym[k, h]), ((mode, k, h),))
+                  for k in range(8) for h in range(8)]
+    for k, h in ((0, 1), (1, 0), (2, 3), (3, 2)):
+        terms.append(SqTerm(0.3, ((0, k, h), (1, h, k))))
+    h = map_to_pauli(terms, layout)
+    oracle = onv_rule_matrix(terms, layout)
+    expected = np.linalg.eigvalsh(oracle)
+    np.testing.assert_allclose(physical_spectrum(h, layout), expected,
+                               atol=1e-10 * np.abs(expected).max())
+    energy, state = ground_state_vector(h, layout)
+    assert energy == pytest.approx(expected[0], abs=1e-9)
+    vec = state.amplitudes[PhysicalProjector.build(layout).indices]
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(oracle @ vec, energy * vec, atol=1e-9)
 
 
 def test_uncoupled_harmonic_spectrum(harmonic_system):
@@ -101,8 +143,16 @@ def test_ground_state_vector_is_physical_eigenvector(coupled_system):
     assert expectation(state, hamiltonian) == pytest.approx(energy, abs=1e-8)
 
 
-def test_qubit_cap_guard():
-    with pytest.raises(ValueError, match="capped"):
-        dense_matrix(PauliSum.identity(15))
-    with pytest.raises(ValueError, match="capped"):
-        physical_spectrum(PauliSum.identity(15), QubitLayout((15,)))
+def test_dimension_cap_refuses_before_allocating():
+    op = PauliSum.identity(13)
+    layout = QubitLayout((2,) * 13)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dimension 8192"):
+            dense_matrix(op)
+        with pytest.raises(ValueError, match="dimension 8192"):
+            physical_spectrum(op, layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from vibriq.pes import (PesExpansion, PesTerm, ho_q_power_matrix, load_pes,
                         modal_operator_matrices, modal_q_power_matrix,
@@ -95,8 +96,9 @@ def test_cubic_ground_energy_matches_grid_oracle():
     dq = q[1] - q[0]
     diag = omega / 2.0 * q ** 2 + c * q ** 3 + omega / dq ** 2
     off = -omega / (2.0 * dq ** 2) * np.ones(npts - 1)
-    grid_ground = np.linalg.eigvalsh(
-        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[0]
+    # lowest eigenvalue of the tridiagonal matrix diag(diag) + offdiag(off)
+    grid_ground = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                   select_range=(0, 0))[0]
     assert abs(matrix_ground - grid_ground) < 0.01
 
 

@@ -3,11 +3,13 @@ import pytest
 from scipy import linalg
 
 from helpers import dense_from_sum, random_pauli_sum
-from vibriq.exact import ground_state_vector, physical_spectrum
+from vibriq.exact import (PhysicalProjector, ground_state_vector,
+                          physical_spectrum)
 from vibriq.pauli import PauliSum
 from vibriq.qeom import (EomOperators, build_eom_operators, compute_matrices,
-                         double_commutator, excitation_energies,
-                         solve_pseudo_eigenproblem)
+                         double_commutator, eom_diagnostics,
+                         excitation_energies, solve_pseudo_eigenproblem)
+from vibriq.simulator import StateVector
 
 
 def test_double_commutator_of_commuting_operators_vanishes():
@@ -136,3 +138,38 @@ def test_threshold_filters_small_eigenvalues(harmonic_system):
     mats = compute_matrices(ground, h, build_eom_operators(layout, 2))
     energies = solve_pseudo_eigenproblem(mats, threshold=1200.0)
     np.testing.assert_allclose(energies, [1500.0, 2500.0], atol=1e-8)
+
+
+def test_diagnostics_of_the_harmonic_ground_state(harmonic_system):
+    layout, _, h = harmonic_system
+    _, ground = ground_state_vector(h, layout)
+    mats = compute_matrices(ground, h, build_eom_operators(layout, 2))
+    assert eom_diagnostics(mats) == {"metric_condition": pytest.approx(1.0),
+                                     "complex_eigenvalues": 0,
+                                     "max_imag": 0.0}
+
+
+def test_diagnostics_count_complex_pairs_of_a_perturbed_state(coupled_system):
+    layout, _, h = coupled_system
+    _, ground = ground_state_vector(h, layout)
+    idx = PhysicalProjector.build(layout).indices
+    amps = ground.amplitudes.copy()
+    amps[idx] += 0.6 * np.random.default_rng(1).normal(size=idx.size)
+    state = StateVector(layout.num_qubits, amps / np.linalg.norm(amps))
+    mats = compute_matrices(state, h, build_eom_operators(layout, 2))
+    diagnostics = eom_diagnostics(mats)
+
+    a = np.block([[mats.m, mats.q], [np.conj(mats.q), np.conj(mats.m)]])
+    b = np.block([[mats.v, mats.w], [-np.conj(mats.w), -np.conj(mats.v)]])
+    values = linalg.eigvals(a, b)
+    imag = np.abs(values.imag)
+    complex_count = int(np.sum(imag > 1e-8 * np.abs(values).max()))
+    assert complex_count > 0 and complex_count % 2 == 0
+    assert diagnostics["complex_eigenvalues"] == complex_count
+    assert diagnostics["max_imag"] == pytest.approx(imag.max(), rel=1e-10)
+    assert diagnostics["metric_condition"] == pytest.approx(np.linalg.cond(b),
+                                                            rel=1e-10)
+    assert diagnostics["metric_condition"] > 10
+    np.testing.assert_array_equal(
+        solve_pseudo_eigenproblem(mats),
+        np.sort(values.real[values.real > 1e-6]))

@@ -142,6 +142,22 @@ def test_compiled_sum_groups_terms_by_flip_mask():
     assert expectation(StateVector.vacuum(2), PauliSum.zero(2)) == 0.0
 
 
+def test_compile_refuses_oversized_tables_before_allocating():
+    n = 20
+    labels = ["".join("X" if (k >> q) & 1 else "I" for q in range(n))
+              for k in range(1, 33)]
+    op = PauliSum(n, [(label, 1.0) for label in labels])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError,
+                           match=r"32 flip masks on 20 qubits needs 805 MB"):
+            compile_pauli_sum(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_expectation_raises_on_compiled_non_hermitian():
     state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     op = compile_pauli_sum(PauliSum.from_label("X", 1.0 + 0.5j))
