@@ -83,20 +83,15 @@ def _parse_modals(text: str, num_modes: int | None) -> tuple[int, ...]:
     if len(parts) == 1 and num_modes is not None:
         return (parts[0],) * num_modes
     if len(parts) == 1 and num_modes is None:
-        raise ValueError("a single modal count needs --modes or a PES file")
+        raise ValueError("a single modal count needs --modes")
     if num_modes is not None and len(parts) != num_modes:
         raise ValueError(f"{len(parts)} modal counts for {num_modes} modes")
     return tuple(parts)
 
 
-def _layout_from_args(args, num_modes: int | None) -> QubitLayout:
-    modes = getattr(args, "modes", None) or num_modes
-    return QubitLayout(_parse_modals(args.modals, modes))
-
-
 def _hamiltonian_from_args(args) -> tuple:
     pes = load_pes(args.pes)
-    layout = _layout_from_args(args, pes.num_modes)
+    layout = QubitLayout(_parse_modals(args.modals, pes.num_modes))
     basis = solve_modals(pes, layout.modal_counts, dim=args.primitive_dim)
     operators = modal_operator_matrices(basis, pes)
     n_body = max(2, pes.max_coupling_order())
@@ -110,7 +105,7 @@ def _config_echo(args, skip=("func", "command", "stage")) -> dict:
 
 
 def _cmd_resources(args) -> None:
-    layout = _layout_from_args(args, getattr(args, "modes", None))
+    layout = QubitLayout(_parse_modals(args.modals, args.modes))
     config = VqeConfig(ansatz=args.ansatz, depth=args.depth,
                        trotter_steps=args.trotter_steps)
     circuit = build_ansatz(layout, config)
@@ -173,7 +168,7 @@ def _cmd_qeom(args) -> None:
 
 
 def _cmd_noise_fidelity(args) -> None:
-    modal_counts = _parse_modals(args.modals, getattr(args, "modes", None))
+    modal_counts = _parse_modals(args.modals, args.modes)
     noise = NoiseModel(p_u2=args.p_u2, p_u3=args.p_u3, p_cx=args.p_cx)
     report = run_fidelity_experiment(modal_counts, trials=args.trials,
                                      shots=args.shots, seed=args.seed,
@@ -183,8 +178,8 @@ def _cmd_noise_fidelity(args) -> None:
     _emit(payload, args.out, "json")
 
 
-def _add_common(parser: argparse.ArgumentParser, pes_required: bool) -> None:
-    parser.add_argument("--pes", required=pes_required,
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--pes", required=True,
                         help="PES JSON file (cm-1 units)")
     parser.add_argument("--modals", default="2", type=_modals_argument,
                         help="modal count per mode: N or N1,N2,...")
@@ -217,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resources", help="circuit resource report")
     p.add_argument("--modes", type=int, default=None)
-    _add_common(p, pes_required=False)
+    p.add_argument("--modals", default="2", type=_modals_argument,
+                   help="modal count per mode: N (with --modes) or N1,N2,...")
+    p.add_argument("--out", default=None, help="output file (default stdout)")
     p.add_argument("--ansatz", default="uvccsd",
                    choices=("uvccsd", "chc", "swaprz", "ryrz"))
     p.add_argument("--depth", type=int, default=1)
@@ -226,16 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_resources, stage="resource estimation")
 
     p = sub.add_parser("exact", help="physical-subspace spectrum")
-    _add_common(p, pes_required=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_exact, stage="exact diagonalization")
 
     p = sub.add_parser("vqe", help="ground-state optimization")
-    _add_common(p, pes_required=True)
+    _add_common(p)
     _add_vqe_options(p)
     p.set_defaults(func=_cmd_vqe, stage="vqe optimization")
 
     p = sub.add_parser("qeom", help="excitation energies from a VQE ground state")
-    _add_common(p, pes_required=True)
+    _add_common(p)
     _add_vqe_options(p)
     p.add_argument("--order", type=int, default=2, choices=(1, 2))
     p.add_argument("--threshold", type=float, default=1e-6)

@@ -1,9 +1,16 @@
 """Exact algebra on complex-weighted sums of Pauli strings.
 
-A term is a label over ``IXYZ`` (qubit 0 = leftmost letter) with a complex
-coefficient.  Sums keep at most one term per label and drop coefficients
-below a tolerance, so after simplification structural equality doubles as
-operator equality.  All operations return new objects; nothing is mutated.
+A string on N qubits is two N-bit masks, x (bit q set where the letter is
+X or Y) and z (where it is Z or Y): P(x, z) = i^|x & z| X^x Z^z, so the
+letter Y is i X Z.  Products need popcounts only (Aaronson & Gottesman,
+PRA 70, 052328 (2004)): P(xa, za) P(xb, zb) = i^k P(x, z) with x = xa ^ xb,
+z = za ^ zb and k = |xa & za| + |xb & zb| - |x & z| + 2 |za & xb|.
+
+Labels over ``IXYZ`` (qubit 0 = leftmost letter) are only the boundary
+format of constructors, ``items``, ``terms``, records and ``repr``.  Sums
+keep at most one term per string and drop coefficients below a tolerance,
+so after simplification structural equality doubles as operator equality.
+All operations return new objects; nothing is mutated.
 """
 
 from __future__ import annotations
@@ -14,28 +21,27 @@ from typing import Iterable, Iterator, Mapping
 DROP_TOL = 1e-12
 
 _LETTERS = frozenset("IXYZ")
-
-# Single-qubit products: (a, b) -> (phase, a*b).
-_MUL = {
-    ("I", "I"): (1.0, "I"), ("I", "X"): (1.0, "X"),
-    ("I", "Y"): (1.0, "Y"), ("I", "Z"): (1.0, "Z"),
-    ("X", "I"): (1.0, "X"), ("X", "X"): (1.0, "I"),
-    ("X", "Y"): (1.0j, "Z"), ("X", "Z"): (-1.0j, "Y"),
-    ("Y", "I"): (1.0, "Y"), ("Y", "X"): (-1.0j, "Z"),
-    ("Y", "Y"): (1.0, "I"), ("Y", "Z"): (1.0j, "X"),
-    ("Z", "I"): (1.0, "Z"), ("Z", "X"): (1.0j, "Y"),
-    ("Z", "Y"): (-1.0j, "X"), ("Z", "Z"): (1.0, "I"),
-}
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
+_DIGIT_LETTERS = str.maketrans("0123", "IXYZ")
+_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
 
 
-def _mul_labels(a: str, b: str) -> tuple[complex, str]:
-    phase = 1.0 + 0.0j
-    letters = []
-    for la, lb in zip(a, b):
-        p, r = _MUL[la, lb]
-        phase *= p
-        letters.append(r)
-    return phase, "".join(letters)
+def _parse(label: str, num_qubits: int) -> tuple[int, int]:
+    """(x, z) of a label; qubit q is bit q."""
+    if len(label) != num_qubits or not set(label) <= _LETTERS:
+        raise ValueError(f"label {label!r} invalid for {num_qubits} qubits")
+    rev = label[::-1]
+    return int(rev.translate(_X_BITS), 2), int(rev.translate(_Z_BITS), 2)
+
+
+def _label(x: int, z: int, num_qubits: int) -> str:
+    """The ``IXYZ`` label of P(x, z), qubit 0 leftmost."""
+    # Qubit q becomes hex digit q from the left, (x ^ z)_q + 2 z_q: the
+    # index of its letter in IXYZ.
+    digits = (int(format(x ^ z, f"0{num_qubits}b")[::-1], 16)
+              + 2 * int(format(z, f"0{num_qubits}b")[::-1], 16))
+    return format(digits, f"0{num_qubits}x").translate(_DIGIT_LETTERS)
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,11 @@ class PauliString:
 class PauliSum:
     """Simplified sum of Pauli strings on a fixed qubit count.
 
-    Terms are held per label; the public ``terms`` view is sorted
-    lexicographically by label so equal operators compare equal.
+    Terms are held per (x, z) mask pair; the public views are sorted
+    lexicographically by label so equal operators list equal terms.
     """
 
-    __slots__ = ("_num_qubits", "_coeffs")
+    __slots__ = ("_num_qubits", "_terms")
 
     def __init__(self, num_qubits: int,
                  coeffs: Mapping[str, complex] | Iterable[tuple[str, complex]] = (),
@@ -69,14 +75,21 @@ class PauliSum:
         if num_qubits < 1:
             raise ValueError("num_qubits must be positive")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        merged: dict[str, complex] = {}
+        merged: dict[tuple[int, int], complex] = {}
         for label, c in items:
-            if len(label) != num_qubits or not set(label) <= _LETTERS:
-                raise ValueError(
-                    f"label {label!r} invalid for {num_qubits} qubits")
-            merged[label] = merged.get(label, 0.0) + complex(c)
+            key = _parse(label, num_qubits)
+            merged[key] = merged.get(key, 0.0) + complex(c)
         self._num_qubits = num_qubits
-        self._coeffs = {l: c for l, c in merged.items() if abs(c) > tol}
+        self._terms = {k: c for k, c in merged.items() if abs(c) > tol}
+
+    @classmethod
+    def _from_terms(cls, num_qubits: int, terms: dict[tuple[int, int], complex],
+                    tol: float) -> "PauliSum":
+        """A sum straight from (x, z) -> coefficient; no labels parsed."""
+        out = cls.__new__(cls)
+        out._num_qubits = num_qubits
+        out._terms = {k: c for k, c in terms.items() if abs(c) > tol}
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -98,20 +111,28 @@ class PauliSum:
     def num_qubits(self) -> int:
         return self._num_qubits
 
+    def _sorted(self) -> list[tuple[str, tuple[int, int], complex]]:
+        n = self._num_qubits
+        return sorted((_label(x, z, n), (x, z), c)
+                      for (x, z), c in self._terms.items())
+
     @property
     def terms(self) -> tuple[PauliString, ...]:
-        return tuple(PauliString(l, self._coeffs[l])
-                     for l in sorted(self._coeffs))
+        return tuple(PauliString(l, c) for l, c in self.items())
 
     def items(self) -> list[tuple[str, complex]]:
         """(label, coefficient) pairs, sorted by label like ``terms``."""
-        return sorted(self._coeffs.items())
+        return [(label, c) for label, _, c in self._sorted()]
+
+    def masks(self) -> list[tuple[int, int, complex]]:
+        """(x, z, coefficient) per term, in ``items`` order."""
+        return [(x, z, c) for _, (x, z), c in self._sorted()]
 
     def coefficient(self, label: str) -> complex:
-        return self._coeffs.get(label, 0.0 + 0.0j)
+        return self._terms.get(_parse(label, self._num_qubits), 0.0 + 0.0j)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._terms)
 
     def __iter__(self) -> Iterator[PauliString]:
         return iter(self.terms)
@@ -120,16 +141,15 @@ class PauliSum:
         if not isinstance(other, PauliSum):
             return NotImplemented
         return (self._num_qubits == other._num_qubits
-                and self._coeffs == other._coeffs)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self._num_qubits, tuple(sorted(self._coeffs.items(),
-                                                    key=lambda kv: kv[0]))))
+        return hash((self._num_qubits, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return f"PauliSum({self._num_qubits}, 0)"
-        parts = [f"({self._coeffs[l]:.6g})*{l}" for l in sorted(self._coeffs)]
+        parts = [f"({c:.6g})*{l}" for l, c in self.items()]
         return "PauliSum(" + " + ".join(parts) + ")"
 
     # -- algebra -------------------------------------------------------
@@ -140,12 +160,12 @@ class PauliSum:
                 f"qubit-count mismatch: {self._num_qubits} vs {other._num_qubits}")
 
     def add(self, other: "PauliSum", tol: float = DROP_TOL) -> "PauliSum":
-        """Merged sum with equal labels combined and |c| <= tol dropped."""
+        """Merged sum with equal strings combined and |c| <= tol dropped."""
         self._check_compatible(other)
-        out = dict(self._coeffs)
-        for label, c in other._coeffs.items():
-            out[label] = out.get(label, 0.0) + c
-        return PauliSum(self._num_qubits, out, tol=tol)
+        out = dict(self._terms)
+        for key, c in other._terms.items():
+            out[key] = out.get(key, 0.0) + c
+        return PauliSum._from_terms(self._num_qubits, out, tol)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         return self.add(other)
@@ -154,22 +174,25 @@ class PauliSum:
         return self.add(-other)
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum(self._num_qubits,
-                        {l: -c for l, c in self._coeffs.items()}, tol=0.0)
+        return PauliSum._from_terms(
+            self._num_qubits, {k: -c for k, c in self._terms.items()}, 0.0)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return PauliSum(self._num_qubits,
-                            {l: c * other for l, c in self._coeffs.items()})
+            return PauliSum._from_terms(
+                self._num_qubits,
+                {k: c * other for k, c in self._terms.items()}, DROP_TOL)
         if not isinstance(other, PauliSum):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[str, complex] = {}
-        for la, ca in self._coeffs.items():
-            for lb, cb in other._coeffs.items():
-                phase, label = _mul_labels(la, lb)
-                out[label] = out.get(label, 0.0) + phase * ca * cb
-        return PauliSum(self._num_qubits, out)
+        out: dict[tuple[int, int], complex] = {}
+        for (xa, za), ca in self._terms.items():
+            for (xb, zb), cb in other._terms.items():
+                x, z = xa ^ xb, za ^ zb
+                k = ((xa & za).bit_count() + (xb & zb).bit_count()
+                     - (x & z).bit_count() + 2 * (za & xb).bit_count())
+                out[x, z] = out.get((x, z), 0.0) + _I_POWERS[k % 4] * ca * cb
+        return PauliSum._from_terms(self._num_qubits, out, DROP_TOL)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -177,42 +200,31 @@ class PauliSum:
         return NotImplemented
 
     def adjoint(self) -> "PauliSum":
-        """Hermitian conjugate (labels are self-adjoint, so conjugate coefficients)."""
-        return PauliSum(self._num_qubits,
-                        {l: c.conjugate() for l, c in self._coeffs.items()},
-                        tol=0.0)
+        """Hermitian conjugate (strings are self-adjoint, so conjugate coefficients)."""
+        return PauliSum._from_terms(
+            self._num_qubits,
+            {k: c.conjugate() for k, c in self._terms.items()}, 0.0)
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._coeffs.values())
+        return all(abs(c.imag) <= tol for c in self._terms.values())
 
     def allclose(self, other: "PauliSum", tol: float = 1e-10) -> bool:
         self._check_compatible(other)
-        labels = set(self._coeffs) | set(other._coeffs)
-        return all(abs(self.coefficient(l) - other.coefficient(l)) <= tol
-                   for l in labels)
+        keys = set(self._terms) | set(other._terms)
+        return all(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol
+                   for k in keys)
 
     # -- serialization ---------------------------------------------------
 
     def to_records(self) -> list[dict]:
         """Records ``{"label", "re", "im"}``; qubit 0 is the leftmost letter."""
-        return [{"label": l, "re": self._coeffs[l].real, "im": self._coeffs[l].imag}
-                for l in sorted(self._coeffs)]
+        return [{"label": l, "re": c.real, "im": c.imag} for l, c in self.items()]
 
     @classmethod
     def from_records(cls, num_qubits: int, records: Iterable[Mapping]) -> "PauliSum":
         return cls(num_qubits,
                    [(r["label"], complex(r["re"], r.get("im", 0.0)))
                     for r in records])
-
-
-def multiply(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Simplified operator product ``a b``."""
-    return a * b
-
-
-def add_simplify(a: PauliSum, b: PauliSum, tol: float = DROP_TOL) -> PauliSum:
-    """Merged sum of ``a`` and ``b``; see :meth:`PauliSum.add`."""
-    return a.add(b, tol=tol)
 
 
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:

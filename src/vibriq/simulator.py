@@ -39,6 +39,9 @@ from .pauli import PauliSum
 
 NORM_TOL = 1e-10
 
+# |Im <op>| / max(1, |<op>|) above which ``expectation`` calls op non-Hermitian.
+IMAG_TOL = 1e-10
+
 # Largest register the noisy path simulates: its density matrix holds 4^N
 # complex amplitudes, 268 MB at 12 qubits.
 MAX_DENSITY_QUBITS = 12
@@ -88,36 +91,46 @@ def bitstring(index: int, num_qubits: int) -> str:
     return "".join("1" if (index >> q) & 1 else "0" for q in range(num_qubits))
 
 
-def bitstring_index(bits: str) -> int:
-    return sum(1 << q for q, b in enumerate(bits) if b == "1")
-
-
 # -- gate application --------------------------------------------------------
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+_FIXED_MATRICES = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
+    "h": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0),
+}
+
+
+def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
+    """The 2x2 matrix of a single-qubit gate."""
+    if kind in _FIXED_MATRICES:
+        return _FIXED_MATRICES[kind]
+    if kind == "phase":
+        return np.array([[1.0, 0.0], [0.0, np.exp(1j * angle)]],
+                        dtype=np.complex128)
+    if kind not in ("rx", "ry", "rz"):
+        raise ValueError(f"unknown gate kind {kind!r}")
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     if kind == "rx":
         return np.array([[c, -1j * s], [-1j * s, c]], dtype=np.complex128)
     if kind == "ry":
         return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    if kind == "rz":
-        return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]],
-                        dtype=np.complex128)
-    raise ValueError(f"not a rotation kind: {kind!r}")
+    return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]],
+                    dtype=np.complex128)
 
 
-_H_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+def _apply_1q_matrix(amps: np.ndarray, mat: np.ndarray,
+                     qubit: int) -> np.ndarray:
+    """Apply a 2x2 matrix to one qubit; works on any (..., 2^N) stack.
 
-
-def _apply_1q_matrix(amps: np.ndarray, mat: np.ndarray, qubit: int,
-                     num_qubits: int) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit; works on any (..., 2^N) stack."""
-    lead = amps.shape[:-1]
-    lo = 1 << qubit
-    hi = 1 << (num_qubits - qubit - 1)
-    view = amps.reshape(lead + (hi, 2, lo))
-    out = np.einsum("ij,...hjl->...hil", mat, view)
-    return np.ascontiguousarray(out).reshape(lead + (1 << num_qubits,))
+    Each output slice (qubit at 0, at 1) is a sum of two scaled input slices.
+    """
+    view = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
+    a0, a1 = view[..., 0, :], view[..., 1, :]
+    out = np.empty(view.shape, dtype=np.complex128)
+    for row in (0, 1):
+        o = out[..., row, :]
+        np.multiply(a0, mat[row, 0], out=o)
+        o += mat[row, 1] * a1
+    return out.reshape(amps.shape)
 
 
 @lru_cache(maxsize=4096)
@@ -134,26 +147,24 @@ def _cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
 
 def _apply_gate(amps: np.ndarray, gate: Gate, angle: float | None,
                 num_qubits: int) -> np.ndarray:
-    kind = gate.kind
-    if kind == "cnot":
+    if gate.kind == "cnot":
         perm = _cnot_permutation(num_qubits, gate.qubits[0], gate.qubits[1])
         return amps[..., perm]
-    if kind == "x":
-        perm = _flip_permutation(num_qubits, 1 << gate.qubits[0])
-        return amps[..., perm]
-    if kind == "h":
-        return _apply_1q_matrix(amps, _H_MATRIX, gate.qubits[0], num_qubits)
-    if kind == "phase":
-        out = amps.copy()
-        q = gate.qubits[0]
-        idx = np.arange(1 << num_qubits)
-        sel = (idx >> q) & 1 == 1
-        out[..., sel] *= np.exp(1j * angle)
-        return out
-    if kind in ("rx", "ry", "rz"):
-        return _apply_1q_matrix(amps, _rotation_matrix(kind, angle),
-                                gate.qubits[0], num_qubits)
-    raise ValueError(f"unknown gate kind {kind!r}")
+    return _apply_1q_matrix(amps, _gate_matrix(gate.kind, angle),
+                            gate.qubits[0])
+
+
+def _conjugate_by_gate(rho: np.ndarray, gate: Gate, angle: float | None,
+                       num_qubits: int) -> np.ndarray:
+    """U rho U^+: U on the row index (qubit q + N of the flattened rho),
+    its complex conjugate on the column index."""
+    if gate.kind == "cnot":
+        perm = _cnot_permutation(num_qubits, gate.qubits[0], gate.qubits[1])
+        return rho[perm][:, perm]
+    mat = _gate_matrix(gate.kind, angle)
+    q = gate.qubits[0]
+    rows = _apply_1q_matrix(rho.reshape(-1), mat, q + num_qubits)
+    return _apply_1q_matrix(rows.reshape(rho.shape), mat.conj(), q)
 
 
 def _run_circuit(amps: np.ndarray, circuit: Circuit,
@@ -180,29 +191,6 @@ def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
 
 
 # -- Pauli expectation values -------------------------------------------------
-
-@lru_cache(maxsize=8192)
-def _pauli_action(num_qubits: int, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and per-index phase with P|j> = phase[j'] |j' = j^flip>."""
-    flip = 0
-    sign_mask = 0
-    n_y = 0
-    for q, letter in enumerate(label):
-        if letter == "X":
-            flip |= 1 << q
-        elif letter == "Y":
-            flip |= 1 << q
-            sign_mask |= 1 << q
-            n_y += 1
-        elif letter == "Z":
-            sign_mask |= 1 << q
-    idx = np.arange(1 << num_qubits)
-    perm = idx ^ flip
-    parity = np.bitwise_count(perm & sign_mask) & 1
-    front = (1.0, 1.0j, -1.0, -1.0j)[n_y % 4]
-    phase = front * np.where(parity, -1.0, 1.0)
-    return perm, phase.astype(np.complex128)
-
 
 # Largest (rows x 2^N) temporary built at once when compiling or applying
 # a Pauli sum, so that memory stays bounded for long sums on many qubits.
@@ -245,20 +233,16 @@ class CompiledPauliSum:
 def pauli_term_masks(op: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each term's flip mask, sign mask and weight, as three arrays.
 
-    Term t maps basis state j to j ^ flips[t] with the factor
-    weights[t] * (-1)^popcount(j & signs[t]): X and Y flip their qubit,
-    Z and Y read its sign, and the weight is c (-i)^n_Y.
+    The masks are the terms' x and z (see ``PauliSum.masks``), in
+    ``items`` order, and (op psi)[j] = sum over terms t of
+    weights[t] * (-1)^popcount(j & signs[t]) * psi[j ^ flips[t]]: the sign
+    is read at the output index j, and the weight is c (-i)^|x & z|.
     """
-    n = op.num_qubits
-    items = op.items()
-    letters = np.frombuffer("".join(l for l, _ in items).encode("ascii"),
-                            dtype=np.uint8).reshape(len(items), n)
-    is_y = letters == ord("Y")
-    bits = np.left_shift(1, np.arange(n, dtype=np.int64))
-    flips = (is_y | (letters == ord("X"))) @ bits
-    signs = (is_y | (letters == ord("Z"))) @ bits
-    weights = (np.array([c for _, c in items], dtype=np.complex128)
-               * _MINUS_I_POWERS[is_y.sum(axis=1) % 4])
+    terms = op.masks()
+    flips = np.array([x for x, _, _ in terms], dtype=np.int64)
+    signs = np.array([z for _, z, _ in terms], dtype=np.int64)
+    weights = (np.array([c for _, _, c in terms], dtype=np.complex128)
+               * _MINUS_I_POWERS[np.bitwise_count(flips & signs) % 4])
     return flips, signs, weights
 
 
@@ -291,6 +275,14 @@ def compile_pauli_sum(op: PauliSum | CompiledPauliSum) -> CompiledPauliSum:
     return CompiledPauliSum(n, masks[:, None] ^ idx, diags)
 
 
+def _compiled_pauli(num_qubits: int,
+                    pairs: Sequence[tuple[int, str]]) -> CompiledPauliSum:
+    """One Pauli string, given as (qubit, letter) pairs, compiled."""
+    letters = dict(pairs)
+    return compile_pauli_sum(PauliSum.from_label(
+        "".join(letters.get(q, "I") for q in range(num_qubits))))
+
+
 def expectation_value(state: StateVector,
                       op: PauliSum | CompiledPauliSum) -> complex:
     """<psi|op|psi> for an arbitrary (possibly non-Hermitian) Pauli sum.
@@ -304,8 +296,7 @@ def expectation_value(state: StateVector,
     return complex(np.vdot(amps, compile_pauli_sum(op).apply(amps)))
 
 
-def expectation(state: StateVector, op: PauliSum | CompiledPauliSum,
-                imag_tol: float = 1e-10) -> float:
+def expectation(state: StateVector, op: PauliSum | CompiledPauliSum) -> float:
     """Real expectation value of a Hermitian Pauli sum.
 
     A non-negligible imaginary residue signals a non-Hermitian operator
@@ -313,7 +304,7 @@ def expectation(state: StateVector, op: PauliSum | CompiledPauliSum,
     """
     value = expectation_value(state, op)
     scale = max(1.0, abs(value))
-    if abs(value.imag) > imag_tol * scale:
+    if abs(value.imag) > IMAG_TOL * scale:
         raise ValueError(
             f"expectation has imaginary part {value.imag:.3e}; operator is "
             "not Hermitian")
@@ -354,11 +345,8 @@ class PauliRotationStep:
     @classmethod
     def from_pairs(cls, num_qubits: int, pairs: Sequence[tuple[int, str]],
                    param: int, scale: float) -> "PauliRotationStep":
-        letters = ["I"] * num_qubits
-        for q, letter in pairs:
-            letters[q] = letter
-        perm, phase = _pauli_action(num_qubits, "".join(letters))
-        return cls(perm, phase, param, scale)
+        pauli = _compiled_pauli(num_qubits, pairs)
+        return cls(pauli.perms[0], pauli.diags[0], param, scale)
 
     def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         angle = self.scale * params[self.param]
@@ -545,11 +533,9 @@ def noisy_trajectory(circuit: Circuit, params: Sequence[float],
         if p > 0.0 and rng.random() < p:
             n_paulis = (1 << (2 * len(gate.qubits))) - 1
             choice = int(rng.integers(1, n_paulis + 1))
-            letters = ["I"] * n
-            for j, q in enumerate(gate.qubits):
-                letters[q] = "IXYZ"[(choice >> (2 * j)) & 3]
-            perm, phase = _pauli_action(n, "".join(letters))
-            amps = phase * amps[perm]
+            amps = _compiled_pauli(n, [(q, "IXYZ"[(choice >> (2 * j)) & 3])
+                                       for j, q in enumerate(gate.qubits)]
+                                   ).apply(amps)
     return StateVector(n, amps)
 
 
@@ -576,9 +562,8 @@ def noisy_distribution(circuit: Circuit, params: Sequence[float],
                        noise: NoiseModel) -> np.ndarray:
     """Outcome probabilities diag(rho) of the exact depolarizing channel.
 
-    Each gate maps rho to U (U rho)^+, the statevector kernel acting on
-    rows; a noisy one on k qubits then mixes in p / (4^k - 1) of every
-    non-identity Pauli conjugation P rho P.
+    Each gate maps rho to U rho U^+; a noisy one on k qubits then mixes
+    in p / (4^k - 1) of every non-identity Pauli conjugation P rho P.
     """
     n = circuit.num_qubits
     if n > MAX_DENSITY_QUBITS:
@@ -592,8 +577,7 @@ def noisy_distribution(circuit: Circuit, params: Sequence[float],
     rho[0, 0] = 1.0
     for gate in circuit.gates:
         angle = gate.resolved_angle(params)
-        rho = _apply_gate(rho.T, gate, angle, n).T       # U rho
-        rho = _apply_gate(rho.conj(), gate, angle, n).T  # U (U rho)^+
+        rho = _conjugate_by_gate(rho, gate, angle, n)
         p = noise.gate_probability(gate, angle)
         if p > 0.0:
             share = p / ((1 << (2 * len(gate.qubits))) - 1)
@@ -613,13 +597,16 @@ def noisy_counts(circuit: Circuit, params: Sequence[float], noise: NoiseModel,
 
 # -- distribution-fidelity experiment -----------------------------------------
 
+FIDELITY_PARAM_RANGE = 0.2
+
+
 def run_fidelity_experiment(modal_counts: Sequence[int], trials: int = 10,
                             shots: int = 10000, seed: int = 0,
-                            noise: NoiseModel | None = None,
-                            param_range: float = 0.2) -> dict:
+                            noise: NoiseModel | None = None) -> dict:
     """Noisy-circuit fidelities against the ideal cluster-ansatz reference.
 
-    Per trial: draw one parameter set uniformly from [-range, range],
+    Per trial: draw one parameter set uniformly from
+    [-FIDELITY_PARAM_RANGE, FIDELITY_PARAM_RANGE],
     sample the noise-free reference distribution, then the noisy
     distribution of each ansatz, and score the count-overlap fidelity.
     Fidelity is computed per trial and averaged afterwards.
@@ -636,7 +623,8 @@ def run_fidelity_experiment(modal_counts: Sequence[int], trials: int = 10,
     for child in np.random.SeedSequence(seed).spawn(trials):
         s_params, s_ref, s_uvcc, s_chc = child.spawn(4)
         rng = np.random.default_rng(s_params)
-        params = rng.uniform(-param_range, param_range, size=n_params)
+        params = rng.uniform(-FIDELITY_PARAM_RANGE, FIDELITY_PARAM_RANGE,
+                             size=n_params)
         ideal = apply_circuit(circuits["uvccsd"], params)
         ref = sample(ideal, shots, seed=s_ref)
         noisy_seeds = {"uvccsd": s_uvcc, "chc": s_chc}
@@ -651,7 +639,7 @@ def run_fidelity_experiment(modal_counts: Sequence[int], trials: int = 10,
         "seed": seed,
         "modal_counts": list(modal_counts),
         "noise": {"p_u2": noise.p_u2, "p_u3": noise.p_u3, "p_cx": noise.p_cx},
-        "param_range": param_range,
+        "param_range": FIDELITY_PARAM_RANGE,
         "fidelity": {},
     }
     for name in circuits:

@@ -43,6 +43,9 @@ STOP_TOLERANCE = "tolerance"
 STOP_MAX_EVALS = "max_evals"
 STOP_RESTARTS = "restarts"
 
+# Simplex runs per minimization: the first plus the restarts.
+NELDER_MEAD_RUNS = 12
+
 
 @dataclass(frozen=True)
 class VqeConfig:
@@ -52,8 +55,6 @@ class VqeConfig:
     optimizer: str = "nelder-mead"
     max_evals: int = 200_000
     tol: float = 1e-8
-    window: int | None = None
-    restarts: int = 12
     init_range: tuple[float, float] = (-0.2, 0.2)
     mu: float | None = None
     seed: int = 0
@@ -74,13 +75,6 @@ class VqeConfig:
         if self.mu is not None:
             return self.mu
         return DEFAULT_PENALTY_WEIGHT if self.ansatz in ("swaprz", "ryrz") else 0.0
-
-    def effective_window(self, dimension: int) -> int:
-        """Stagnation window; grows with dimension because a simplex can
-        stall for far more than 50 evaluations on larger parameter sets."""
-        if self.window is not None:
-            return self.window
-        return max(50, 25 * dimension)
 
 
 @dataclass
@@ -120,7 +114,7 @@ class _Tracker:
                  max_evals: int):
         self._objective = objective
         self._tol = tol
-        self._window = max(2, window)
+        self._window = window
         self._max_evals = max_evals
         self.evals = 0
         self.best_value = np.inf
@@ -160,7 +154,7 @@ def _run_nelder_mead(tracker: _Tracker, start: np.ndarray,
     """Simplex runs with restarts; returns the stop reason."""
     current = start
     previous_best = np.inf
-    for _ in range(max(1, config.restarts)):
+    for _ in range(NELDER_MEAD_RUNS):
         tracker.reset_window()
         try:
             optimize.minimize(
@@ -212,8 +206,10 @@ def minimize(objective: Callable[[np.ndarray], float], start: Sequence[float],
     if config.optimizer not in ("nelder-mead", "spsa"):
         raise ValueError(f"unknown optimizer {config.optimizer!r}")
     start = np.asarray(start, dtype=float)
-    tracker = _Tracker(objective, config.tol,
-                       config.effective_window(start.size), config.max_evals)
+    # The stagnation window grows with dimension: a simplex can stall for
+    # far more than 50 evaluations on larger parameter sets.
+    tracker = _Tracker(objective, config.tol, max(50, 25 * start.size),
+                       config.max_evals)
     try:
         tracker(start)
     except _Converged:

@@ -32,8 +32,9 @@ def dense_from_sum(op: PauliSum) -> np.ndarray:
 
 
 def random_pauli_sum(rng: np.random.Generator, num_qubits: int, n_terms: int,
-                     hermitian: bool = False) -> PauliSum:
-    labels = ["".join(rng.choice(list("IXYZ"), size=num_qubits))
+                     hermitian: bool = False, letters: str = "IXYZ") -> PauliSum:
+    """Random sum; each label letter drawn uniformly from ``letters``."""
+    labels = ["".join(rng.choice(list(letters), size=num_qubits))
               for _ in range(n_terms)]
     if hermitian:
         coeffs = rng.normal(size=n_terms)

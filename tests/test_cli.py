@@ -191,6 +191,25 @@ def test_bad_arguments_exit_two():
     assert info.value.code == 2
 
 
+def test_resources_takes_no_pes_options(tmp_path, harmonic_pes_file):
+    # resources counts gates from the layout alone; a PES would be ignored
+    for extra in (["--pes", harmonic_pes_file, "--modals", "2"],
+                  ["--pes", str(tmp_path / "missing.json"), "--modes", "3"],
+                  ["--modes", "2", "--primitive-dim", "30"]):
+        with pytest.raises(SystemExit) as info:
+            run(["resources", *extra])
+        assert info.value.code == 2
+
+
+def test_single_modal_count_needs_modes(capsys):
+    # neither command reads a PES, so only --modes can expand a single count
+    for argv in (["resources", "--modals", "2"],
+                 ["noise-fidelity", "--modals", "2"]):
+        assert run(argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.endswith("a single modal count needs --modes")
+
+
 def test_modal_list_mismatch_is_runtime_error(harmonic_pes_file, capsys):
     assert run(["exact", "--pes", harmonic_pes_file,
                 "--modals", "2,2,2"]) == 1

@@ -1,28 +1,30 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from helpers import dense_from_sum, random_pauli_sum
-from vibriq.pauli import PauliSum, add_simplify, commutator, multiply
+from vibriq.pauli import PauliSum, commutator
 
 
 def test_single_qubit_product_identity():
     x = PauliSum.from_label("X")
     y = PauliSum.from_label("Y")
-    assert multiply(x, y) == PauliSum.from_label("Z", 1j)
-    assert multiply(y, x) == PauliSum.from_label("Z", -1j)
+    assert x * y == PauliSum.from_label("Z", 1j)
+    assert y * x == PauliSum.from_label("Z", -1j)
 
 
 def test_identity_is_neutral():
     rng = np.random.default_rng(3)
     s = random_pauli_sum(rng, 3, 5)
-    assert multiply(PauliSum.identity(3), s) == s
-    assert multiply(s, PauliSum.identity(3)) == s
+    assert PauliSum.identity(3) * s == s
+    assert s * PauliSum.identity(3) == s
 
 
 def test_square_of_hermitian_two_qubit_sum():
     # (X0 Y1 + Z0)^2 = 2 I: the cross terms carry opposite phases and cancel.
     s = PauliSum(2, [("XY", 1.0), ("ZI", 1.0)])
-    product = multiply(s, s)
+    product = s * s
     assert product == PauliSum.identity(2, 2.0)
     dense = dense_from_sum(s)
     np.testing.assert_allclose(dense @ dense, dense_from_sum(product),
@@ -32,9 +34,9 @@ def test_square_of_hermitian_two_qubit_sum():
 def test_add_cancellation_and_empty():
     a = PauliSum(2, [("XI", 2.0)])
     b = PauliSum(2, [("XI", -2.0)])
-    assert len(add_simplify(a, b, 1e-12)) == 0
+    assert len(a.add(b, 1e-12)) == 0
     s = PauliSum(2, [("XZ", 0.5), ("YY", -1.0)])
-    assert add_simplify(s, PauliSum.zero(2), 1e-12) == s
+    assert s.add(PauliSum.zero(2), 1e-12) == s
 
 
 def test_add_matches_dense_on_random_sums():
@@ -43,17 +45,22 @@ def test_add_matches_dense_on_random_sums():
         a = random_pauli_sum(rng, 3, 6)
         b = random_pauli_sum(rng, 3, 6)
         np.testing.assert_allclose(dense_from_sum(a) + dense_from_sum(b),
-                                   dense_from_sum(add_simplify(a, b, 1e-12)),
+                                   dense_from_sum(a.add(b, 1e-12)),
                                    atol=1e-12)
+
+
+# Y-heavy labels exercise the i^|x & z| phases of the mask product.
+LETTER_MIXES = ("IXYZ", "YYYXZI")
 
 
 def test_multiply_matches_dense_on_random_sums():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = random_pauli_sum(rng, 3, 5)
-        b = random_pauli_sum(rng, 3, 5)
-        np.testing.assert_allclose(dense_from_sum(a) @ dense_from_sum(b),
-                                   dense_from_sum(multiply(a, b)), atol=1e-12)
+    for num_qubits, letters in product(range(1, 7), LETTER_MIXES):
+        for _ in range(20):
+            a = random_pauli_sum(rng, num_qubits, 5, letters=letters)
+            b = random_pauli_sum(rng, num_qubits, 5, letters=letters)
+            np.testing.assert_allclose(dense_from_sum(a) @ dense_from_sum(b),
+                                       dense_from_sum(a * b), atol=1e-12)
 
 
 def test_commutator_trivial_cases():
@@ -65,14 +72,17 @@ def test_commutator_trivial_cases():
 
 def test_commutator_matches_dense_on_hermitian_sums():
     rng = np.random.default_rng(13)
-    for _ in range(20):
-        a = random_pauli_sum(rng, 3, 5, hermitian=True)
-        b = random_pauli_sum(rng, 3, 5, hermitian=True)
-        da, db = dense_from_sum(a), dense_from_sum(b)
-        dc = dense_from_sum(commutator(a, b))
-        np.testing.assert_allclose(da @ db - db @ da, dc, atol=1e-12)
-        # anti-Hermitian result for Hermitian inputs
-        np.testing.assert_allclose(dc.conj().T, -dc, atol=1e-12)
+    for num_qubits, letters in product(range(1, 7), LETTER_MIXES):
+        for _ in range(20):
+            a = random_pauli_sum(rng, num_qubits, 5, hermitian=True,
+                                 letters=letters)
+            b = random_pauli_sum(rng, num_qubits, 5, hermitian=True,
+                                 letters=letters)
+            da, db = dense_from_sum(a), dense_from_sum(b)
+            dc = dense_from_sum(commutator(a, b))
+            np.testing.assert_allclose(da @ db - db @ da, dc, atol=1e-12)
+            # anti-Hermitian result for Hermitian inputs
+            np.testing.assert_allclose(dc.conj().T, -dc, atol=1e-12)
 
 
 def test_multiply_associative_and_distributive():
@@ -81,11 +91,11 @@ def test_multiply_associative_and_distributive():
         a = random_pauli_sum(rng, 3, 4)
         b = random_pauli_sum(rng, 3, 4)
         c = random_pauli_sum(rng, 3, 4)
-        left = multiply(multiply(a, b), c)
-        right = multiply(a, multiply(b, c))
+        left = (a * b) * c
+        right = a * (b * c)
         assert left.allclose(right, tol=1e-10)
-        dist_left = multiply(a, add_simplify(b, c, 0.0))
-        dist_right = add_simplify(multiply(a, b), multiply(a, c), 0.0)
+        dist_left = a * b.add(c, 0.0)
+        dist_right = (a * b).add(a * c, 0.0)
         assert dist_left.allclose(dist_right, tol=1e-10)
 
 
@@ -93,9 +103,33 @@ def test_hermiticity_preserved_by_add_and_symmetrized_product():
     rng = np.random.default_rng(19)
     a = random_pauli_sum(rng, 3, 6, hermitian=True)
     b = random_pauli_sum(rng, 3, 6, hermitian=True)
-    assert add_simplify(a, b, 1e-12).is_hermitian()
-    sym = (multiply(a, b) + multiply(b, a)) * 0.5
+    assert a.add(b, 1e-12).is_hermitian()
+    sym = (a * b + b * a) * 0.5
     assert sym.is_hermitian()
+
+
+def test_order_equality_and_hash_independent_of_construction_order():
+    rng = np.random.default_rng(31)
+    s = random_pauli_sum(rng, 4, 12, letters="IXYYZ")
+    pairs = s.items()
+    labels = [label for label, _ in pairs]
+    assert labels == sorted(labels)
+    shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+    built = PauliSum.zero(4)
+    for label, c in shuffled:
+        built = PauliSum.from_label(label, c) + built
+    for other in (PauliSum(4, shuffled), PauliSum(4, dict(shuffled)), built):
+        assert other.items() == pairs
+        assert other == s
+        assert hash(other) == hash(s)
+
+
+def test_masks_follow_items_order():
+    s = PauliSum(3, [("ZIY", 2.0), ("XYI", -1.0j), ("III", 0.5)])
+    assert [label for label, _ in s.items()] == ["III", "XYI", "ZIY"]
+    # qubit q is bit q; X and Y set x, Z and Y set z
+    assert s.masks() == [(0, 0, 0.5), (0b011, 0b010, -1.0j),
+                         (0b100, 0b101, 2.0)]
 
 
 def test_simplify_idempotent_and_canonical_order():
@@ -117,9 +151,9 @@ def test_qubit_count_mismatch_raises():
     a = PauliSum.from_label("X")
     b = PauliSum.from_label("XX")
     with pytest.raises(ValueError, match="mismatch"):
-        multiply(a, b)
+        a * b
     with pytest.raises(ValueError, match="mismatch"):
-        add_simplify(a, b, 0.0)
+        a.add(b, 0.0)
     with pytest.raises(ValueError, match="mismatch"):
         commutator(a, b)
 

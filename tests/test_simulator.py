@@ -15,7 +15,8 @@ from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
                               distribution_fidelity, expectation,
                               expectation_value, noisy_counts,
                               noisy_distribution, noisy_trajectory,
-                              run_fidelity_experiment, sample)
+                              pauli_term_masks, run_fidelity_experiment,
+                              sample)
 
 
 def random_circuit(rng, num_qubits, depth=30):
@@ -130,6 +131,29 @@ def test_compiled_sum_matches_per_term_loop_on_non_hermitian_sums():
             for got in (expectation_value(state, op),
                         expectation_value(state, compile_pauli_sum(op))):
                 assert abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def test_term_masks_rebuild_dense_matrix_on_non_hermitian_sums():
+    rng = np.random.default_rng(53)
+    for num_qubits in range(1, 6):
+        op = random_pauli_sum(rng, num_qubits, 8, letters="IXYYZ")
+        flips, signs, weights = pauli_term_masks(op)
+        dim = 1 << num_qubits
+        mat = np.zeros((dim, dim), dtype=complex)
+        for flip, sign, weight in zip(flips, signs, weights):
+            for j in range(dim):
+                mat[j, j ^ flip] += weight * (-1) ** bin(j & sign).count("1")
+        np.testing.assert_allclose(mat, dense_from_sum(op), atol=1e-12)
+
+
+def test_compiled_y_maps_zero_to_i_one():
+    compiled = compile_pauli_sum(PauliSum.from_label("Y"))
+    np.testing.assert_array_equal(compiled.apply(np.array([1.0, 0.0])),
+                                  [0.0, 1.0j])
+    compiled = compile_pauli_sum(PauliSum.from_label("IYZ"))
+    got = compiled.apply(StateVector.basis_state(3, 0b100).amplitudes)
+    np.testing.assert_array_equal(got, -1.0j * StateVector.basis_state(
+        3, 0b110).amplitudes)
 
 
 def test_compiled_sum_groups_terms_by_flip_mask():
