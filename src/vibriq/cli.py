@@ -23,7 +23,8 @@ from .exact import physical_spectrum
 from .mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli, number_operator
 from .pes import load_pes, modal_operator_matrices, solve_modals
 from .qeom import eom_diagnostics, excitation_energies
-from .simulator import NoiseModel, expectation, run_fidelity_experiment
+from .simulator import (NoiseModel, StateVector, expectation,
+                        run_fidelity_experiment)
 from .vqe import VqeConfig, build_ansatz, ground_state
 
 
@@ -139,15 +140,19 @@ def _run_vqe(args) -> tuple:
     return layout, hamiltonian, config, result
 
 
+def _occupations(layout: QubitLayout, state: StateVector) -> list[float]:
+    """<N_l> per mode; 1 everywhere on the physical subspace."""
+    return [expectation(state, number_operator(layout, l))
+            for l in range(layout.num_modes)]
+
+
 def _cmd_vqe(args) -> None:
     layout, hamiltonian, config, result = _run_vqe(args)
-    occupations = [expectation(result.state, number_operator(layout, l))
-                   for l in range(layout.num_modes)]
     payload = {"command": "vqe", "version": __version__,
                "config": _config_echo(args),
                "result": {**result.to_dict(),
                           "mu": config.effective_mu(),
-                          "occupations": occupations}}
+                          "occupations": _occupations(layout, result.state)}}
     _emit(payload, args.out, "json")
 
 
@@ -163,6 +168,7 @@ def _cmd_qeom(args) -> None:
                           "pool_size": ops.size,
                           "filtered_count": int(2 * ops.size - len(energies)),
                           "ground_energy": result.energy,
+                          "occupations": _occupations(layout, result.state),
                           "vqe": result.to_dict()}}
     _emit(payload, args.out, "json")
 

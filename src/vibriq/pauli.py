@@ -4,7 +4,9 @@ A string on N qubits is two N-bit masks, x (bit q set where the letter is
 X or Y) and z (where it is Z or Y): P(x, z) = i^|x & z| X^x Z^z, so the
 letter Y is i X Z.  Products need popcounts only (Aaronson & Gottesman,
 PRA 70, 052328 (2004)): P(xa, za) P(xb, zb) = i^k P(x, z) with x = xa ^ xb,
-z = za ^ zb and k = |xa & za| + |xb & zb| - |x & z| + 2 |za & xb|.
+z = za ^ zb and k = |xa & za| + |xb & zb| - |x & z| + 2 |za & xb|.  Two
+strings anticommute when |(xa & zb) ^ (za & xb)| is odd; only those pairs
+enter a commutator.
 
 Labels over ``IXYZ`` (qubit 0 = leftmost letter) are only the boundary
 format of constructors, ``items``, ``terms``, records and ``repr``.  Sums
@@ -35,13 +37,21 @@ def _parse(label: str, num_qubits: int) -> tuple[int, int]:
     return int(rev.translate(_X_BITS), 2), int(rev.translate(_Z_BITS), 2)
 
 
+def _digits(x: int, z: int, num_qubits: int) -> int:
+    """An integer that orders P(x, z) exactly like its label.
+
+    Qubit q becomes hex digit q from the left, (x ^ z)_q + 2 z_q: the
+    index of its letter in IXYZ.
+    """
+    fmt = f"0{num_qubits}b"
+    return (int(format(x ^ z, fmt)[::-1], 16)
+            + 2 * int(format(z, fmt)[::-1], 16))
+
+
 def _label(x: int, z: int, num_qubits: int) -> str:
     """The ``IXYZ`` label of P(x, z), qubit 0 leftmost."""
-    # Qubit q becomes hex digit q from the left, (x ^ z)_q + 2 z_q: the
-    # index of its letter in IXYZ.
-    digits = (int(format(x ^ z, f"0{num_qubits}b")[::-1], 16)
-              + 2 * int(format(z, f"0{num_qubits}b")[::-1], 16))
-    return format(digits, f"0{num_qubits}x").translate(_DIGIT_LETTERS)
+    return format(_digits(x, z, num_qubits),
+                  f"0{num_qubits}x").translate(_DIGIT_LETTERS)
 
 
 @dataclass(frozen=True)
@@ -111,22 +121,21 @@ class PauliSum:
     def num_qubits(self) -> int:
         return self._num_qubits
 
-    def _sorted(self) -> list[tuple[str, tuple[int, int], complex]]:
-        n = self._num_qubits
-        return sorted((_label(x, z, n), (x, z), c)
-                      for (x, z), c in self._terms.items())
-
     @property
     def terms(self) -> tuple[PauliString, ...]:
         return tuple(PauliString(l, c) for l, c in self.items())
 
     def items(self) -> list[tuple[str, complex]]:
         """(label, coefficient) pairs, sorted by label like ``terms``."""
-        return [(label, c) for label, _, c in self._sorted()]
+        n = self._num_qubits
+        return sorted((_label(x, z, n), c)
+                      for (x, z), c in self._terms.items())
 
     def masks(self) -> list[tuple[int, int, complex]]:
         """(x, z, coefficient) per term, in ``items`` order."""
-        return [(x, z, c) for _, (x, z), c in self._sorted()]
+        n = self._num_qubits
+        return sorted(((x, z, c) for (x, z), c in self._terms.items()),
+                      key=lambda t: _digits(t[0], t[1], n))
 
     def coefficient(self, label: str) -> complex:
         return self._terms.get(_parse(label, self._num_qubits), 0.0 + 0.0j)
@@ -185,14 +194,8 @@ class PauliSum:
         if not isinstance(other, PauliSum):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[tuple[int, int], complex] = {}
-        for (xa, za), ca in self._terms.items():
-            for (xb, zb), cb in other._terms.items():
-                x, z = xa ^ xb, za ^ zb
-                k = ((xa & za).bit_count() + (xb & zb).bit_count()
-                     - (x & z).bit_count() + 2 * (za & xb).bit_count())
-                out[x, z] = out.get((x, z), 0.0) + _I_POWERS[k % 4] * ca * cb
-        return PauliSum._from_terms(self._num_qubits, out, DROP_TOL)
+        return PauliSum._from_terms(
+            self._num_qubits, _products(self, other, False), DROP_TOL)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -227,6 +230,34 @@ class PauliSum:
                     for r in records])
 
 
+def _products(a: PauliSum, b: PauliSum,
+              anticommuting_only: bool) -> dict[tuple[int, int], complex]:
+    """(x, z) -> summed i^k ca cb over the string pairs of ``a b``.
+
+    With ``anticommuting_only`` a pair counts only when its strings
+    anticommute, popcount((xa & zb) ^ (za & xb)) odd.
+    """
+    out: dict[tuple[int, int], complex] = {}
+    b_terms = b._terms.items()
+    for (xa, za), ca in a._terms.items():
+        for (xb, zb), cb in b_terms:
+            if anticommuting_only \
+                    and not ((xa & zb) ^ (za & xb)).bit_count() & 1:
+                continue
+            x, z = xa ^ xb, za ^ zb
+            k = ((xa & za).bit_count() + (xb & zb).bit_count()
+                 - (x & z).bit_count() + 2 * (za & xb).bit_count())
+            out[x, z] = out.get((x, z), 0.0) + _I_POWERS[k % 4] * ca * cb
+    return out
+
+
 def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``a b - b a``, simplified."""
-    return (a * b).add(-(b * a))
+    """``a b - b a``, simplified.
+
+    Commuting string pairs cancel, and an anticommuting pair gives
+    P_a P_b - P_b P_a = 2 P_a P_b, so only those pairs are multiplied.
+    """
+    a._check_compatible(b)
+    return PauliSum._from_terms(
+        a._num_qubits,
+        {k: 2.0 * c for k, c in _products(a, b, True).items()}, DROP_TOL)

@@ -8,6 +8,14 @@ positive branch returned.  ``eom_diagnostics`` reports how far to trust
 that solve: the metric's conditioning and the complex eigenvalues whose
 imaginary parts the real branch drops, which signal a reference state
 that is not an exact eigenstate (Ollitrault et al., arXiv:1910.12890).
+
+The Pauli algebra is kept small three ways.  A commutator multiplies only
+the anticommuting string pairs (``pauli.commutator``).  The double
+commutator DC(A,H,B) takes its Jacobi form [[A,H],B] + [H,[A,B]] / 2,
+and [A,B] between pool operators is short or zero.  Only the upper
+triangle of M, Q, V and W is evaluated: for Hermitian H, M and V are
+Hermitian, Q symmetric and W antisymmetric in any state, since
+DC(A,H,B)^+ = DC(B^+,H,A^+) and DC is symmetric in A and B.
 """
 
 from __future__ import annotations
@@ -30,11 +38,13 @@ COMPLEX_EIGENVALUE_RTOL = 1e-8
 def double_commutator(a: PauliSum, h: PauliSum, b: PauliSum) -> PauliSum:
     """Symmetrized double commutator ([[a,h],b] + [a,[h,b]]) / 2.
 
-    Reduces to [a,[h,b]] whenever [a,b] commutes with h.
+    By the Jacobi identity [a,[h,b]] = [[a,h],b] + [h,[a,b]], so this is
+    [[a,h],b] + [h,[a,b]] / 2: one commutator with h fewer, and [a,b]
+    between pool operators is short or zero.  Reduces to [[a,h],b]
+    whenever [a,b] commutes with h.
     """
-    left = commutator(commutator(a, h), b)
-    right = commutator(a, commutator(h, b))
-    return (left + right) * 0.5
+    return (commutator(commutator(a, h), b)
+            + commutator(h, commutator(a, b)) * 0.5)
 
 
 @dataclass(frozen=True)
@@ -82,13 +92,20 @@ def compute_matrices(ground: StateVector, h: PauliSum,
     w = np.zeros((size, size), dtype=np.complex128)
     for i in range(size):
         dag = ops.adjoints[i]
-        for j in range(size):
+        for j in range(i, size):
             op = ops.operators[j]
             op_dag = ops.adjoints[j]
             m[i, j] = expectation_value(ground, double_commutator(dag, h, op))
             q[i, j] = -expectation_value(ground, double_commutator(dag, h, op_dag))
             v[i, j] = expectation_value(ground, commutator(dag, op))
             w[i, j] = -expectation_value(ground, commutator(dag, op_dag))
+    # The lower triangle from the upper: M and V are Hermitian, Q is
+    # symmetric and W antisymmetric in any state.
+    lower = np.tril_indices(size, -1)
+    m[lower] = m.T[lower].conj()
+    v[lower] = v.T[lower].conj()
+    q[lower] = q.T[lower]
+    w[lower] = -w.T[lower]
     return EomMatrices(m, q, v, w)
 
 

@@ -539,23 +539,27 @@ def noisy_trajectory(circuit: Circuit, params: Sequence[float],
     return StateVector(n, amps)
 
 
-def _pauli_twirl(rho: np.ndarray, qubits: tuple[int, ...],
-                 num_qubits: int) -> np.ndarray:
-    """Sum of P rho P over all 4^k Paulis P on ``qubits``.
+def _pauli_twirl(rho: np.ndarray, qubits: tuple[int, ...], num_qubits: int,
+                 out: np.ndarray) -> None:
+    """Sum of P rho P over all 4^k Paulis P on ``qubits``, written to ``out``.
 
     Per qubit the sum is 2 Tr_q(rho) (x) I_q, and the k-qubit sum is the
-    composition of the per-qubit ones: 2^k Tr_k(rho) (x) I_k.
+    composition of the per-qubit ones: 2^k Tr_k(rho) (x) I_k.  Every
+    qubit after the first works on ``out`` in place.
     """
+    src = rho
     for q in qubits:
         lo = 1 << q
         hi = 1 << (num_qubits - q - 1)
-        view = rho.reshape(hi, 2, lo, hi, 2, lo)
-        traced = 2.0 * (view[:, 0, :, :, 0] + view[:, 1, :, :, 1])
-        out = np.zeros_like(view)
-        out[:, 0, :, :, 0] = traced
-        out[:, 1, :, :, 1] = traced
-        rho = out.reshape(rho.shape)
-    return rho
+        view = src.reshape(hi, 2, lo, hi, 2, lo)
+        traced = view[:, 0, :, :, 0] + view[:, 1, :, :, 1]
+        traced *= 2.0
+        dest = out.reshape(view.shape)
+        dest[:, 0, :, :, 1] = 0.0
+        dest[:, 1, :, :, 0] = 0.0
+        dest[:, 0, :, :, 0] = traced
+        dest[:, 1, :, :, 1] = traced
+        src = out
 
 
 def noisy_distribution(circuit: Circuit, params: Sequence[float],
@@ -575,14 +579,19 @@ def noisy_distribution(circuit: Circuit, params: Sequence[float],
         raise ValueError(f"expected {circuit.num_parameters} parameters")
     rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     rho[0, 0] = 1.0
+    twirl = np.empty_like(rho)
     for gate in circuit.gates:
         angle = gate.resolved_angle(params)
         rho = _conjugate_by_gate(rho, gate, angle, n)
         p = noise.gate_probability(gate, angle)
         if p > 0.0:
+            # The twirl includes P = I, so the mix (1 - p) rho +
+            # share (twirl - rho) is (1 - p - share) rho + share twirl.
             share = p / ((1 << (2 * len(gate.qubits))) - 1)
-            twirl = _pauli_twirl(rho, gate.qubits, n)
-            rho = (1.0 - p) * rho + share * (twirl - rho)
+            _pauli_twirl(rho, gate.qubits, n, twirl)
+            rho *= 1.0 - p - share
+            twirl *= share
+            rho += twirl
     return np.diagonal(rho).real.copy()
 
 

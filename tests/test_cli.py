@@ -120,6 +120,7 @@ def test_qeom_subcommand(tmp_path, coupled_pes_file):
         [163.8299079212743, 240.3839686158763, 404.21424818421826], atol=1e-4)
     assert result["pool_size"] == 3
     assert result["filtered_count"] == 3
+    assert result["occupations"] == pytest.approx([1.0, 1.0], abs=1e-9)
     diagnostics = result["diagnostics"]
     assert set(diagnostics) == {"metric_condition", "complex_eigenvalues",
                                 "max_imag"}
@@ -127,6 +128,21 @@ def test_qeom_subcommand(tmp_path, coupled_pes_file):
     assert diagnostics["complex_eigenvalues"] == 0
     assert run(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_qeom_occupations_match_vqe(tmp_path, coupled_pes_file):
+    # Both commands run the same optimization and read <N_l> one way, so
+    # the chc ground state's occupations agree to the last bit.
+    results = {}
+    for command in ("vqe", "qeom"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--pes", coupled_pes_file, "--modals", "3",
+                    "--ansatz", "chc", "--out", str(out)]) == 0
+        results[command] = json.loads(out.read_text())["result"]
+    occupations = results["qeom"]["occupations"]
+    assert len(occupations) == 2
+    assert occupations == results["vqe"]["occupations"]
+    assert occupations == pytest.approx([1.0, 1.0], abs=1e-6)
 
 
 def test_noise_fidelity_subcommand(tmp_path):

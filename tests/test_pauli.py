@@ -85,6 +85,51 @@ def test_commutator_matches_dense_on_hermitian_sums():
             np.testing.assert_allclose(dc.conj().T, -dc, atol=1e-12)
 
 
+def test_commutator_matches_dense_on_non_hermitian_sums():
+    rng = np.random.default_rng(37)
+    for num_qubits, letters in product(range(1, 7), LETTER_MIXES):
+        for _ in range(10):
+            a = random_pauli_sum(rng, num_qubits, 7, letters=letters)
+            b = random_pauli_sum(rng, num_qubits, 9, letters=letters)
+            da, db = dense_from_sum(a), dense_from_sum(b)
+            np.testing.assert_allclose(dense_from_sum(commutator(a, b)),
+                                       da @ db - db @ da, atol=1e-12)
+
+
+def _sum_from_letters(rng, letters_per_qubit, n_terms):
+    """Random complex sum; qubit q's letter drawn from letters_per_qubit[q]."""
+    labels = ["".join(rng.choice(list(letters))
+                      for letters in letters_per_qubit)
+              for _ in range(n_terms)]
+    coeffs = rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)
+    return PauliSum(len(letters_per_qubit), list(zip(labels, coeffs)))
+
+
+def test_commutator_of_commuting_strings_is_zero():
+    # I/Z on qubits 0-1 and I/X on qubit 2 in both sums: every pair commutes.
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        a = _sum_from_letters(rng, ("IZ", "IZ", "IX"), 5)
+        b = _sum_from_letters(rng, ("IZ", "IZ", "IX"), 6)
+        da, db = dense_from_sum(a), dense_from_sum(b)
+        np.testing.assert_allclose(da @ db - db @ da, 0.0, atol=1e-12)
+        assert len(commutator(a, b)) == 0
+
+
+def test_commutator_of_anticommuting_strings_is_twice_the_product():
+    # Qubit 0 is X in a and Z in b, the rest I/X in both: every pair
+    # anticommutes, so [a, b] = 2 a b.
+    rng = np.random.default_rng(43)
+    for num_qubits in range(1, 6):
+        rest = ("IX",) * (num_qubits - 1)
+        a = _sum_from_letters(rng, ("X",) + rest, 5)
+        b = _sum_from_letters(rng, ("Z",) + rest, 5)
+        da, db = dense_from_sum(a), dense_from_sum(b)
+        got = dense_from_sum(commutator(a, b))
+        np.testing.assert_allclose(got, da @ db - db @ da, atol=1e-12)
+        np.testing.assert_allclose(got, 2.0 * da @ db, atol=1e-12)
+
+
 def test_multiply_associative_and_distributive():
     rng = np.random.default_rng(17)
     for _ in range(10):

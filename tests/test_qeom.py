@@ -52,6 +52,86 @@ def test_double_commutator_matches_dense_on_random_sums():
                                    expected, atol=1e-10)
 
 
+def _comm(x, y):
+    return x @ y - y @ x
+
+
+def test_double_commutator_jacobi_form_matches_literal_definition():
+    # Pool pairs, whose [a, b] is short or zero, and random ones.
+    from vibriq.mapping import QubitLayout
+    rng = np.random.default_rng(71)
+    ops = build_eom_operators(QubitLayout((3, 2)), 2)
+    pool = [(a, b) for a in ops.adjoints for b in ops.operators + ops.adjoints]
+    pairs = pool[::5] + [(random_pauli_sum(rng, 5, 6),
+                          random_pauli_sum(rng, 5, 6)) for _ in range(6)]
+    h = random_pauli_sum(rng, 5, 30, hermitian=True)
+    dh = dense_from_sum(h)
+    for a, b in pairs:
+        da, db = dense_from_sum(a), dense_from_sum(b)
+        literal = 0.5 * (_comm(_comm(da, dh), db) + _comm(da, _comm(dh, db)))
+        np.testing.assert_allclose(dense_from_sum(double_commutator(a, h, b)),
+                                   literal, atol=1e-11)
+
+
+def _dense_eom_matrices(psi, h, operators):
+    """M, Q, V, W over the full square from dense commutators."""
+    dh = dense_from_sum(h)
+    e = [dense_from_sum(op) for op in operators]
+    size = len(e)
+    out = {name: np.zeros((size, size), dtype=complex) for name in "mqvw"}
+
+    def expect(mat):
+        return np.vdot(psi, mat @ psi)
+
+    def dc(x, y):
+        return 0.5 * (_comm(_comm(x, dh), y) + _comm(x, _comm(dh, y)))
+
+    for i in range(size):
+        dag = e[i].conj().T
+        for j in range(size):
+            out["m"][i, j] = expect(dc(dag, e[j]))
+            out["q"][i, j] = -expect(dc(dag, e[j].conj().T))
+            out["v"][i, j] = expect(_comm(dag, e[j]))
+            out["w"][i, j] = -expect(_comm(dag, e[j].conj().T))
+    return out
+
+
+def test_matrices_of_a_leaky_non_eigen_state_match_dense_full_square():
+    # A random-parameter chc state plus amplitude outside the physical
+    # subspace, so no symmetry of an eigenstate helps.  The pool's
+    # operators give W = 0; random ones exercise every mirrored entry.
+    from vibriq.circuits import build_chc, excitation_list
+    from vibriq.mapping import QubitLayout
+    from vibriq.simulator import apply_circuit
+    layout = QubitLayout((3, 3))
+    n = layout.num_qubits
+    rng = np.random.default_rng(73)
+    circuit = build_chc(layout, excitation_list(layout, 2))
+    params = rng.uniform(-1.0, 1.0, circuit.num_parameters)
+    amps = apply_circuit(circuit, params).amplitudes
+    amps = amps + 0.1 * (rng.normal(size=amps.size)
+                         + 1j * rng.normal(size=amps.size))
+    psi = amps / np.linalg.norm(amps)
+    physical = PhysicalProjector.build(layout).indices
+    assert np.sum(np.abs(psi[physical]) ** 2) < 0.99
+    state = StateVector(n, psi)
+    h = random_pauli_sum(rng, n, 60, hermitian=True)
+
+    pool = build_eom_operators(layout, 2)
+    randoms = [random_pauli_sum(rng, n, 5) for _ in range(4)]
+    custom = EomOperators(pool.excitations[:4], tuple(randoms),
+                          tuple(op.adjoint() for op in randoms))
+    for ops, mirrored in ((pool, "mqv"), (custom, "mqvw")):
+        mats = compute_matrices(state, h, ops)
+        expected = _dense_eom_matrices(psi, h, ops.operators)
+        for name, want in expected.items():
+            lower = want[np.tril_indices(ops.size, -1)]
+            assert (np.abs(lower).max() > 1e-3) == (name in mirrored)
+            np.testing.assert_allclose(
+                getattr(mats, name), want, rtol=0,
+                atol=1e-12 * max(1.0, np.abs(want).max()))
+
+
 def test_double_commutator_adjoint_symmetry():
     rng = np.random.default_rng(67)
     h = random_pauli_sum(rng, 3, 5, hermitian=True)
