@@ -3,19 +3,24 @@
 One qubit per modal, mode registers concatenated in mode order, modal 0
 (lowest energy) first within each register.  Qubit value 1 means the modal
 is occupied; the reference configuration occupies modal 0 of every mode.
-Creation maps to (X - iY)/2 and annihilation to (X + iY)/2 so the ladder
-action on occupation-number vectors is reproduced exactly.
+Creation is (X - iY)/2 and annihilation (X + iY)/2, so |k><h| on qubits
+(c, a) of one register maps to (first letter on c, second on a)
+
+    k != h:  XX/4 + i XY/4 - i YX/4 + YY/4      k == h:  I/2 - Z/2
+
+A term's factors act on disjoint qubits, where strings multiply with no
+phase, P(xa, za) P(xb, zb) = P(xa | xb, za | zb): each term is the
+Cartesian product of its factors' tables, built on the masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .pauli import PauliSum
+from .pauli import DROP_TOL, PauliSum
 from .pes import ModalOperators, PesExpansion
-
-COEFF_DROP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,13 +34,9 @@ class QubitLayout:
         object.__setattr__(self, "modal_counts", counts)
         if not counts or any(n < 1 for n in counts):
             raise ValueError("every mode needs at least one modal")
-        offsets = []
-        total = 0
-        for n in counts:
-            offsets.append(total)
-            total += n
-        object.__setattr__(self, "_offsets", tuple(offsets))
-        object.__setattr__(self, "_num_qubits", total)
+        object.__setattr__(self, "_offsets",
+                           tuple(itertools.accumulate(counts[:-1], initial=0)))
+        object.__setattr__(self, "_num_qubits", sum(counts))
 
     @property
     def num_modes(self) -> int:
@@ -104,7 +105,7 @@ def build_sq_hamiltonian(pes: PesExpansion, operators: ModalOperators,
     merged: dict[tuple[tuple[int, int, int], ...], float] = {}
 
     def accumulate(factors, coeff):
-        if abs(coeff) <= COEFF_DROP_TOL:
+        if abs(coeff) <= DROP_TOL:
             return
         merged[factors] = merged.get(factors, 0.0) + coeff
 
@@ -128,45 +129,44 @@ def build_sq_hamiltonian(pes: PesExpansion, operators: ModalOperators,
         for factors, weight in stack:
             accumulate(factors, term.coefficient * weight)
 
-    return [SqTerm(c, f) for f, c in merged.items() if abs(c) > COEFF_DROP_TOL]
+    return [SqTerm(c, f) for f, c in merged.items() if abs(c) > DROP_TOL]
 
 
-def _ladder_sum(layout: QubitLayout, qubit: int, create: bool) -> PauliSum:
-    n = layout.num_qubits
-    x = "I" * qubit + "X" + "I" * (n - qubit - 1)
-    y = "I" * qubit + "Y" + "I" * (n - qubit - 1)
-    sign = -0.5j if create else 0.5j
-    return PauliSum(n, [(x, 0.5), (y, sign)])
+def _factor_terms(layout: QubitLayout, mode: int, k: int, h: int):
+    """(x, z, coefficient) per string of |k><h| on ``mode``."""
+    qc, qa = (1 << layout.qubit_index(mode, m) for m in (k, h))
+    if qc == qa:
+        return ((0, 0, 0.5), (0, qc, -0.5))
+    x = qc | qa
+    return ((x, 0, 0.25), (x, qa, 0.25j), (x, qc, -0.25j), (x, x, 0.25))
 
 
 def map_to_pauli(terms: Iterable[SqTerm], layout: QubitLayout) -> PauliSum:
-    """Direct mapping of transfer-operator products to a Pauli sum."""
-    n = layout.num_qubits
-    total = PauliSum.zero(n)
+    """Direct mapping of transfer-operator products to a Pauli sum.
+
+    Factors scale magnitudes exactly (by 1/2 or 1/4), so one DROP_TOL test
+    per product is one per partial product; a cancelled string re-enters.
+    """
+    total: dict[tuple[int, int], complex] = {}
     for term in terms:
-        op = PauliSum.identity(n, term.coefficient)
-        for mode, k, h in term.factors:
-            qc = layout.qubit_index(mode, k)
-            qa = layout.qubit_index(mode, h)
-            if qc == qa:
-                # a+_k a_k = (I - Z_k)/2, the occupation projector
-                z = "I" * qc + "Z" + "I" * (n - qc - 1)
-                factor = PauliSum(n, [("I" * n, 0.5), (z, -0.5)])
-            else:
-                factor = _ladder_sum(layout, qc, create=True) \
-                    * _ladder_sum(layout, qa, create=False)
-            op = op * factor
-        total = total.add(op)
-    return total
+        partial = [(0, 0, complex(term.coefficient))]
+        for factor in term.factors:
+            table = _factor_terms(layout, *factor)
+            partial = [(x | fx, z | fz, c * fc)
+                       for x, z, c in partial for fx, fz, fc in table]
+        for x, z, c in partial:
+            if abs(c) > DROP_TOL:
+                total[x, z] = total.get((x, z), 0.0) + c
+                if abs(total[x, z]) <= DROP_TOL:
+                    del total[x, z]
+    return PauliSum.from_masks(layout.num_qubits, total)
 
 
 def number_operator(layout: QubitLayout, mode: int) -> PauliSum:
     """Total occupation of one mode register: sum_k (I - Z_k)/2."""
-    n = layout.num_qubits
-    coeffs: dict[str, complex] = {"I" * n: 0.5 * layout.modal_counts[mode]}
-    for q in layout.register(mode):
-        coeffs["I" * q + "Z" + "I" * (n - q - 1)] = -0.5
-    return PauliSum(n, coeffs)
+    terms = {(0, 0): complex(0.5 * layout.modal_counts[mode])}
+    terms.update(((0, 1 << q), -0.5 + 0j) for q in layout.register(mode))
+    return PauliSum.from_masks(layout.num_qubits, terms)
 
 
 def penalty_objective(h_expectation: float,

@@ -92,16 +92,17 @@ class PauliSum:
         self._num_qubits = num_qubits
         self._terms = {k: c for k, c in merged.items() if abs(c) > tol}
 
+    # -- constructors -------------------------------------------------
+
     @classmethod
-    def _from_terms(cls, num_qubits: int, terms: dict[tuple[int, int], complex],
-                    tol: float) -> "PauliSum":
-        """A sum straight from (x, z) -> coefficient; no labels parsed."""
+    def from_masks(cls, num_qubits: int, terms: dict[tuple[int, int], complex],
+                   tol: float = DROP_TOL) -> "PauliSum":
+        """A sum straight from (x, z) -> complex coefficient; no labels
+        parsed.  Terms keep the dict's order; |c| <= tol is dropped."""
         out = cls.__new__(cls)
         out._num_qubits = num_qubits
         out._terms = {k: c for k, c in terms.items() if abs(c) > tol}
         return out
-
-    # -- constructors -------------------------------------------------
 
     @classmethod
     def from_label(cls, label: str, coefficient: complex = 1.0) -> "PauliSum":
@@ -174,7 +175,7 @@ class PauliSum:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0.0) + c
-        return PauliSum._from_terms(self._num_qubits, out, tol)
+        return PauliSum.from_masks(self._num_qubits, out, tol)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         return self.add(other)
@@ -183,18 +184,18 @@ class PauliSum:
         return self.add(-other)
 
     def __neg__(self) -> "PauliSum":
-        return PauliSum._from_terms(
+        return PauliSum.from_masks(
             self._num_qubits, {k: -c for k, c in self._terms.items()}, 0.0)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return PauliSum._from_terms(
+            return PauliSum.from_masks(
                 self._num_qubits,
                 {k: c * other for k, c in self._terms.items()}, DROP_TOL)
         if not isinstance(other, PauliSum):
             return NotImplemented
         self._check_compatible(other)
-        return PauliSum._from_terms(
+        return PauliSum.from_masks(
             self._num_qubits, _products(self, other, False), DROP_TOL)
 
     def __rmul__(self, other):
@@ -204,7 +205,7 @@ class PauliSum:
 
     def adjoint(self) -> "PauliSum":
         """Hermitian conjugate (strings are self-adjoint, so conjugate coefficients)."""
-        return PauliSum._from_terms(
+        return PauliSum.from_masks(
             self._num_qubits,
             {k: c.conjugate() for k, c in self._terms.items()}, 0.0)
 
@@ -258,6 +259,6 @@ def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
     P_a P_b - P_b P_a = 2 P_a P_b, so only those pairs are multiplied.
     """
     a._check_compatible(b)
-    return PauliSum._from_terms(
+    return PauliSum.from_masks(
         a._num_qubits,
         {k: 2.0 * c for k, c in _products(a, b, True).items()}, DROP_TOL)

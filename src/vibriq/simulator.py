@@ -160,7 +160,7 @@ def _conjugate_by_gate(rho: np.ndarray, gate: Gate, angle: float | None,
     its complex conjugate on the column index."""
     if gate.kind == "cnot":
         perm = _cnot_permutation(num_qubits, gate.qubits[0], gate.qubits[1])
-        return rho[perm][:, perm]
+        return rho[perm[:, None], perm]
     mat = _gate_matrix(gate.kind, angle)
     q = gate.qubits[0]
     rows = _apply_1q_matrix(rho.reshape(-1), mat, q + num_qubits)
@@ -539,27 +539,43 @@ def noisy_trajectory(circuit: Circuit, params: Sequence[float],
     return StateVector(n, amps)
 
 
-def _pauli_twirl(rho: np.ndarray, qubits: tuple[int, ...], num_qubits: int,
-                 out: np.ndarray) -> None:
-    """Sum of P rho P over all 4^k Paulis P on ``qubits``, written to ``out``.
+def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], num_qubits: int,
+                p: float) -> None:
+    """Mix p / (4^k - 1) of every non-identity P rho P on ``qubits`` into rho.
 
-    Per qubit the sum is 2 Tr_q(rho) (x) I_q, and the k-qubit sum is the
-    composition of the per-qubit ones: 2^k Tr_k(rho) (x) I_k.  Every
-    qubit after the first works on ``out`` in place.
+    The sum of P rho P over all 4^k Paulis P on k qubits is
+    2^k Tr_k(rho) (x) I_k, nonzero only on the 2^k blocks whose row and
+    column agree on ``qubits``.  With P = I counted in that sum, the
+    channel is (1 - p - share) rho + share 2^k Tr_k(rho) (x) I_k, so the
+    second term is added to those blocks alone.  ``rho`` is C-contiguous
+    and changed in place through views of it.
     """
-    src = rho
-    for q in qubits:
-        lo = 1 << q
-        hi = 1 << (num_qubits - q - 1)
-        view = src.reshape(hi, 2, lo, hi, 2, lo)
-        traced = view[:, 0, :, :, 0] + view[:, 1, :, :, 1]
-        traced *= 2.0
-        dest = out.reshape(view.shape)
-        dest[:, 0, :, :, 1] = 0.0
-        dest[:, 1, :, :, 0] = 0.0
-        dest[:, 0, :, :, 0] = traced
-        dest[:, 1, :, :, 1] = traced
-        src = out
+    share = p / ((1 << (2 * len(qubits))) - 1)
+    # rows and columns each split into (rest, bit, rest, bit, ..., rest)
+    # with the gate's qubits, highest first, as the bit axes
+    order = sorted(qubits, reverse=True)
+    shape, above = [], num_qubits
+    for q in order:
+        shape += [1 << (above - q - 1), 2]
+        above = q
+    shape.append(1 << above)
+    view = rho.reshape(shape * 2)
+    blocks = []
+    for bits in range(1 << len(qubits)):
+        index = [slice(None)] * len(shape)
+        for j, q in enumerate(qubits):
+            index[2 * order.index(q) + 1] = (bits >> j) & 1
+        blocks.append(view[tuple(index * 2)])
+    # the partial trace, one qubit at a time in gate order: each pass adds
+    # the pairs of blocks that differ in that qubit's bit
+    traced = blocks
+    while len(traced) > 1:
+        traced = [traced[i] + traced[i + 1] for i in range(0, len(traced), 2)]
+    traced = traced[0]
+    traced *= share * len(blocks)
+    rho *= 1.0 - p - share
+    for block in blocks:
+        block += traced
 
 
 def noisy_distribution(circuit: Circuit, params: Sequence[float],
@@ -579,19 +595,12 @@ def noisy_distribution(circuit: Circuit, params: Sequence[float],
         raise ValueError(f"expected {circuit.num_parameters} parameters")
     rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     rho[0, 0] = 1.0
-    twirl = np.empty_like(rho)
     for gate in circuit.gates:
         angle = gate.resolved_angle(params)
         rho = _conjugate_by_gate(rho, gate, angle, n)
         p = noise.gate_probability(gate, angle)
         if p > 0.0:
-            # The twirl includes P = I, so the mix (1 - p) rho +
-            # share (twirl - rho) is (1 - p - share) rho + share twirl.
-            share = p / ((1 << (2 * len(gate.qubits))) - 1)
-            _pauli_twirl(rho, gate.qubits, n, twirl)
-            rho *= 1.0 - p - share
-            twirl *= share
-            rho += twirl
+            _depolarize(rho, gate.qubits, n, p)
     return np.diagonal(rho).real.copy()
 
 

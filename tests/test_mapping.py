@@ -3,10 +3,11 @@ import pytest
 
 from helpers import dense_from_sum, onv_rule_matrix, physical_onvs, \
     random_sq_hamiltonian
+from vibriq.circuits import excitation_list, excitation_sq_terms
 from vibriq.mapping import (QubitLayout, SqTerm, build_sq_hamiltonian,
                             map_to_pauli, number_operator, penalty_objective,
                             sq_terms_from_records, sq_terms_to_records)
-from vibriq.pauli import PauliSum
+from vibriq.pauli import DROP_TOL, PauliSum
 from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
                         solve_modals)
 
@@ -183,3 +184,99 @@ def test_sq_records_roundtrip():
     terms = [SqTerm(1.5, ((0, 1, 0),)), SqTerm(-0.25, ((0, 0, 1), (1, 1, 1)))]
     again = sq_terms_from_records(sq_terms_to_records(terms))
     assert again == terms
+
+
+# -- the product form: label-built factors multiplied as Pauli sums ----------
+
+def _ladder_sum(num_qubits, qubit, create):
+    pad = "I" * qubit, "I" * (num_qubits - qubit - 1)
+    return PauliSum(num_qubits, [("X".join(pad), 0.5),
+                                 ("Y".join(pad), -0.5j if create else 0.5j)])
+
+
+def _product_form(terms, layout):
+    """Each factor built from labels and multiplied in with
+    ``PauliSum.__mul__``; the slow reference for ``map_to_pauli``."""
+    n = layout.num_qubits
+    total = PauliSum.zero(n)
+    for term in terms:
+        op = PauliSum.identity(n, term.coefficient)
+        for mode, k, h in term.factors:
+            qc = layout.qubit_index(mode, k)
+            qa = layout.qubit_index(mode, h)
+            if qc == qa:
+                z = "I" * qc + "Z" + "I" * (n - qc - 1)
+                factor = PauliSum(n, [("I" * n, 0.5), (z, -0.5)])
+            else:
+                factor = _ladder_sum(n, qc, True) * _ladder_sum(n, qa, False)
+            op = op * factor
+        total = total.add(op)
+    return total
+
+
+def _assert_same_as_product_form(terms, layout):
+    got, ref = map_to_pauli(terms, layout), _product_form(terms, layout)
+    assert got.masks() == ref.masks()
+    assert repr(got.masks()) == repr(ref.masks())
+    # insertion order too: it is the summation order of later products
+    assert list(got._terms) == list(ref._terms)
+    return got
+
+
+def _random_terms(rng, layout, n_terms, scale=1.0):
+    """1- to 3-mode products of random transfer operators."""
+    terms = []
+    for _ in range(n_terms):
+        order = int(rng.integers(1, min(3, layout.num_modes) + 1))
+        modes = sorted(rng.choice(layout.num_modes, order, replace=False))
+        factors = tuple((int(l), int(rng.integers(layout.modal_counts[l])),
+                         int(rng.integers(layout.modal_counts[l])))
+                        for l in modes)
+        terms.append(SqTerm(float(scale * rng.normal()), factors))
+    return terms
+
+
+@pytest.mark.parametrize("counts", [(2, 3), (3, 3, 3), (1, 2, 3, 2), (4, 2)])
+def test_direct_mapping_matches_product_form_on_random_terms(counts):
+    rng = np.random.default_rng(sum(counts))
+    layout = QubitLayout(counts)
+    terms = _random_terms(rng, layout, 60) + [SqTerm(0.7, ())]
+    # exact negatives empty a string out of the running sum; the terms
+    # after them bring it back in at the end
+    terms += [SqTerm(-t.coefficient, t.factors) for t in terms[:20]]
+    terms += terms[5:15]
+    _assert_same_as_product_form(terms, layout)
+
+
+def test_term_and_its_negative_map_to_zero():
+    layout = QubitLayout((2, 3, 2))
+    terms = [SqTerm(1.3, ((0, 1, 0), (1, 2, 2), (2, 0, 1))),
+             SqTerm(-1.3, ((0, 1, 0), (1, 2, 2), (2, 0, 1)))]
+    assert len(_assert_same_as_product_form(terms, layout)) == 0
+
+
+def test_direct_mapping_drops_like_product_form_near_tolerance():
+    rng = np.random.default_rng(7)
+    layout = QubitLayout((2, 3, 2))
+    for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
+        terms = _random_terms(rng, layout, 40, scale * DROP_TOL)
+        terms += [SqTerm(scale * DROP_TOL, ()), SqTerm(4 * DROP_TOL, ())]
+        _assert_same_as_product_form(terms, layout)
+
+
+@pytest.mark.parametrize("counts", [(3, 3), (2, 2, 2)])
+def test_excitation_operators_match_product_form(counts):
+    layout = QubitLayout(counts)
+    for exc in excitation_list(layout, 2):
+        _assert_same_as_product_form(excitation_sq_terms(exc), layout)
+
+
+def test_direct_mapping_beyond_64_qubits():
+    layout = QubitLayout((6,) * 15)
+    assert layout.num_qubits == 90
+    terms = [SqTerm(0.5, ((14, 5, 2),)),
+             SqTerm(-1.25, ((3, 4, 4), (12, 0, 5), (14, 1, 1))),
+             SqTerm(2.0, ((0, 0, 1), (13, 3, 3))),
+             SqTerm(0.75, ((14, 5, 2),))]
+    op = _assert_same_as_product_form(terms, layout)
+    assert max(x | z for x, z, _ in op.masks()).bit_length() == 90

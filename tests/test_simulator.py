@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (dense_circuit_unitary, dense_from_label, dense_from_sum,
-                     density_matrix_simulation, random_pauli_sum)
+                     dense_gate_matrix, density_matrix_simulation,
+                     random_pauli_sum)
 from vibriq.circuits import (Circuit, Gate, build_chc, build_uvcc,
                              excitation_list, reference_circuit)
 from vibriq.mapping import QubitLayout
@@ -17,6 +19,7 @@ from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
                               noisy_distribution, noisy_trajectory,
                               pauli_term_masks, run_fidelity_experiment,
                               sample)
+from vibriq.simulator import _conjugate_by_gate, _depolarize
 
 
 def random_circuit(rng, num_qubits, depth=30):
@@ -314,6 +317,42 @@ def test_noisy_distribution_covers_every_gate_kind():
         oracle = np.diag(density_matrix_simulation(circ, params, noise)).real
         np.testing.assert_allclose(noisy_distribution(circ, params, noise),
                                    oracle, rtol=0, atol=1e-12)
+
+
+def _random_matrix(rng, num_qubits):
+    dim = 1 << num_qubits
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def test_cnot_conjugation_matches_dense_unitary():
+    rng = np.random.default_rng(83)
+    rho = _random_matrix(rng, 3)
+    for control, target in itertools.permutations(range(3), 2):
+        gate = Gate("cnot", (control, target))
+        u = dense_gate_matrix(gate, None, 3)
+        np.testing.assert_allclose(_conjugate_by_gate(rho, gate, None, 3),
+                                   u @ rho @ u.conj().T, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("qubits", [(0,), (1,), (2,), (0, 2), (2, 0), (1, 2)])
+def test_depolarizing_mix_matches_explicit_pauli_sum(qubits):
+    """The whole matrix, off-diagonal blocks included, against
+    (1 - p) rho + p / (4^k - 1) sum over non-identity P of P rho P."""
+    rng = np.random.default_rng(89)
+    rho = _random_matrix(rng, 3)
+    p = 0.3
+    others = [ls for ls in itertools.product("IXYZ", repeat=len(qubits))
+              if set(ls) != {"I"}]
+    expected = (1 - p) * rho
+    for ls in others:
+        label = ["I"] * 3
+        for q, letter in zip(qubits, ls):
+            label[q] = letter
+        pauli = dense_from_label("".join(label))
+        expected += p / len(others) * (pauli @ rho @ pauli)
+    got = rho.copy()
+    _depolarize(got, qubits, 3, p)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
 def test_noisy_distribution_full_strength_cnot():
