@@ -15,13 +15,13 @@ from .pes import (ModalBasis, ModalOperators, PesExpansion, PesTerm,
 from .mapping import (QubitLayout, SqTerm, build_sq_hamiltonian, map_to_pauli,
                       number_operator, penalty_objective)
 from .circuits import (Circuit, Excitation, Gate, build_chc, build_heuristic,
-                       build_uvcc, compose, count_resources, excitation_list,
+                       build_uvcc, count_resources, excitation_list,
                        generator_pauli, reference_circuit)
 from .simulator import (AnsatzProgram, CompiledPauliSum, NoiseModel,
                         ShotCounts, StateVector, apply_circuit,
                         compile_pauli_sum, distribution_fidelity, expectation,
                         expectation_value, noisy_counts, noisy_distribution,
-                        noisy_trajectory, run_fidelity_experiment, sample)
+                        run_fidelity_experiment, sample)
 from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
                   ground_state, minimize)
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,

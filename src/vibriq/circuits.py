@@ -26,8 +26,6 @@ from typing import Iterable, NamedTuple, Sequence
 from .mapping import QubitLayout, SqTerm, map_to_pauli
 from .pauli import PauliSum
 
-GATE_KINDS = ("x", "h", "rx", "ry", "rz", "phase", "cnot")
-
 
 class Gate(NamedTuple):
     """One gate; ``angle`` for constants, ``(param, scale)`` for bound angles."""
@@ -49,61 +47,6 @@ class Circuit:
     num_qubits: int
     gates: tuple[Gate, ...]
     num_parameters: int
-
-    def validate(self) -> "Circuit":
-        """Check every gate; builders emit valid gates, so this is only
-        run on deserialized input."""
-        for g in self.gates:
-            if g.kind not in GATE_KINDS:
-                raise ValueError(f"unknown gate kind {g.kind!r}")
-            arity = 2 if g.kind == "cnot" else 1
-            if len(g.qubits) != arity:
-                raise ValueError(f"{g.kind} takes {arity} qubit(s), got {g}")
-            if any(q < 0 or q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} touches a qubit outside the register")
-            if g.kind == "cnot" and g.qubits[0] == g.qubits[1]:
-                raise ValueError("CNOT control and target must differ")
-            if g.param is not None and not 0 <= g.param < self.num_parameters:
-                raise ValueError(f"parameter index {g.param} out of range")
-            if g.kind in ("rx", "ry", "rz", "phase"):
-                if (g.param is None) == (g.angle is None):
-                    raise ValueError(
-                        f"rotation {g} needs exactly one angle binding")
-            elif g.param is not None or g.angle is not None:
-                raise ValueError(f"{g.kind} takes no angle, got {g}")
-        return self
-
-    def to_dicts(self) -> list[dict]:
-        out = []
-        for g in self.gates:
-            d: dict = {"kind": g.kind, "qubits": list(g.qubits)}
-            if g.param is not None:
-                d["param_index"] = g.param
-                d["scale"] = g.scale
-            elif g.angle is not None:
-                d["angle"] = g.angle
-            out.append(d)
-        return out
-
-    @classmethod
-    def from_dicts(cls, num_qubits: int, dicts: Iterable[dict],
-                   num_parameters: int) -> "Circuit":
-        gates = tuple(
-            Gate(d["kind"], tuple(d["qubits"]), angle=d.get("angle"),
-                 param=d.get("param_index"), scale=d.get("scale", 1.0))
-            for d in dicts)
-        return cls(num_qubits, gates, num_parameters).validate()
-
-
-def compose(first: Circuit, second: Circuit) -> Circuit:
-    """Concatenate circuits, keeping their parameter sets independent."""
-    if first.num_qubits != second.num_qubits:
-        raise ValueError("qubit-count mismatch")
-    shift = first.num_parameters
-    shifted = tuple(g if g.param is None else g._replace(param=g.param + shift)
-                    for g in second.gates)
-    return Circuit(first.num_qubits, first.gates + shifted,
-                   first.num_parameters + second.num_parameters)
 
 
 # -- excitations -------------------------------------------------------------

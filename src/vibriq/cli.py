@@ -28,12 +28,6 @@ from .simulator import (NoiseModel, StateVector, expectation,
 from .vqe import VqeConfig, build_ansatz, ground_state
 
 
-class StageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"error in {stage}: {cause}")
-        self.stage = stage
-
-
 def _jsonify(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}

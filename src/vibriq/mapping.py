@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .pauli import DROP_TOL, PauliSum
 from .pes import ModalOperators, PesExpansion
@@ -144,14 +144,18 @@ def _factor_terms(layout: QubitLayout, mode: int, k: int, h: int):
 def map_to_pauli(terms: Iterable[SqTerm], layout: QubitLayout) -> PauliSum:
     """Direct mapping of transfer-operator products to a Pauli sum.
 
+    Each distinct (mode, k, h) factor's table is built once per call.
     Factors scale magnitudes exactly (by 1/2 or 1/4), so one DROP_TOL test
     per product is one per partial product; a cancelled string re-enters.
     """
     total: dict[tuple[int, int], complex] = {}
+    tables: dict[tuple[int, int, int], tuple] = {}
     for term in terms:
         partial = [(0, 0, complex(term.coefficient))]
         for factor in term.factors:
-            table = _factor_terms(layout, *factor)
+            table = tables.get(factor)
+            if table is None:
+                table = tables[factor] = _factor_terms(layout, *factor)
             partial = [(x | fx, z | fz, c * fc)
                        for x, z, c in partial for fx, fz, fc in table]
         for x, z, c in partial:
@@ -182,15 +186,3 @@ def penalty_objective(h_expectation: float,
     return float(h_expectation) + mu * sum((float(n) - 1.0) ** 2
                                            for n in number_expectations)
 
-
-# -- JSON interchange --------------------------------------------------------
-
-def sq_terms_to_records(terms: Iterable[SqTerm]) -> list[dict]:
-    return [{"coeff": t.coefficient, "factors": [list(f) for f in t.factors]}
-            for t in terms]
-
-
-def sq_terms_from_records(records: Iterable[Mapping]) -> list[SqTerm]:
-    return [SqTerm(float(r["coeff"]),
-                   tuple(tuple(f) for f in r["factors"]))
-            for r in records]

@@ -6,10 +6,10 @@ letter Y is i X Z.  Products need popcounts only (Aaronson & Gottesman,
 PRA 70, 052328 (2004)): P(xa, za) P(xb, zb) = i^k P(x, z) with x = xa ^ xb,
 z = za ^ zb and k = |xa & za| + |xb & zb| - |x & z| + 2 |za & xb|.  Two
 strings anticommute when |(xa & zb) ^ (za & xb)| is odd; only those pairs
-enter a commutator.
+enter a commutator, the one product of two sums the library needs.
 
 Labels over ``IXYZ`` (qubit 0 = leftmost letter) are only the boundary
-format of constructors, ``items``, ``terms``, records and ``repr``.  Sums
+format of constructors, ``items``, ``terms`` and ``repr``.  Sums
 keep at most one term per string and drop coefficients below a tolerance,
 so after simplification structural equality doubles as operator equality.
 All operations return new objects; nothing is mutated.
@@ -138,9 +138,6 @@ class PauliSum:
         return sorted(((x, z, c) for (x, z), c in self._terms.items()),
                       key=lambda t: _digits(t[0], t[1], n))
 
-    def coefficient(self, label: str) -> complex:
-        return self._terms.get(_parse(label, self._num_qubits), 0.0 + 0.0j)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -188,20 +185,13 @@ class PauliSum:
             self._num_qubits, {k: -c for k, c in self._terms.items()}, 0.0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return PauliSum.from_masks(
-                self._num_qubits,
-                {k: c * other for k, c in self._terms.items()}, DROP_TOL)
-        if not isinstance(other, PauliSum):
+        if not isinstance(other, (int, float, complex)):
             return NotImplemented
-        self._check_compatible(other)
         return PauliSum.from_masks(
-            self._num_qubits, _products(self, other, False), DROP_TOL)
+            self._num_qubits,
+            {k: c * other for k, c in self._terms.items()}, DROP_TOL)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def adjoint(self) -> "PauliSum":
         """Hermitian conjugate (strings are self-adjoint, so conjugate coefficients)."""
@@ -209,56 +199,24 @@ class PauliSum:
             self._num_qubits,
             {k: c.conjugate() for k, c in self._terms.items()}, 0.0)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
 
-    def allclose(self, other: "PauliSum", tol: float = 1e-10) -> bool:
-        self._check_compatible(other)
-        keys = set(self._terms) | set(other._terms)
-        return all(abs(self._terms.get(k, 0.0) - other._terms.get(k, 0.0)) <= tol
-                   for k in keys)
+def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a b - b a``, simplified.
 
-    # -- serialization ---------------------------------------------------
-
-    def to_records(self) -> list[dict]:
-        """Records ``{"label", "re", "im"}``; qubit 0 is the leftmost letter."""
-        return [{"label": l, "re": c.real, "im": c.imag} for l, c in self.items()]
-
-    @classmethod
-    def from_records(cls, num_qubits: int, records: Iterable[Mapping]) -> "PauliSum":
-        return cls(num_qubits,
-                   [(r["label"], complex(r["re"], r.get("im", 0.0)))
-                    for r in records])
-
-
-def _products(a: PauliSum, b: PauliSum,
-              anticommuting_only: bool) -> dict[tuple[int, int], complex]:
-    """(x, z) -> summed i^k ca cb over the string pairs of ``a b``.
-
-    With ``anticommuting_only`` a pair counts only when its strings
-    anticommute, popcount((xa & zb) ^ (za & xb)) odd.
+    Commuting string pairs cancel, and an anticommuting pair, one with
+    popcount((xa & zb) ^ (za & xb)) odd, gives P_a P_b - P_b P_a =
+    2 P_a P_b, so only those pairs are multiplied.
     """
+    a._check_compatible(b)
     out: dict[tuple[int, int], complex] = {}
     b_terms = b._terms.items()
     for (xa, za), ca in a._terms.items():
         for (xb, zb), cb in b_terms:
-            if anticommuting_only \
-                    and not ((xa & zb) ^ (za & xb)).bit_count() & 1:
+            if not ((xa & zb) ^ (za & xb)).bit_count() & 1:
                 continue
             x, z = xa ^ xb, za ^ zb
             k = ((xa & za).bit_count() + (xb & zb).bit_count()
                  - (x & z).bit_count() + 2 * (za & xb).bit_count())
             out[x, z] = out.get((x, z), 0.0) + _I_POWERS[k % 4] * ca * cb
-    return out
-
-
-def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``a b - b a``, simplified.
-
-    Commuting string pairs cancel, and an anticommuting pair gives
-    P_a P_b - P_b P_a = 2 P_a P_b, so only those pairs are multiplied.
-    """
-    a._check_compatible(b)
     return PauliSum.from_masks(
-        a._num_qubits,
-        {k: 2.0 * c for k, c in _products(a, b, True).items()}, DROP_TOL)
+        a._num_qubits, {k: 2.0 * c for k, c in out.items()}, DROP_TOL)

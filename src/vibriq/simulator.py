@@ -14,8 +14,9 @@ depolarization: after each gate, with the gate-class probability, one
 uniformly random non-identity Pauli acts on the gate's qubits (15 choices
 for a CNOT).  ``noisy_counts`` draws multinomial shots from the diagonal
 of the density matrix evolved through that exact channel (4^N amplitudes,
-so at most ``MAX_DENSITY_QUBITS``); ``noisy_trajectory`` is its
-Monte-Carlo unraveling, one pure state per run, and the tests' reference.
+so at most ``MAX_DENSITY_QUBITS``).  The channel's Monte-Carlo
+unraveling, one pure state per run, lives in ``tests/helpers.py`` as a
+test oracle, built on dense matrices apart from these kernels.
 
 Gate classes follow the published rates: H, RX(+-pi/2) and PHASE are
 U2-like, every other single-qubit rotation (including X) is U3-like, and
@@ -71,12 +72,6 @@ class StateVector:
     def vacuum(cls, num_qubits: int) -> "StateVector":
         amps = np.zeros(1 << num_qubits, dtype=np.complex128)
         amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    @classmethod
-    def basis_state(cls, num_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-        amps[index] = 1.0
         return cls(num_qubits, amps)
 
     def norm(self) -> float:
@@ -275,14 +270,6 @@ def compile_pauli_sum(op: PauliSum | CompiledPauliSum) -> CompiledPauliSum:
     return CompiledPauliSum(n, masks[:, None] ^ idx, diags)
 
 
-def _compiled_pauli(num_qubits: int,
-                    pairs: Sequence[tuple[int, str]]) -> CompiledPauliSum:
-    """One Pauli string, given as (qubit, letter) pairs, compiled."""
-    letters = dict(pairs)
-    return compile_pauli_sum(PauliSum.from_label(
-        "".join(letters.get(q, "I") for q in range(num_qubits))))
-
-
 def expectation_value(state: StateVector,
                       op: PauliSum | CompiledPauliSum) -> complex:
     """<psi|op|psi> for an arbitrary (possibly non-Hermitian) Pauli sum.
@@ -345,7 +332,9 @@ class PauliRotationStep:
     @classmethod
     def from_pairs(cls, num_qubits: int, pairs: Sequence[tuple[int, str]],
                    param: int, scale: float) -> "PauliRotationStep":
-        pauli = _compiled_pauli(num_qubits, pairs)
+        letters = dict(pairs)
+        pauli = compile_pauli_sum(PauliSum.from_label(
+            "".join(letters.get(q, "I") for q in range(num_qubits))))
         return cls(pauli.perms[0], pauli.diags[0], param, scale)
 
     def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -458,9 +447,6 @@ class ShotCounts:
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts must sum to the declared shot total")
 
-    def to_dict(self) -> dict[str, int]:
-        return {k: self.counts[k] for k in sorted(self.counts)}
-
 
 def _draw_counts(probs: np.ndarray, num_qubits: int, shots: int,
                  seed) -> ShotCounts:
@@ -514,29 +500,6 @@ class NoiseModel:
                 and abs(abs(angle) - math.pi / 2.0) < 1e-12:
             return self.p_u2
         return self.p_u3
-
-
-def noisy_trajectory(circuit: Circuit, params: Sequence[float],
-                     noise: NoiseModel, seed=None,
-                     state: StateVector | None = None) -> StateVector:
-    """One stochastic trajectory of the depolarizing unraveling."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.num_parameters,):
-        raise ValueError(f"expected {circuit.num_parameters} parameters")
-    rng = np.random.default_rng(seed)
-    n = circuit.num_qubits
-    amps = (StateVector.vacuum(n) if state is None else state).amplitudes.copy()
-    for gate in circuit.gates:
-        angle = gate.resolved_angle(params)
-        amps = _apply_gate(amps, gate, angle, n)
-        p = noise.gate_probability(gate, angle)
-        if p > 0.0 and rng.random() < p:
-            n_paulis = (1 << (2 * len(gate.qubits))) - 1
-            choice = int(rng.integers(1, n_paulis + 1))
-            amps = _compiled_pauli(n, [(q, "IXYZ"[(choice >> (2 * j)) & 3])
-                                       for j, q in enumerate(gate.qubits)]
-                                   ).apply(amps)
-    return StateVector(n, amps)
 
 
 def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], num_qubits: int,

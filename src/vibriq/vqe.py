@@ -263,11 +263,13 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
     config = config or VqeConfig()
     if hamiltonian.num_qubits != layout.num_qubits:
         raise ValueError("Hamiltonian and layout disagree on the qubit count")
-    program = ansatz_program(layout, config)
+    # Compiling refuses an oversized register, so it runs before the
+    # ansatz program builds its index arrays.
     h = compile_pauli_sum(hamiltonian)
     mu = config.effective_mu()
     number_ops = [compile_pauli_sum(number_operator(layout, l))
                   for l in range(layout.num_modes)] if mu > 0 else []
+    program = ansatz_program(layout, config)
 
     def objective(params: np.ndarray) -> float:
         state = program.prepare(params)

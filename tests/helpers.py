@@ -17,10 +17,32 @@ PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
+
 
 def dense_from_label(label: str) -> np.ndarray:
     """Kronecker matrix of one Pauli label (qubit 0 = leftmost = LSB)."""
     return reduce(np.kron, [PAULI_MATS[c] for c in reversed(label)])
+
+
+def pauli_product(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a b`` by the mask rule P(xa, za) P(xb, zb) = i^k P(xa ^ xb, za ^ zb),
+    k = |xa & za| + |xb & zb| - |x & z| + 2 |za & xb|.
+
+    String pairs are summed with ``a``'s terms outer and ``b``'s inner, in
+    insertion order, so the result's term order is reproducible.
+    """
+    if a.num_qubits != b.num_qubits:
+        raise ValueError(f"qubit-count mismatch: {a.num_qubits} vs "
+                         f"{b.num_qubits}")
+    out: dict[tuple[int, int], complex] = {}
+    for (xa, za), ca in a._terms.items():
+        for (xb, zb), cb in b._terms.items():
+            x, z = xa ^ xb, za ^ zb
+            k = ((xa & za).bit_count() + (xb & zb).bit_count()
+                 - (x & z).bit_count() + 2 * (za & xb).bit_count())
+            out[x, z] = out.get((x, z), 0.0) + _I_POWERS[k % 4] * ca * cb
+    return PauliSum.from_masks(a.num_qubits, out)
 
 
 def dense_from_sum(op: PauliSum) -> np.ndarray:
@@ -157,8 +179,9 @@ def dense_circuit_unitary(circuit, params) -> np.ndarray:
 def density_matrix_simulation(circuit, params, noise) -> np.ndarray:
     """Gate unitaries interleaved with exact depolarizing channels.
 
-    The channel matches the trajectory model: with the class probability,
-    one uniformly random non-identity Pauli on the gate's qubits.
+    The channel matches ``noisy_trajectories``: with the class
+    probability, one uniformly random non-identity Pauli on the gate's
+    qubits.
     """
     n = circuit.num_qubits
     dim = 1 << n
@@ -182,3 +205,44 @@ def density_matrix_simulation(circuit, params, noise) -> np.ndarray:
             mixed += pauli @ rho @ pauli
         rho = (1 - p) * rho + (p / len(letters)) * mixed
     return rho
+
+
+def noisy_trajectories(circuit, params, noise, seeds) -> np.ndarray:
+    """Final states of the depolarizing unraveling, one row per seed.
+
+    Each run starts from |0...0>, applies every gate's unitary and then,
+    with the gate-class probability, one uniformly random non-identity
+    Pauli on the gate's qubits, so the runs average to the channel of
+    ``density_matrix_simulation``.  The unitaries and Paulis are dense
+    matrices built once for all runs.
+    """
+    n = circuit.num_qubits
+    dim = 1 << n
+    steps = []
+    for gate in circuit.gates:
+        angle = gate.resolved_angle(params)
+        paulis = []
+        for choice in range(1, 1 << (2 * len(gate.qubits))):
+            label = ["I"] * n
+            for j, q in enumerate(gate.qubits):
+                label[q] = "IXYZ"[(choice >> (2 * j)) & 3]
+            paulis.append(dense_from_label("".join(label)))
+        steps.append((dense_gate_matrix(gate, angle, n),
+                      noise.gate_probability(gate, angle), paulis))
+    states = np.zeros((len(seeds), dim), dtype=complex)
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        amps = np.zeros(dim, dtype=complex)
+        amps[0] = 1.0
+        for unitary, p, paulis in steps:
+            amps = unitary @ amps
+            if p > 0.0 and rng.random() < p:
+                amps = paulis[int(rng.integers(1, len(paulis) + 1)) - 1] @ amps
+        states[row] = amps
+    return states
+
+
+def dense_expectations(states: np.ndarray, op: PauliSum) -> np.ndarray:
+    """<psi|op|psi> per row of ``states``, from the dense matrix of ``op``."""
+    return np.einsum("ri,ij,rj->r", states.conj(), dense_from_sum(op),
+                     states).real

@@ -5,7 +5,6 @@ criteria complete.
 """
 
 import json
-import math
 import time
 from contextlib import contextmanager
 
@@ -24,7 +23,7 @@ from vibriq.mapping import (QubitLayout, map_to_pauli, number_operator,
 from vibriq.pes import save_pes
 from vibriq.qeom import excitation_energies
 from vibriq.simulator import (NoiseModel, StateVector, apply_circuit,
-                              expectation, noisy_trajectory,
+                              expectation, noisy_distribution,
                               run_fidelity_experiment)
 from vibriq.vqe import VqeConfig, build_ansatz, ground_state
 
@@ -186,28 +185,29 @@ def test_criterion_08_penalty_arithmetic(coupled_system):
 
 def test_criterion_09_noise_fidelity_ordering():
     with criterion(9, "noisy CHC beats noisy UVCC for (2,2) and (2,4); "
-                      "trajectories agree with the density-matrix channel"):
+                      "outcome probabilities equal the density-matrix "
+                      "channel's"):
         for counts in [(2, 2), (2, 4)]:
             report = run_fidelity_experiment(counts, trials=10, shots=10000,
                                              seed=2024)
             fid = report["fidelity"]
             assert fid["chc"]["mean"] > fid["uvccsd"]["mean"], counts
 
-        # 4-qubit density-matrix oracle vs trajectory averages (3 sigma)
+        # 4-qubit density-matrix oracle: its diagonal, and through it the
+        # diagonal observable N_0 + N_1, exactly
         layout = QubitLayout((2, 2))
         circ = build_chc(layout, excitation_list(layout))
         rng = np.random.default_rng(909)
         params = rng.uniform(-0.2, 0.2, circ.num_parameters)
         noise = NoiseModel()
         rho = density_matrix_simulation(circ, params, noise)
-        observable = number_operator(layout, 0) + number_operator(layout, 1)
-        oracle = np.trace(dense_from_sum(observable) @ rho).real
-        trials = 4000
-        seeds = np.random.SeedSequence(910).spawn(trials)
-        values = [expectation(noisy_trajectory(circ, params, noise, seed=s),
-                              observable) for s in seeds]
-        sigma = np.std(values, ddof=1) / math.sqrt(trials)
-        assert abs(np.mean(values) - oracle) < 3 * sigma
+        probs = noisy_distribution(circ, params, noise)
+        np.testing.assert_allclose(probs, np.diag(rho).real, rtol=0,
+                                   atol=1e-12)
+        observable = dense_from_sum(number_operator(layout, 0)
+                                    + number_operator(layout, 1))
+        oracle = np.trace(observable @ rho).real
+        assert abs(probs @ np.diag(observable).real - oracle) <= 1e-12
 
 
 def test_criterion_10_determinism(tmp_path, coupled_pes):

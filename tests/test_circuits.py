@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import dense_circuit_unitary, dense_from_sum
-from vibriq.circuits import (Circuit, Gate, build_chc, build_heuristic,
-                             build_uvcc, compose, count_resources,
-                             excitation_list, generator_pauli,
+from helpers import dense_from_sum
+from vibriq.circuits import (build_chc, build_heuristic, build_uvcc,
+                             count_resources, excitation_list, generator_pauli,
                              reference_circuit)
 from vibriq.mapping import QubitLayout, number_operator
 from vibriq.simulator import StateVector, apply_circuit, expectation
+from vibriq.vqe import VqeConfig, build_ansatz
 
 TABLE1 = [
     # (modes, modals, cx_uvcc, cx_chc, parameters)
@@ -191,8 +191,7 @@ def test_chc_quarter_pi_amplitudes():
 
 def test_swaprz_conserves_total_occupation():
     layout = QubitLayout((2, 2))
-    circ = compose(reference_circuit(layout),
-                   build_heuristic("swaprz", 4, 2))
+    circ = build_ansatz(layout, VqeConfig(ansatz="swaprz", depth=2))
     total = number_operator(layout, 0) + number_operator(layout, 1)
     rng = np.random.default_rng(13)
     for _ in range(5):
@@ -218,39 +217,6 @@ def test_circuits_are_unitary(builder_args):
     amps /= np.linalg.norm(amps)
     out = apply_circuit(circ, params, StateVector(4, amps))
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_compose_shifts_parameters():
-    layout = QubitLayout((2,))
-    a = build_heuristic("ryrz", 2, 1)
-    b = build_heuristic("swaprz", 2, 1)
-    both = compose(a, b)
-    assert both.num_parameters == a.num_parameters + b.num_parameters
-    rng = np.random.default_rng(23)
-    params = rng.uniform(-1, 1, both.num_parameters)
-    u_both = dense_circuit_unitary(both, params)
-    u_a = dense_circuit_unitary(a, params[:a.num_parameters])
-    u_b = dense_circuit_unitary(b, params[a.num_parameters:])
-    np.testing.assert_allclose(u_both, u_b @ u_a, atol=1e-12)
-
-
-def test_circuit_serialization_roundtrip():
-    layout = QubitLayout((2, 2))
-    circ = build_uvcc(layout, excitation_list(layout))
-    again = Circuit.from_dicts(circ.num_qubits, circ.to_dicts(),
-                               circ.num_parameters)
-    assert again.gates == circ.gates
-
-
-def test_validate_rejects_bad_gates():
-    with pytest.raises(ValueError, match="unknown gate"):
-        Circuit(2, (Gate("toffoli", (0, 1)),), 0).validate()
-    with pytest.raises(ValueError, match="outside"):
-        Circuit(2, (Gate("x", (5,)),), 0).validate()
-    with pytest.raises(ValueError, match="differ"):
-        Circuit(2, (Gate("cnot", (1, 1)),), 0).validate()
-    with pytest.raises(ValueError, match="parameter"):
-        Circuit(2, (Gate("rz", (0,), None, 3, 1.0),), 1).validate()
 
 
 def test_build_heuristic_rejects_bad_input():

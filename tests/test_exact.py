@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (dense_from_sum, onv_rule_matrix, random_pauli_sum,
-                     random_sq_hamiltonian)
+from helpers import (dense_from_sum, onv_rule_matrix, pauli_product,
+                     random_pauli_sum, random_sq_hamiltonian)
 from vibriq.exact import (PhysicalProjector, dense_matrix, ground_state_vector,
                           physical_spectrum)
 from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
@@ -124,7 +124,7 @@ def test_penalty_operator_form_vanishes_on_physical_subspace(coupled_system):
     identity = PauliSum.identity(layout.num_qubits)
     for mode in range(layout.num_modes):
         dev = number_operator(layout, mode) - identity
-        penalty = penalty + dev * dev
+        penalty = penalty + pauli_product(dev, dev)
     augmented = hamiltonian + penalty * mu
     np.testing.assert_allclose(physical_spectrum(augmented, layout),
                                physical_spectrum(hamiltonian, layout),

@@ -3,28 +3,28 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import dense_from_sum, random_pauli_sum
+from helpers import dense_from_sum, pauli_product, random_pauli_sum
 from vibriq.pauli import PauliSum, commutator
 
 
 def test_single_qubit_product_identity():
     x = PauliSum.from_label("X")
     y = PauliSum.from_label("Y")
-    assert x * y == PauliSum.from_label("Z", 1j)
-    assert y * x == PauliSum.from_label("Z", -1j)
+    assert pauli_product(x, y) == PauliSum.from_label("Z", 1j)
+    assert pauli_product(y, x) == PauliSum.from_label("Z", -1j)
 
 
 def test_identity_is_neutral():
     rng = np.random.default_rng(3)
     s = random_pauli_sum(rng, 3, 5)
-    assert PauliSum.identity(3) * s == s
-    assert s * PauliSum.identity(3) == s
+    assert pauli_product(PauliSum.identity(3), s) == s
+    assert pauli_product(s, PauliSum.identity(3)) == s
 
 
 def test_square_of_hermitian_two_qubit_sum():
     # (X0 Y1 + Z0)^2 = 2 I: the cross terms carry opposite phases and cancel.
     s = PauliSum(2, [("XY", 1.0), ("ZI", 1.0)])
-    product = s * s
+    product = pauli_product(s, s)
     assert product == PauliSum.identity(2, 2.0)
     dense = dense_from_sum(s)
     np.testing.assert_allclose(dense @ dense, dense_from_sum(product),
@@ -60,7 +60,8 @@ def test_multiply_matches_dense_on_random_sums():
             a = random_pauli_sum(rng, num_qubits, 5, letters=letters)
             b = random_pauli_sum(rng, num_qubits, 5, letters=letters)
             np.testing.assert_allclose(dense_from_sum(a) @ dense_from_sum(b),
-                                       dense_from_sum(a * b), atol=1e-12)
+                                       dense_from_sum(pauli_product(a, b)),
+                                       atol=1e-12)
 
 
 def test_commutator_trivial_cases():
@@ -136,21 +137,26 @@ def test_multiply_associative_and_distributive():
         a = random_pauli_sum(rng, 3, 4)
         b = random_pauli_sum(rng, 3, 4)
         c = random_pauli_sum(rng, 3, 4)
-        left = (a * b) * c
-        right = a * (b * c)
-        assert left.allclose(right, tol=1e-10)
-        dist_left = a * b.add(c, 0.0)
-        dist_right = (a * b).add(a * c, 0.0)
-        assert dist_left.allclose(dist_right, tol=1e-10)
+        left = pauli_product(pauli_product(a, b), c)
+        right = pauli_product(a, pauli_product(b, c))
+        assert len(left.add(-right, 1e-10)) == 0
+        dist_left = pauli_product(a, b.add(c, 0.0))
+        dist_right = pauli_product(a, b).add(pauli_product(a, c), 0.0)
+        assert len(dist_left.add(-dist_right, 1e-10)) == 0
+
+
+def _has_real_coefficients(op, tol=1e-10):
+    """Hermitian: every string is, so every coefficient must be real."""
+    return all(abs(c.imag) <= tol for _, c in op.items())
 
 
 def test_hermiticity_preserved_by_add_and_symmetrized_product():
     rng = np.random.default_rng(19)
     a = random_pauli_sum(rng, 3, 6, hermitian=True)
     b = random_pauli_sum(rng, 3, 6, hermitian=True)
-    assert a.add(b, 1e-12).is_hermitian()
-    sym = (a * b + b * a) * 0.5
-    assert sym.is_hermitian()
+    assert _has_real_coefficients(a.add(b, 1e-12))
+    sym = (pauli_product(a, b) + pauli_product(b, a)) * 0.5
+    assert _has_real_coefficients(sym)
 
 
 def test_order_equality_and_hash_independent_of_construction_order():
@@ -195,19 +201,12 @@ def test_adjoint_matches_dense_conjugate_transpose():
 def test_qubit_count_mismatch_raises():
     a = PauliSum.from_label("X")
     b = PauliSum.from_label("XX")
-    with pytest.raises(ValueError, match="mismatch"):
-        a * b
+    with pytest.raises(TypeError):
+        a * b  # only scalars multiply a sum
     with pytest.raises(ValueError, match="mismatch"):
         a.add(b, 0.0)
     with pytest.raises(ValueError, match="mismatch"):
         commutator(a, b)
-
-
-def test_records_roundtrip():
-    rng = np.random.default_rng(29)
-    s = random_pauli_sum(rng, 4, 7)
-    again = PauliSum.from_records(4, s.to_records())
-    assert again == s
 
 
 def test_invalid_labels_rejected():

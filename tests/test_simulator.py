@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (dense_circuit_unitary, dense_from_label, dense_from_sum,
-                     dense_gate_matrix, density_matrix_simulation,
+from helpers import (dense_circuit_unitary, dense_expectations,
+                     dense_from_label, dense_from_sum, dense_gate_matrix,
+                     density_matrix_simulation, noisy_trajectories,
                      random_pauli_sum)
 from vibriq.circuits import (Circuit, Gate, build_chc, build_uvcc,
                              excitation_list, reference_circuit)
@@ -16,8 +17,7 @@ from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
                               apply_circuit, bitstring, compile_pauli_sum,
                               distribution_fidelity, expectation,
                               expectation_value, noisy_counts,
-                              noisy_distribution, noisy_trajectory,
-                              pauli_term_masks, run_fidelity_experiment,
+                              noisy_distribution, pauli_term_masks, run_fidelity_experiment,
                               sample)
 from vibriq.simulator import _conjugate_by_gate, _depolarize
 
@@ -154,9 +154,9 @@ def test_compiled_y_maps_zero_to_i_one():
     np.testing.assert_array_equal(compiled.apply(np.array([1.0, 0.0])),
                                   [0.0, 1.0j])
     compiled = compile_pauli_sum(PauliSum.from_label("IYZ"))
-    got = compiled.apply(StateVector.basis_state(3, 0b100).amplitudes)
-    np.testing.assert_array_equal(got, -1.0j * StateVector.basis_state(
-        3, 0b110).amplitudes)
+    basis = np.eye(8)
+    np.testing.assert_array_equal(compiled.apply(basis[0b100]),
+                                  -1.0j * basis[0b110])
 
 
 def test_compiled_sum_groups_terms_by_flip_mask():
@@ -195,17 +195,17 @@ def test_expectation_raises_on_compiled_non_hermitian():
 
 
 def test_sample_basis_state_and_determinism():
-    state = StateVector.basis_state(3, 0b101)
+    state = StateVector(3, np.eye(8)[0b101])
     counts = sample(state, 1000, seed=5)
-    assert counts.to_dict() == {"101": 1000}
+    assert counts.counts == {"101": 1000}
     again = sample(state, 1000, seed=5)
-    assert counts.to_dict() == again.to_dict()
+    assert counts.counts == again.counts
 
 
 def test_sample_uniform_within_five_sigma():
     state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     shots = 1_000_000
-    counts = sample(state, shots, seed=7).to_dict()
+    counts = sample(state, shots, seed=7).counts
     sigma = math.sqrt(shots * 0.25)
     for key in ("0", "1"):
         assert abs(counts[key] - shots / 2) < 5 * sigma
@@ -253,9 +253,8 @@ def test_zero_noise_trajectory_equals_exact_application():
     rng = np.random.default_rng(47)
     params = rng.uniform(-0.3, 0.3, circ.num_parameters)
     silent = NoiseModel(0.0, 0.0, 0.0)
-    traj = noisy_trajectory(circ, params, silent, seed=1)
-    np.testing.assert_allclose(traj.amplitudes,
-                               apply_circuit(circ, params).amplitudes,
+    (traj,) = noisy_trajectories(circ, params, silent, [1])
+    np.testing.assert_allclose(traj, apply_circuit(circ, params).amplitudes,
                                atol=1e-12)
 
 
@@ -272,8 +271,7 @@ def test_full_strength_cnot_depolarization_against_channel_oracle():
 
     trials = 10_000
     seeds = np.random.SeedSequence(11).spawn(trials)
-    values = [expectation(noisy_trajectory(circ, [], noise, seed=s), z0)
-              for s in seeds]
+    values = dense_expectations(noisy_trajectories(circ, [], noise, seeds), z0)
     sigma = np.std(values, ddof=1) / math.sqrt(trials)
     assert abs(np.mean(values) - oracle) < 3 * sigma + 1e-12
 
@@ -291,8 +289,8 @@ def test_trajectory_average_matches_density_matrix_for_chc():
 
     trials = 4000
     seeds = np.random.SeedSequence(13).spawn(trials)
-    values = [expectation(noisy_trajectory(circ, params, noise, seed=s),
-                          observable) for s in seeds]
+    values = dense_expectations(
+        noisy_trajectories(circ, params, noise, seeds), observable)
     sigma = np.std(values, ddof=1) / math.sqrt(trials)
     assert abs(np.mean(values) - oracle) < 3 * sigma
 
@@ -415,7 +413,7 @@ def test_noisy_counts_deterministic_and_consistent():
     noise = NoiseModel()
     a = noisy_counts(circ, params, noise, 500, seed=3)
     b = noisy_counts(circ, params, noise, 500, seed=3)
-    assert a.to_dict() == b.to_dict()
+    assert a.counts == b.counts
     assert a.shots == 500
 
 

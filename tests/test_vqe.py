@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from vibriq import vqe
 from vibriq.exact import physical_spectrum
 from vibriq.mapping import QubitLayout, number_operator, penalty_objective
+from vibriq.pauli import PauliSum
 from vibriq.simulator import apply_circuit, expectation
 from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
                         minimize)
@@ -197,3 +199,20 @@ def test_stop_reason_budget_versus_tolerance(coupled_system):
 def test_max_evals_must_be_positive():
     with pytest.raises(ValueError, match="max_evals"):
         VqeConfig(max_evals=0)
+
+
+def test_oversized_register_refused_before_the_ansatz_is_built(monkeypatch):
+    """The Hamiltonian's size check comes before the ansatz program's
+    index arrays: 32 flip masks on 20 qubits exceed the compiled limit."""
+    layout = QubitLayout((4,) * 5)
+    n = layout.num_qubits
+    labels = ["".join("X" if (k >> q) & 1 else "I" for q in range(n))
+              for k in range(1, 33)]
+    hamiltonian = PauliSum(n, [(label, 1.0) for label in labels])
+
+    def no_program(*args, **kwargs):
+        raise AssertionError("ansatz program built before the size check")
+
+    monkeypatch.setattr(vqe, "ansatz_program", no_program)
+    with pytest.raises(ValueError, match="32 flip masks on 20 qubits"):
+        vqe.ground_state(hamiltonian, layout)
