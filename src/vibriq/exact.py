@@ -76,7 +76,12 @@ class PhysicalProjector:
         return len(self.indices)
 
 
-def _physical_block(h: PauliSum, layout: QubitLayout) -> tuple:
+def physical_block(h: PauliSum, layout: QubitLayout
+                   ) -> tuple[PhysicalProjector, np.ndarray]:
+    """The physical basis and ``h``'s matrix on it.
+
+    Refuses a block above ``MAX_DENSE_DIM`` before building anything.
+    """
     _check_dimension(int(np.prod(layout.modal_counts)))
     if h.num_qubits != layout.num_qubits:
         raise ValueError("operator and layout disagree on the qubit count")
@@ -86,13 +91,13 @@ def _physical_block(h: PauliSum, layout: QubitLayout) -> tuple:
 
 def physical_spectrum(h: PauliSum, layout: QubitLayout) -> np.ndarray:
     """Ascending eigenvalues of the Hamiltonian within the physical subspace."""
-    return np.linalg.eigvalsh(_physical_block(h, layout)[1])
+    return np.linalg.eigvalsh(physical_block(h, layout)[1])
 
 
 def ground_state_vector(h: PauliSum, layout: QubitLayout
                         ) -> tuple[float, StateVector]:
     """Lowest physical eigenpair, embedded back into the full qubit space."""
-    proj, sub = _physical_block(h, layout)
+    proj, sub = physical_block(h, layout)
     vals, vecs = np.linalg.eigh(sub)
     vec = vecs[:, 0]
     # deterministic gauge: largest-magnitude component real and positive

@@ -4,9 +4,12 @@ Two noise-free paths lead to a state.  ``apply_circuit`` runs a
 gate-level ``Circuit`` gate by gate; it serves the noise model and is the
 reference in tests.  An ``AnsatzProgram`` runs the same ansatz as a few
 vectorized steps (basis permutations, Pauli rotations, one Givens
-rotation per cluster excitation) and is what the VQE objective uses.
-Pauli sums are evaluated through ``CompiledPauliSum``, which groups the
-terms by the qubits they flip.
+rotation per cluster excitation) and is what the VQE objective uses.  It
+is compiled on a set of basis states: all 2^N, or a subset every step
+maps to itself, such as the physical states a uvccsd ansatz never
+leaves, where its amplitudes are real.  The reference-state X gates fold
+into the program's start state.  Pauli sums are evaluated through
+``CompiledPauliSum``, which groups the terms by the qubits they flip.
 
 Basis convention: bit q of a basis index is the value of qubit q, and
 bitstrings render qubit 0 as the leftmost character.  The noise model is
@@ -52,6 +55,12 @@ MAX_DENSITY_QUBITS = 12
 MAX_COMPILED_ELEMENTS = 1 << 24
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    norm_sq = float(np.vdot(amps, amps).real)
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """2^N complex amplitudes; bit q of the index is qubit q's value."""
@@ -63,9 +72,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError("amplitude length must be 2^num_qubits")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
+        _check_norm(amps)
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
@@ -126,12 +133,6 @@ def _apply_1q_matrix(amps: np.ndarray, mat: np.ndarray,
         np.multiply(a0, mat[row, 0], out=o)
         o += mat[row, 1] * a1
     return out.reshape(amps.shape)
-
-
-@lru_cache(maxsize=4096)
-def _flip_permutation(num_qubits: int, mask: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits)
-    return idx ^ mask
 
 
 @lru_cache(maxsize=4096)
@@ -300,6 +301,26 @@ def expectation(state: StateVector, op: PauliSum | CompiledPauliSum) -> float:
 
 # -- ansatz programs -----------------------------------------------------------
 
+def _flip_states(states, gate: Gate):
+    """The basis states an X or CNOT gate sends ``states`` to."""
+    if gate.kind == "x":
+        return states ^ (1 << gate.qubits[0])
+    control, target = gate.qubits
+    return states ^ (((states >> control) & 1) << target)
+
+
+def _positions(indices: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Where each of ``states`` sits in the ascending basis ``indices``.
+
+    Raises ``ValueError`` when one is missing: the step that produced
+    ``states`` maps the program's basis outside itself.
+    """
+    pos = np.minimum(np.searchsorted(indices, states), indices.size - 1)
+    if not np.array_equal(indices[pos], states):
+        raise ValueError("an ansatz step leaves the program's basis states")
+    return pos
+
+
 @dataclass(frozen=True)
 class BitFlipStep:
     """A run of X and CNOT gates, composed into one basis permutation."""
@@ -307,14 +328,14 @@ class BitFlipStep:
     perm: np.ndarray
 
     @classmethod
-    def from_gates(cls, num_qubits: int, gates: Sequence[Gate]) -> "BitFlipStep":
-        perm = np.arange(1 << num_qubits)
-        for gate in gates:
-            if gate.kind == "x":
-                perm = perm[_flip_permutation(num_qubits, 1 << gate.qubits[0])]
-            else:
-                perm = perm[_cnot_permutation(num_qubits, *gate.qubits)]
-        return cls(perm)
+    def from_gates(cls, indices: np.ndarray,
+                   gates: Sequence[Gate]) -> "BitFlipStep":
+        # each state takes the amplitude of its preimage, and every gate
+        # is its own inverse
+        source = indices
+        for gate in reversed(gates):
+            source = _flip_states(source, gate)
+        return cls(_positions(indices, source))
 
     def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         return amps[self.perm]
@@ -330,12 +351,15 @@ class PauliRotationStep:
     scale: float
 
     @classmethod
-    def from_pairs(cls, num_qubits: int, pairs: Sequence[tuple[int, str]],
-                   param: int, scale: float) -> "PauliRotationStep":
+    def from_pairs(cls, num_qubits: int, indices: np.ndarray,
+                   pairs: Sequence[tuple[int, str]], param: int,
+                   scale: float) -> "PauliRotationStep":
         letters = dict(pairs)
-        pauli = compile_pauli_sum(PauliSum.from_label(
+        flips, signs, weights = pauli_term_masks(PauliSum.from_label(
             "".join(letters.get(q, "I") for q in range(num_qubits))))
-        return cls(pauli.perms[0], pauli.diags[0], param, scale)
+        sign = 1.0 - 2.0 * (np.bitwise_count(indices & signs[0]) & 1)
+        return cls(_positions(indices, indices ^ flips[0]), weights[0] * sign,
+                   param, scale)
 
     def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         angle = self.scale * params[self.param]
@@ -347,41 +371,63 @@ class PauliRotationStep:
 class GivensStep:
     """exp(scale * theta[param] * (T - T+)) for one cluster excitation.
 
-    Applied in place, on the array ``AnsatzProgram.prepare`` owns.
     T maps every basis state with the occupied modals on and the virtual
-    ones off (``src``) to the state with those bits swapped (``dst``) and
+    ones off (src) to the state with those bits swapped (dst) and
     annihilates the rest, so the exponential is a real rotation within
     each (src, dst) pair; the single and double excitation gates of
-    Arrazola et al., Quantum 6, 742 (2022).
+    Arrazola et al., Quantum 6, 742 (2022).  ``pairs`` holds the
+    positions of src (row 0) and dst (row 1) in the program's basis; one
+    gather and one 2x2 rotation update them in place, on the array
+    ``AnsatzProgram`` owns.
     """
 
-    src: np.ndarray
-    dst: np.ndarray
+    pairs: np.ndarray
     param: int
     scale: float
 
     @classmethod
-    def from_excitation(cls, num_qubits: int, exc: Excitation, param: int,
-                        scale: float) -> "GivensStep":
+    def from_excitation(cls, indices: np.ndarray, exc: Excitation,
+                        param: int, scale: float) -> "GivensStep":
         occ = sum(1 << q for q in exc.occupied_qubits)
         virt = sum(1 << q for q in exc.virtual_qubits)
-        idx = np.arange(1 << num_qubits)
-        src = idx[((idx & occ) == occ) & ((idx & virt) == 0)]
-        return cls(src, src ^ occ ^ virt, param, scale)
+        src = np.flatnonzero(((indices & occ) == occ) & ((indices & virt) == 0))
+        dst = _positions(indices, indices[src] ^ occ ^ virt)
+        return cls(np.stack([src, dst]), param, scale)
 
     def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         angle = self.scale * params[self.param]
         c, s = math.cos(angle), math.sin(angle)
-        a_src = amps[self.src]
-        a_dst = amps[self.dst]
-        amps[self.src] = c * a_src - s * a_dst
-        amps[self.dst] = s * a_src + c * a_dst
+        amps[self.pairs] = np.array([[c, -s], [s, c]]).dot(amps[self.pairs])
         return amps
+
+
+def _program_step(num_qubits: int, indices: np.ndarray, block):
+    """One program step: a list of X and CNOT gates, or one block."""
+    if isinstance(block, list):
+        return BitFlipStep.from_gates(indices, block)
+    if isinstance(block, ExcitationRotation):
+        return GivensStep.from_excitation(indices, block.excitation,
+                                          block.param, block.scale)
+    if isinstance(block, PauliRotation):
+        return PauliRotationStep.from_pairs(num_qubits, indices, block.pairs,
+                                            block.param, -0.5 * block.scale)
+    if block.kind in ("rx", "ry", "rz") and block.param is not None:
+        return PauliRotationStep.from_pairs(
+            num_qubits, indices, [(block.qubits[0], block.kind[1].upper())],
+            block.param, -0.5 * block.scale)
+    raise ValueError(f"no program step for block {block}")
 
 
 @dataclass(frozen=True)
 class AnsatzProgram:
     """Noise-free state preparation as a short list of vectorized steps.
+
+    The amplitudes live on ``indices``, ascending basis states that every
+    step maps among themselves: all 2^N, or the Π N_l physical states for
+    an ansatz that keeps one occupied modal per mode.  The leading run of
+    X and CNOT gates is folded into ``start``, the position of the basis
+    state it makes from the vacuum.  A program of Givens rotations and
+    basis permutations alone has ``real`` amplitudes.
 
     Compiled from the same blocks as the ansatz ``Circuit`` and indexed by
     the same parameters; the circuit stays the reference for resource
@@ -390,46 +436,63 @@ class AnsatzProgram:
 
     num_qubits: int
     num_parameters: int
+    indices: np.ndarray
+    start: int
     steps: tuple
+    real: bool
 
     @classmethod
     def compile(cls, num_qubits: int, blocks: Sequence[Block],
-                num_parameters: int) -> "AnsatzProgram":
-        steps: list = []
-        flips: list[Gate] = []
+                num_parameters: int,
+                indices: np.ndarray | None = None) -> "AnsatzProgram":
+        """``None`` for ``indices`` means the full space; a step that maps
+        a state of ``indices`` outside them raises ``ValueError``."""
+        indices = np.asarray(np.arange(1 << num_qubits) if indices is None
+                             else indices, dtype=np.int64)
+        if np.any(np.diff(indices) <= 0):
+            raise ValueError("basis indices must be strictly ascending")
+        runs: list = []
         for block in blocks:
             if isinstance(block, Gate) and block.kind in ("x", "cnot"):
-                flips.append(block)
-                continue
-            if flips:
-                steps.append(BitFlipStep.from_gates(num_qubits, flips))
-                flips = []
-            if isinstance(block, ExcitationRotation):
-                steps.append(GivensStep.from_excitation(
-                    num_qubits, block.excitation, block.param, block.scale))
-            elif isinstance(block, PauliRotation):
-                steps.append(PauliRotationStep.from_pairs(
-                    num_qubits, block.pairs, block.param, -0.5 * block.scale))
-            elif block.kind in ("rx", "ry", "rz") and block.param is not None:
-                steps.append(PauliRotationStep.from_pairs(
-                    num_qubits, [(block.qubits[0], block.kind[1].upper())],
-                    block.param, -0.5 * block.scale))
+                if not runs or not isinstance(runs[-1], list):
+                    runs.append([])
+                runs[-1].append(block)
             else:
-                raise ValueError(f"no program step for block {block}")
-        if flips:
-            steps.append(BitFlipStep.from_gates(num_qubits, flips))
-        return cls(num_qubits, num_parameters, tuple(steps))
+                runs.append(block)
+        state = 0
+        if runs and isinstance(runs[0], list):
+            for gate in runs.pop(0):
+                state = _flip_states(state, gate)
+        start = int(_positions(indices, np.array([state]))[0])
+        steps = tuple(_program_step(num_qubits, indices, run) for run in runs)
+        real = not any(isinstance(s, PauliRotationStep) for s in steps)
+        return cls(num_qubits, num_parameters, indices, start, steps, real)
 
-    def prepare(self, params: Sequence[float]) -> StateVector:
-        """The ansatz state at ``params``, starting from the vacuum."""
+    def _run(self, params: Sequence[float]) -> np.ndarray:
         params = np.asarray(params, dtype=float)
         if params.shape != (self.num_parameters,):
             raise ValueError(f"expected {self.num_parameters} parameters, "
                              f"got {params.shape}")
-        amps = np.zeros(1 << self.num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
+        amps = np.zeros(self.indices.size,
+                        dtype=np.float64 if self.real else np.complex128)
+        amps[self.start] = 1.0
         for step in self.steps:
             amps = step.apply(amps, params)
+        return amps
+
+    def amplitudes(self, params: Sequence[float]) -> np.ndarray:
+        """The ansatz state at ``params`` on ``indices``, norm checked."""
+        amps = self._run(params)
+        _check_norm(amps)
+        return amps
+
+    def prepare(self, params: Sequence[float]) -> StateVector:
+        """The ansatz state at ``params`` in the full 2^N space."""
+        amps = self._run(params)
+        if amps.size != 1 << self.num_qubits:
+            full = np.zeros(1 << self.num_qubits, dtype=np.complex128)
+            full[self.indices] = amps
+            amps = full
         return StateVector(self.num_qubits, amps)
 
 

@@ -11,8 +11,15 @@ ended the run.
 
 The objective never touches the gate-level circuit: each run compiles
 the ansatz into an ``AnsatzProgram`` (one vectorized step per excitation
-or Pauli rotation) and the Hamiltonian into a mask-grouped
-``CompiledPauliSum``, once, outside the objective.  ``build_ansatz``
+or Pauli rotation), once, outside the objective, on one of two routes.
+uvccsd keeps one occupied modal per mode, so its state never leaves the
+Π N_l physical (VCI) basis: the ``"physical"`` route runs it there, on
+real amplitudes, against the real part of the Hamiltonian's physical
+block from ``exact.physical_block`` (checked Hermitian once).  The
+occupation penalty is exactly zero on that basis.  chc, swaprz and ryrz
+leak out of it, so the ``"full"`` route runs them on all 2^N complex
+amplitudes against the mask-grouped ``CompiledPauliSum``.  Either way the
+result's state is embedded into 2^N once, at the end.  ``build_ansatz``
 still gives the ``Circuit`` used for resource counts, noise and as the
 reference the program is tested against.
 """
@@ -28,10 +35,11 @@ from scipy import optimize
 from .circuits import (Block, Circuit, chc_blocks, circuit_from_blocks,
                        excitation_list, heuristic_blocks, reference_circuit,
                        uvcc_blocks)
+from .exact import physical_block
 from .mapping import QubitLayout, number_operator, penalty_objective
 from .pauli import PauliSum
-from .simulator import (AnsatzProgram, StateVector, compile_pauli_sum,
-                        expectation)
+from .simulator import (IMAG_TOL, AnsatzProgram, StateVector,
+                        compile_pauli_sum, expectation)
 
 ANSATZ_KINDS = ("uvccsd", "chc", "swaprz", "ryrz")
 DEFAULT_PENALTY_WEIGHT = 1e5
@@ -87,6 +95,9 @@ class VqeResult:
     stop_reason: str
     # The prepared state at ``params``; set by ``ground_state``, not serialized.
     state: StateVector | None = field(default=None, repr=False, compare=False)
+    # The basis the objective ran on, "physical" or "full"; set by
+    # ``ground_state``.
+    route: str | None = None
 
     @property
     def converged(self) -> bool:
@@ -99,7 +110,8 @@ class VqeResult:
                 "evals": self.evals,
                 "seed": self.seed,
                 "stop_reason": self.stop_reason,
-                "converged": self.converged}
+                "converged": self.converged,
+                "route": self.route}
 
 
 class _Converged(Exception):
@@ -248,21 +260,42 @@ def build_ansatz(layout: QubitLayout, config: VqeConfig) -> Circuit:
                                *_ansatz_blocks(layout, config))
 
 
-def ansatz_program(layout: QubitLayout, config: VqeConfig) -> AnsatzProgram:
-    """The ansatz of ``build_ansatz`` as vectorized noise-free steps."""
-    return AnsatzProgram.compile(layout.num_qubits,
-                                 *_ansatz_blocks(layout, config))
+def ansatz_program(layout: QubitLayout, config: VqeConfig,
+                   indices: np.ndarray | None = None) -> AnsatzProgram:
+    """The ansatz of ``build_ansatz`` as vectorized noise-free steps, on the
+    basis states ``indices`` (all 2^N when ``None``)."""
+    blocks, num_parameters = _ansatz_blocks(layout, config)
+    return AnsatzProgram.compile(layout.num_qubits, blocks, num_parameters,
+                                 indices)
 
 
-def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
-                 config: VqeConfig | None = None) -> VqeResult:
-    """Penalty-aware VQE on exact statevector expectations (noise-free).
+def _physical_objective(hamiltonian: PauliSum, layout: QubitLayout,
+                        config: VqeConfig) -> tuple[Callable, AnsatzProgram]:
+    """<H> on the real amplitudes of the physical basis.
 
-    The returned result carries the prepared state of its best parameters.
+    For a real state, psi^T H psi = psi^T Re(H) psi exactly when H is
+    Hermitian, so the imaginary part is checked once and dropped.
     """
-    config = config or VqeConfig()
-    if hamiltonian.num_qubits != layout.num_qubits:
-        raise ValueError("Hamiltonian and layout disagree on the qubit count")
+    # The block's dimension check comes before any index array is built.
+    proj, block = physical_block(hamiltonian, layout)
+    residue = float(np.max(np.abs(block - block.conj().T)))
+    if residue > IMAG_TOL * max(1.0, float(np.max(np.abs(block)))):
+        raise ValueError(
+            f"Hamiltonian block differs from its adjoint by {residue:.3e}; "
+            "operator is not Hermitian")
+    h = np.ascontiguousarray(block.real)
+    program = ansatz_program(layout, config, proj.indices)
+
+    def objective(params: np.ndarray) -> float:
+        amps = program.amplitudes(params)
+        return float(amps @ h @ amps)
+
+    return objective, program
+
+
+def _full_objective(hamiltonian: PauliSum, layout: QubitLayout,
+                    config: VqeConfig) -> tuple[Callable, AnsatzProgram]:
+    """<H>, plus the occupation penalty when it is on, on all 2^N states."""
     # Compiling refuses an oversized register, so it runs before the
     # ansatz program builds its index arrays.
     h = compile_pauli_sum(hamiltonian)
@@ -279,6 +312,28 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
             return penalty_objective(energy, occupations, mu)
         return energy
 
+    return objective, program
+
+
+def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
+                 config: VqeConfig | None = None) -> VqeResult:
+    """Penalty-aware VQE on exact statevector expectations (noise-free).
+
+    uvccsd runs on the physical basis, every other ansatz on the full
+    space; the result names the ``route`` and carries the prepared state
+    of its best parameters in the full space.
+    """
+    config = config or VqeConfig()
+    if hamiltonian.num_qubits != layout.num_qubits:
+        raise ValueError("Hamiltonian and layout disagree on the qubit count")
+    # uvccsd is the one ansatz whose states cannot leave the physical basis
+    if config.ansatz == "uvccsd":
+        route = "physical"
+        objective, program = _physical_objective(hamiltonian, layout, config)
+    else:
+        route = "full"
+        objective, program = _full_objective(hamiltonian, layout, config)
+
     if config.initial_params is not None:
         start = np.asarray(config.initial_params, dtype=float)
         if start.shape != (program.num_parameters,):
@@ -290,4 +345,5 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
         start = rng.uniform(lo, hi, size=program.num_parameters)
     result = minimize(objective, start, config)
     result.state = program.prepare(result.params)
+    result.route = route
     return result

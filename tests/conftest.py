@@ -1,8 +1,27 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vibriq.mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli
-from vibriq.pes import PesExpansion, PesTerm, modal_operator_matrices, solve_modals
+from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
+                        pes_from_dict, solve_modals)
+
+PESGEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "pesgen.py"
+
+
+def bench_pesgen():
+    """The benchmark's seeded PES generator, ``bench/pesgen.py``."""
+    spec = importlib.util.spec_from_file_location("pesgen", PESGEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_pes(num_modes: int, seed: int) -> PesExpansion:
+    """The benchmark's synthetic quartic force field for one seed."""
+    return pes_from_dict(bench_pesgen().make_pes(num_modes, seed))
 
 
 def _coupled_pes() -> PesExpansion:

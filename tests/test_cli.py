@@ -7,6 +7,8 @@ import pytest
 from vibriq.cli import main
 from vibriq.pes import save_pes
 
+from conftest import bench_pesgen
+
 
 @pytest.fixture()
 def harmonic_pes_file(tmp_path, harmonic_pes):
@@ -72,6 +74,7 @@ def test_vqe_subcommand(tmp_path, coupled_pes_file):
     assert result["occupations"] == pytest.approx([1.0, 1.0], abs=1e-9)
     assert result["mu"] == 0.0
     assert result["history"][-1] == result["energy"]
+    assert result["route"] == "physical"
 
 
 def test_vqe_reports_exhausted_budget(tmp_path, coupled_pes_file):
@@ -143,6 +146,7 @@ def test_qeom_occupations_match_vqe(tmp_path, coupled_pes_file):
     assert len(occupations) == 2
     assert occupations == results["vqe"]["occupations"]
     assert occupations == pytest.approx([1.0, 1.0], abs=1e-6)
+    assert results["vqe"]["route"] == results["qeom"]["vqe"]["route"] == "full"
 
 
 def test_noise_fidelity_subcommand(tmp_path):
@@ -230,3 +234,18 @@ def test_modal_list_mismatch_is_runtime_error(harmonic_pes_file, capsys):
     assert run(["exact", "--pes", harmonic_pes_file,
                 "--modals", "2,2,2"]) == 1
     assert "modal counts" in capsys.readouterr().err
+
+
+def test_vqe_uvccsd_runs_on_twenty_qubits(tmp_path):
+    """(4,)*5 is 20 qubits, beyond the full-space Hamiltonian's limit;
+    uvccsd runs on its 1 024 physical states."""
+    pes_path = tmp_path / "pes.json"
+    bench_pesgen().write_pes(pes_path, 5, 0)
+    out = tmp_path / "vqe.json"
+    assert run(["vqe", "--pes", str(pes_path), "--modals", "4",
+                "--max-evals", "50", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["route"] == "physical"
+    assert result["evals"] == 50
+    assert len(result["occupations"]) == 5
+    assert all(abs(n - 1.0) <= 1e-12 for n in result["occupations"])

@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vibriq import vqe
-from vibriq.exact import physical_spectrum
+from vibriq.exact import PhysicalProjector, physical_spectrum
 from vibriq.mapping import QubitLayout, number_operator, penalty_objective
 from vibriq.pauli import PauliSum
-from vibriq.simulator import apply_circuit, expectation
+from vibriq.simulator import apply_circuit, compile_pauli_sum, expectation
 from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
                         minimize)
 
-from conftest import build_qubit_hamiltonian
+from conftest import bench_pes, build_qubit_hamiltonian
 
 
 def test_quadratic_bowl():
@@ -137,8 +139,9 @@ def test_result_serialization(coupled_system):
                           VqeConfig(ansatz="uvccsd", seed=5, max_evals=500))
     data = result.to_dict()
     assert set(data) == {"energy", "params", "history", "evals", "seed",
-                         "stop_reason", "converged"}
+                         "stop_reason", "converged", "route"}
     assert data["seed"] == 5
+    assert data["route"] == "physical"
     assert len(data["params"]) == 3
     assert data["stop_reason"] == result.stop_reason
     assert data["converged"] == result.converged
@@ -180,6 +183,7 @@ def test_result_carries_prepared_state(coupled_system):
     assert expectation(result.state, h) == pytest.approx(result.energy,
                                                          abs=1e-9)
     assert "state" not in result.to_dict()
+    assert result.route == "full"
 
 
 def test_stop_reason_budget_versus_tolerance(coupled_system):
@@ -202,8 +206,9 @@ def test_max_evals_must_be_positive():
 
 
 def test_oversized_register_refused_before_the_ansatz_is_built(monkeypatch):
-    """The Hamiltonian's size check comes before the ansatz program's
-    index arrays: 32 flip masks on 20 qubits exceed the compiled limit."""
+    """On the full route the Hamiltonian's size check comes before the
+    ansatz program's index arrays: 32 flip masks on 20 qubits exceed the
+    compiled limit."""
     layout = QubitLayout((4,) * 5)
     n = layout.num_qubits
     labels = ["".join("X" if (k >> q) & 1 else "I" for q in range(n))
@@ -215,4 +220,95 @@ def test_oversized_register_refused_before_the_ansatz_is_built(monkeypatch):
 
     monkeypatch.setattr(vqe, "ansatz_program", no_program)
     with pytest.raises(ValueError, match="32 flip masks on 20 qubits"):
-        vqe.ground_state(hamiltonian, layout)
+        vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="chc"))
+
+
+def test_oversized_physical_block_refused_before_the_ansatz_is_built(
+        monkeypatch):
+    """uvccsd on (5,)*6 needs a 15 625-state block: refused by the exact
+    path's dimension check before any index array or 2^30 array exists."""
+    layout = QubitLayout((5,) * 6)
+    hamiltonian = PauliSum(layout.num_qubits,
+                           [("Z" + "I" * (layout.num_qubits - 1), 1.0)])
+
+    def no_program(*args, **kwargs):
+        raise AssertionError("ansatz program built before the size check")
+
+    monkeypatch.setattr(vqe, "ansatz_program", no_program)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dimension 15625"):
+            vqe.ground_state(hamiltonian, layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_non_hermitian_hamiltonian_refused_on_both_routes():
+    layout = QubitLayout((2, 2))
+    hamiltonian = PauliSum(4, [("IIII", 1000.0), ("ZIII", 5j)])
+    for ansatz in ("uvccsd", "chc"):
+        with pytest.raises(ValueError, match="operator is not Hermitian"):
+            ground_state(hamiltonian, layout, VqeConfig(ansatz=ansatz))
+
+
+@pytest.mark.parametrize("trotter_steps", [1, 3])
+@pytest.mark.parametrize("modals", [(2, 2), (2, 4), (3, 3), (3, 3, 2)])
+def test_physical_program_matches_full_space(modals, trotter_steps):
+    layout = QubitLayout(modals)
+    config = VqeConfig(ansatz="uvccsd", trotter_steps=trotter_steps)
+    indices = PhysicalProjector.build(layout).indices
+    full = ansatz_program(layout, config)
+    block = ansatz_program(layout, config, indices)
+    assert block.real and block.indices.size == np.prod(modals)
+    rng = np.random.default_rng(sum(modals) * 10 + trotter_steps)
+    for _ in range(3):
+        params = rng.uniform(-np.pi, np.pi, full.num_parameters)
+        expected = full.prepare(params).amplitudes
+        assert np.max(np.abs(block.prepare(params).amplitudes
+                             - expected)) <= 1e-12
+        assert np.max(np.abs(block.amplitudes(params)
+                             - expected[indices])) <= 1e-12
+
+
+def test_leaking_ansatz_refused_on_the_physical_basis():
+    # a chc single flips its two qubits, which leaves the physical basis
+    # whenever the mode's third modal is the occupied one
+    layout = QubitLayout((3, 3))
+    indices = PhysicalProjector.build(layout).indices
+    with pytest.raises(ValueError, match="leaves the program's basis"):
+        ansatz_program(layout, VqeConfig(ansatz="chc"), indices)
+
+
+@pytest.mark.parametrize("num_modes,modals,evals", [(3, 2, 889),
+                                                    (2, 3, 1301)])
+def test_physical_route_matches_full_space_minimization(num_modes, modals,
+                                                        evals):
+    """The benchmark's seed-0 systems: same evaluations, same energy and
+    the same state as Nelder-Mead over the full-space program."""
+    layout, _, h = build_qubit_hamiltonian(bench_pes(num_modes, 0),
+                                           (modals,) * num_modes)
+    config = VqeConfig(ansatz="uvccsd", seed=0)
+    program = ansatz_program(layout, config)
+    compiled = compile_pauli_sum(h)
+    start = np.random.default_rng(config.seed).uniform(
+        *config.init_range, size=program.num_parameters)
+    reference = minimize(lambda p: expectation(program.prepare(p), compiled),
+                         start, config)
+    result = ground_state(h, layout, config)
+    assert result.route == "physical"
+    assert result.evals == reference.evals == evals
+    assert abs(result.energy - reference.energy) \
+        <= 1e-10 * abs(reference.energy)
+    expected = program.prepare(result.params).amplitudes
+    assert np.max(np.abs(result.state.amplitudes - expected)) <= 1e-12
+
+
+def test_penalty_is_zero_on_the_physical_route(coupled_system):
+    layout, _, h = coupled_system
+    bare = ground_state(h, layout, VqeConfig(seed=3))
+    penalized = ground_state(h, layout, VqeConfig(seed=3, mu=1e5))
+    assert penalized.energy == bare.energy
+    assert penalized.evals == bare.evals
+    assert penalized.history == bare.history
