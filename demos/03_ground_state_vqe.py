@@ -9,7 +9,7 @@ of single occupation.
 
 from vibriq import (PesExpansion, PesTerm, QubitLayout, VqeConfig,
                     build_sq_hamiltonian, expectation, ground_state,
-                    map_to_pauli, modal_operator_matrices, number_operator,
+                    map_to_pauli, modal_operator_matrices, occupations,
                     physical_spectrum, solve_modals)
 
 pes = PesExpansion(
@@ -28,12 +28,10 @@ print(f"exact ground energy: {exact:.6f} cm^-1\n")
 
 def report(config: VqeConfig, label: str) -> None:
     result = ground_state(hamiltonian, layout, config)
-    state = result.state
-    occupations = [expectation(state, number_operator(layout, mode))
-                   for mode in range(layout.num_modes)]
-    bare = expectation(state, hamiltonian)
+    occ = occupations(layout, result.amplitudes, result.indices)
+    bare = expectation(result.state, hamiltonian)
     print(f"{label:<22} E = {bare:12.6f}  error = {bare - exact:+.2e}  "
-          f"<N> = ({occupations[0]:.6f}, {occupations[1]:.6f})  "
+          f"<N> = ({occ[0]:.6f}, {occ[1]:.6f})  "
           f"evals = {result.evals} ({result.stop_reason})")
 
 
@@ -51,8 +49,7 @@ report(VqeConfig(ansatz="ryrz", depth=1, seed=0, max_evals=60000),
 # vibrational state at all.
 config = VqeConfig(ansatz="ryrz", depth=1, mu=0.0, seed=3, max_evals=30000)
 result = ground_state(hamiltonian, layout, config)
-occupations = [expectation(result.state, number_operator(layout, mode))
-               for mode in range(2)]
+occ = occupations(layout, result.amplitudes, result.indices)
 print(f"{'ryrz d=1, mu=0':<22} E = {result.energy:12.6f}  "
       f"(below exact by {exact - result.energy:.1f})  "
-      f"<N> = ({occupations[0]:.2e}, {occupations[1]:.2e})  <- vacuum")
+      f"<N> = ({occ[0]:.2e}, {occ[1]:.2e})  <- vacuum")

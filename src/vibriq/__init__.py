@@ -11,9 +11,9 @@ from .pauli import PauliString, PauliSum, commutator
 from .pes import (ModalBasis, ModalOperators, PesExpansion, PesTerm,
                   ho_q_power_matrix, load_pes, modal_operator_matrices,
                   modal_q_power_matrix, one_body_matrix, pes_from_dict,
-                  pes_to_dict, save_pes, solve_modals)
+                  solve_modals)
 from .mapping import (QubitLayout, SqTerm, build_sq_hamiltonian, map_to_pauli,
-                      number_operator, penalty_objective)
+                      number_operator, occupations, penalty_objective)
 from .circuits import (Circuit, Excitation, Gate, build_chc, build_heuristic,
                        build_uvcc, count_resources, excitation_list,
                        generator_pauli, reference_circuit)
@@ -27,5 +27,5 @@ from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,
                    compute_matrices, double_commutator, eom_diagnostics,
                    excitation_energies, solve_pseudo_eigenproblem)
-from .exact import (PhysicalProjector, dense_matrix, ground_state_vector,
+from .exact import (dense_matrix, ground_state_vector, physical_indices,
                     physical_spectrum)

@@ -20,11 +20,10 @@ import numpy as np
 from . import __version__
 from .circuits import count_resources
 from .exact import physical_spectrum
-from .mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli, number_operator
+from .mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli, occupations
 from .pes import load_pes, modal_operator_matrices, solve_modals
 from .qeom import eom_diagnostics, excitation_energies
-from .simulator import (NoiseModel, StateVector, expectation,
-                        run_fidelity_experiment)
+from .simulator import NoiseModel, run_fidelity_experiment
 from .vqe import VqeConfig, build_ansatz, ground_state
 
 
@@ -134,19 +133,14 @@ def _run_vqe(args) -> tuple:
     return layout, hamiltonian, config, result
 
 
-def _occupations(layout: QubitLayout, state: StateVector) -> list[float]:
-    """<N_l> per mode; 1 everywhere on the physical subspace."""
-    return [expectation(state, number_operator(layout, l))
-            for l in range(layout.num_modes)]
-
-
 def _cmd_vqe(args) -> None:
     layout, hamiltonian, config, result = _run_vqe(args)
     payload = {"command": "vqe", "version": __version__,
                "config": _config_echo(args),
                "result": {**result.to_dict(),
                           "mu": config.effective_mu(),
-                          "occupations": _occupations(layout, result.state)}}
+                          "occupations": occupations(
+                              layout, result.amplitudes, result.indices)}}
     _emit(payload, args.out, "json")
 
 
@@ -162,7 +156,8 @@ def _cmd_qeom(args) -> None:
                           "pool_size": ops.size,
                           "filtered_count": int(2 * ops.size - len(energies)),
                           "ground_energy": result.energy,
-                          "occupations": _occupations(layout, result.state),
+                          "occupations": occupations(
+                              layout, result.amplitudes, result.indices),
                           "vqe": result.to_dict()}}
     _emit(payload, args.out, "json")
 

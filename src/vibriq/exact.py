@@ -8,14 +8,11 @@ Pauli terms' bit masks; the 2^N × 2^N operator is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-
 import numpy as np
 
 from .mapping import QubitLayout
 from .pauli import PauliSum
-from .simulator import _CHUNK_ELEMENTS, StateVector, pauli_term_masks
+from .simulator import _CHUNK_ELEMENTS, StateVector, embed, pauli_term_masks
 
 # Largest dimension of a matrix built here: 268 MB of complex entries.
 MAX_DENSE_DIM = 4096
@@ -55,29 +52,17 @@ def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PhysicalProjector:
-    """Basis indices with exactly one occupied modal per mode register."""
-
-    layout: QubitLayout
-    onvs: tuple[tuple[int, ...], ...]
-    indices: np.ndarray
-
-    @classmethod
-    def build(cls, layout: QubitLayout) -> "PhysicalProjector":
-        ranges = [range(n) for n in reversed(layout.modal_counts)]
-        onvs = tuple(rev[::-1] for rev in product(*ranges))
-        indices = [sum(1 << (layout.offsets[l] + k) for l, k in enumerate(onv))
-                   for onv in onvs]
-        return cls(layout, onvs, np.array(indices, dtype=np.int64))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.indices)
+def physical_indices(layout: QubitLayout) -> np.ndarray:
+    """The physical basis states, ascending: one set bit per mode register."""
+    indices = np.zeros(1, dtype=np.int64)
+    for offset, n in zip(layout.offsets, layout.modal_counts):
+        bits = np.left_shift(1, np.arange(offset, offset + n, dtype=np.int64))
+        indices = (bits[:, None] + indices).ravel()
+    return indices
 
 
 def physical_block(h: PauliSum, layout: QubitLayout
-                   ) -> tuple[PhysicalProjector, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """The physical basis and ``h``'s matrix on it.
 
     Refuses a block above ``MAX_DENSE_DIM`` before building anything.
@@ -85,8 +70,8 @@ def physical_block(h: PauliSum, layout: QubitLayout
     _check_dimension(int(np.prod(layout.modal_counts)))
     if h.num_qubits != layout.num_qubits:
         raise ValueError("operator and layout disagree on the qubit count")
-    proj = PhysicalProjector.build(layout)
-    return proj, dense_matrix(h, proj.indices)
+    indices = physical_indices(layout)
+    return indices, dense_matrix(h, indices)
 
 
 def physical_spectrum(h: PauliSum, layout: QubitLayout) -> np.ndarray:
@@ -97,12 +82,10 @@ def physical_spectrum(h: PauliSum, layout: QubitLayout) -> np.ndarray:
 def ground_state_vector(h: PauliSum, layout: QubitLayout
                         ) -> tuple[float, StateVector]:
     """Lowest physical eigenpair, embedded back into the full qubit space."""
-    proj, sub = physical_block(h, layout)
+    indices, sub = physical_block(h, layout)
     vals, vecs = np.linalg.eigh(sub)
     vec = vecs[:, 0]
     # deterministic gauge: largest-magnitude component real and positive
     k = int(np.argmax(np.abs(vec)))
     vec = vec * (np.abs(vec[k]) / vec[k])
-    amps = np.zeros(1 << layout.num_qubits, dtype=np.complex128)
-    amps[proj.indices] = vec
-    return float(vals[0]), StateVector(layout.num_qubits, amps)
+    return float(vals[0]), embed(layout.num_qubits, indices, vec)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import itertools
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .pauli import DROP_TOL, PauliSum
 from .pes import ModalOperators, PesExpansion
 
@@ -171,6 +173,20 @@ def number_operator(layout: QubitLayout, mode: int) -> PauliSum:
     terms = {(0, 0): complex(0.5 * layout.modal_counts[mode])}
     terms.update(((0, 1 << q), -0.5 + 0j) for q in layout.register(mode))
     return PauliSum.from_masks(layout.num_qubits, terms)
+
+
+def occupations(layout: QubitLayout, amplitudes: np.ndarray,
+                indices: np.ndarray) -> np.ndarray:
+    """<N_l> per mode of the state with ``amplitudes`` on the basis states
+    ``indices``: sum_j |a_j|^2 popcount(indices_j & register mask of l).
+
+    N_l is diagonal, so no operator is built; on the physical basis every
+    value is the state's squared norm.
+    """
+    weights = np.abs(amplitudes) ** 2
+    masks = [((1 << n) - 1) << offset
+             for offset, n in zip(layout.offsets, layout.modal_counts)]
+    return np.array([weights @ np.bitwise_count(indices & m) for m in masks])
 
 
 def penalty_objective(h_expectation: float,

@@ -108,14 +108,6 @@ class PauliSum:
     def from_label(cls, label: str, coefficient: complex = 1.0) -> "PauliSum":
         return cls(len(label), [(label, coefficient)])
 
-    @classmethod
-    def identity(cls, num_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
-        return cls(num_qubits, [("I" * num_qubits, coefficient)])
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "PauliSum":
-        return cls(num_qubits)
-
     # -- views ---------------------------------------------------------
 
     @property
@@ -149,9 +141,6 @@ class PauliSum:
             return NotImplemented
         return (self._num_qubits == other._num_qubits
                 and self._terms == other._terms)
-
-    def __hash__(self):
-        return hash((self._num_qubits, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -207,18 +207,6 @@ def modal_operator_matrices(basis: ModalBasis, pes: PesExpansion) -> ModalOperat
 
 # -- PES JSON interchange --------------------------------------------------
 
-def pes_to_dict(pes: PesExpansion) -> dict:
-    return {
-        "num_modes": pes.num_modes,
-        "units": "cm-1",
-        "frequencies": list(pes.frequencies),
-        "v0": pes.v0,
-        "terms": [{"coeff": t.coefficient,
-                   "powers": {str(m): p for m, p in sorted(t.powers.items())}}
-                  for t in pes.terms],
-    }
-
-
 def pes_from_dict(data: Mapping) -> PesExpansion:
     units = data.get("units", "cm-1")
     if units != "cm-1":
@@ -238,8 +226,3 @@ def load_pes(path) -> PesExpansion:
     with open(path, "r", encoding="utf-8") as fh:
         return pes_from_dict(json.load(fh))
 
-
-def save_pes(pes: PesExpansion, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pes_to_dict(pes), fh, indent=2, sort_keys=True)
-        fh.write("\n")

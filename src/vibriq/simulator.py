@@ -81,11 +81,19 @@ class StateVector:
         amps[0] = 1.0
         return cls(num_qubits, amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
+
+
+def embed(num_qubits: int, indices: np.ndarray,
+          amplitudes: np.ndarray) -> StateVector:
+    """The state with ``amplitudes`` on the basis states ``indices``, in the
+    full 2^N space (taken as is when ``indices`` are all 2^N)."""
+    if len(indices) == 1 << num_qubits:
+        return StateVector(num_qubits, amplitudes)
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[indices] = amplitudes
+    return StateVector(num_qubits, amps)
 
 
 def bitstring(index: int, num_qubits: int) -> str:
@@ -488,12 +496,7 @@ class AnsatzProgram:
 
     def prepare(self, params: Sequence[float]) -> StateVector:
         """The ansatz state at ``params`` in the full 2^N space."""
-        amps = self._run(params)
-        if amps.size != 1 << self.num_qubits:
-            full = np.zeros(1 << self.num_qubits, dtype=np.complex128)
-            full[self.indices] = amps
-            amps = full
-        return StateVector(self.num_qubits, amps)
+        return embed(self.num_qubits, self.indices, self._run(params))
 
 
 # -- sampling ------------------------------------------------------------------

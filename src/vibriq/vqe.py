@@ -19,7 +19,8 @@ block from ``exact.physical_block`` (checked Hermitian once).  The
 occupation penalty is exactly zero on that basis.  chc, swaprz and ryrz
 leak out of it, so the ``"full"`` route runs them on all 2^N complex
 amplitudes against the mask-grouped ``CompiledPauliSum``.  Either way the
-result's state is embedded into 2^N once, at the end.  ``build_ansatz``
+result keeps its state on the program's basis and embeds it into 2^N only
+when ``VqeResult.state`` is read.  ``build_ansatz``
 still gives the ``Circuit`` used for resource counts, noise and as the
 reference the program is tested against.
 """
@@ -36,10 +37,10 @@ from .circuits import (Block, Circuit, chc_blocks, circuit_from_blocks,
                        excitation_list, heuristic_blocks, reference_circuit,
                        uvcc_blocks)
 from .exact import physical_block
-from .mapping import QubitLayout, number_operator, penalty_objective
+from .mapping import QubitLayout, occupations, penalty_objective
 from .pauli import PauliSum
 from .simulator import (IMAG_TOL, AnsatzProgram, StateVector,
-                        compile_pauli_sum, expectation)
+                        compile_pauli_sum, embed, expectation)
 
 ANSATZ_KINDS = ("uvccsd", "chc", "swaprz", "ryrz")
 DEFAULT_PENALTY_WEIGHT = 1e5
@@ -54,6 +55,9 @@ STOP_RESTARTS = "restarts"
 # Simplex runs per minimization: the first plus the restarts.
 NELDER_MEAD_RUNS = 12
 
+# Range of the uniform random start parameters.
+INIT_RANGE = (-0.2, 0.2)
+
 
 @dataclass(frozen=True)
 class VqeConfig:
@@ -63,7 +67,6 @@ class VqeConfig:
     optimizer: str = "nelder-mead"
     max_evals: int = 200_000
     tol: float = 1e-8
-    init_range: tuple[float, float] = (-0.2, 0.2)
     mu: float | None = None
     seed: int = 0
     initial_params: tuple[float, ...] | None = None
@@ -75,8 +78,8 @@ class VqeConfig:
             raise ValueError("tolerance must be positive")
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
-        if self.init_range[0] > self.init_range[1]:
-            raise ValueError("initial-parameter range bounds must be ordered")
+        if self.mu is not None and self.mu < 0:
+            raise ValueError("penalty weight must be nonnegative")
 
     def effective_mu(self) -> float:
         """Penalty defaults to 1e5 for the occupation-breaking heuristics."""
@@ -93,11 +96,23 @@ class VqeResult:
     evals: int
     seed: int
     stop_reason: str
-    # The prepared state at ``params``; set by ``ground_state``, not serialized.
-    state: StateVector | None = field(default=None, repr=False, compare=False)
     # The basis the objective ran on, "physical" or "full"; set by
     # ``ground_state``.
     route: str | None = None
+    # The state at ``params`` on the program's ascending basis states; set
+    # by ``ground_state``, not serialized.
+    num_qubits: int | None = None
+    indices: np.ndarray | None = field(default=None, repr=False, compare=False)
+    amplitudes: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
+
+    @property
+    def state(self) -> StateVector | None:
+        """The state at ``params`` in the full 2^N space, built when read;
+        ``None`` for a result of ``minimize`` alone."""
+        if self.amplitudes is None:
+            return None
+        return embed(self.num_qubits, self.indices, self.amplitudes)
 
     @property
     def converged(self) -> bool:
@@ -277,14 +292,14 @@ def _physical_objective(hamiltonian: PauliSum, layout: QubitLayout,
     Hermitian, so the imaginary part is checked once and dropped.
     """
     # The block's dimension check comes before any index array is built.
-    proj, block = physical_block(hamiltonian, layout)
+    indices, block = physical_block(hamiltonian, layout)
     residue = float(np.max(np.abs(block - block.conj().T)))
     if residue > IMAG_TOL * max(1.0, float(np.max(np.abs(block)))):
         raise ValueError(
             f"Hamiltonian block differs from its adjoint by {residue:.3e}; "
             "operator is not Hermitian")
     h = np.ascontiguousarray(block.real)
-    program = ansatz_program(layout, config, proj.indices)
+    program = ansatz_program(layout, config, indices)
 
     def objective(params: np.ndarray) -> float:
         amps = program.amplitudes(params)
@@ -300,16 +315,14 @@ def _full_objective(hamiltonian: PauliSum, layout: QubitLayout,
     # ansatz program builds its index arrays.
     h = compile_pauli_sum(hamiltonian)
     mu = config.effective_mu()
-    number_ops = [compile_pauli_sum(number_operator(layout, l))
-                  for l in range(layout.num_modes)] if mu > 0 else []
     program = ansatz_program(layout, config)
 
     def objective(params: np.ndarray) -> float:
         state = program.prepare(params)
         energy = expectation(state, h)
         if mu > 0:
-            occupations = [expectation(state, op) for op in number_ops]
-            return penalty_objective(energy, occupations, mu)
+            return penalty_objective(energy, occupations(
+                layout, state.amplitudes, program.indices), mu)
         return energy
 
     return objective, program
@@ -320,8 +333,8 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
     """Penalty-aware VQE on exact statevector expectations (noise-free).
 
     uvccsd runs on the physical basis, every other ansatz on the full
-    space; the result names the ``route`` and carries the prepared state
-    of its best parameters in the full space.
+    space; the result names the ``route`` and carries the state of its
+    best parameters on that basis.
     """
     config = config or VqeConfig()
     if hamiltonian.num_qubits != layout.num_qubits:
@@ -341,9 +354,10 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
                              f"parameters, got {start.shape}")
     else:
         rng = np.random.default_rng(config.seed)
-        lo, hi = config.init_range
-        start = rng.uniform(lo, hi, size=program.num_parameters)
+        start = rng.uniform(*INIT_RANGE, size=program.num_parameters)
     result = minimize(objective, start, config)
-    result.state = program.prepare(result.params)
     result.route = route
+    result.num_qubits = layout.num_qubits
+    result.indices = program.indices
+    result.amplitudes = program.amplitudes(result.params)
     return result

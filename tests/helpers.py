@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from functools import reduce
 from itertools import product
 
@@ -18,6 +19,26 @@ PAULI_MATS = {
 }
 
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
+
+
+def pes_to_dict(pes) -> dict:
+    """The PES JSON interchange form that ``vibriq.pes.pes_from_dict`` reads."""
+    return {
+        "num_modes": pes.num_modes,
+        "units": "cm-1",
+        "frequencies": list(pes.frequencies),
+        "v0": pes.v0,
+        "terms": [{"coeff": t.coefficient,
+                   "powers": {str(m): p for m, p in sorted(t.powers.items())}}
+                  for t in pes.terms],
+    }
+
+
+def save_pes(pes, path) -> None:
+    """Write ``pes`` as a PES JSON file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(pes_to_dict(pes), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def dense_from_label(label: str) -> np.ndarray:

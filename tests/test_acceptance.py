@@ -12,7 +12,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from helpers import (dense_from_sum, density_matrix_simulation,
-                     onv_rule_matrix, physical_onvs, random_sq_hamiltonian)
+                     onv_rule_matrix, physical_onvs, random_sq_hamiltonian,
+                     save_pes)
 from vibriq.circuits import (build_chc, build_heuristic, build_uvcc,
                              count_resources, excitation_list,
                              generator_pauli, reference_circuit)
@@ -20,7 +21,6 @@ from vibriq.cli import main as cli_main
 from vibriq.exact import ground_state_vector, physical_spectrum
 from vibriq.mapping import (QubitLayout, map_to_pauli, number_operator,
                             penalty_objective)
-from vibriq.pes import save_pes
 from vibriq.qeom import excitation_energies
 from vibriq.simulator import (NoiseModel, StateVector, apply_circuit,
                               expectation, noisy_distribution,

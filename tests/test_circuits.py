@@ -216,7 +216,7 @@ def test_circuits_are_unitary(builder_args):
     amps = rng.normal(size=16) + 1j * rng.normal(size=16)
     amps /= np.linalg.norm(amps)
     out = apply_circuit(circ, params, StateVector(4, amps))
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_heuristic_rejects_bad_input():

@@ -1,13 +1,13 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vibriq.cli import main
-from vibriq.pes import save_pes
-
 from conftest import bench_pesgen
+from helpers import save_pes
 
 
 @pytest.fixture()
@@ -75,6 +75,18 @@ def test_vqe_subcommand(tmp_path, coupled_pes_file):
     assert result["mu"] == 0.0
     assert result["history"][-1] == result["energy"]
     assert result["route"] == "physical"
+
+
+def test_vqe_refuses_negative_penalty_weight(tmp_path, coupled_pes_file,
+                                            capsys):
+    for ansatz in ("uvccsd", "ryrz"):
+        assert run(["vqe", "--pes", coupled_pes_file, "--modals", "2",
+                    "--ansatz", ansatz, "--mu", "-1",
+                    "--out", str(tmp_path / "vqe.json")]) == 1
+        err = capsys.readouterr().err
+        assert "error in vqe optimization" in err
+        assert "penalty weight must be nonnegative" in err
+    assert not (tmp_path / "vqe.json").exists()
 
 
 def test_vqe_reports_exhausted_budget(tmp_path, coupled_pes_file):
@@ -248,4 +260,23 @@ def test_vqe_uvccsd_runs_on_twenty_qubits(tmp_path):
     assert result["route"] == "physical"
     assert result["evals"] == 50
     assert len(result["occupations"]) == 5
+    assert all(abs(n - 1.0) <= 1e-12 for n in result["occupations"])
+
+
+def test_vqe_uvccsd_runs_on_twenty_five_qubits(tmp_path, harmonic_pes_file):
+    """(13,12) is 25 qubits and 156 physical states: the run, its
+    occupations included, never builds a 2^25-amplitude array."""
+    out = tmp_path / "vqe.json"
+    tracemalloc.start()
+    try:
+        assert run(["vqe", "--pes", harmonic_pes_file, "--modals", "13,12",
+                    "--max-evals", "5", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 26
+    result = json.loads(out.read_text())["result"]
+    assert result["route"] == "physical"
+    assert result["evals"] == 5
+    assert len(result["occupations"]) == 2
     assert all(abs(n - 1.0) <= 1e-12 for n in result["occupations"])

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import (dense_from_sum, onv_rule_matrix, pauli_product,
                      random_pauli_sum, random_sq_hamiltonian)
-from vibriq.exact import (PhysicalProjector, dense_matrix, ground_state_vector,
+from vibriq.exact import (dense_matrix, ground_state_vector, physical_indices,
                           physical_spectrum)
 from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
 from vibriq.pauli import PauliSum
@@ -40,26 +40,25 @@ def test_dense_transfer_operator():
 
 def test_projector_enumeration():
     layout = QubitLayout((2, 2))
-    proj = PhysicalProjector.build(layout)
-    assert proj.dimension == 4
-    assert proj.onvs == ((0, 0), (1, 0), (0, 1), (1, 1))
-    np.testing.assert_array_equal(proj.indices, [0b0101, 0b0110, 0b1001,
-                                                 0b1010])
-    assert np.all(np.diff(proj.indices) > 0)
+    # ONVs (0,0), (1,0), (0,1), (1,1): mode 0 varies fastest
+    np.testing.assert_array_equal(physical_indices(layout),
+                                  [0b0101, 0b0110, 0b1001, 0b1010])
 
 
 def test_projector_dimension_is_product_of_counts():
     layout = QubitLayout((2, 2, 2, 2))
-    assert PhysicalProjector.build(layout).dimension == 16
+    assert physical_indices(layout).size == 16
     layout = QubitLayout((3, 4))
-    assert PhysicalProjector.build(layout).dimension == 12
+    indices = physical_indices(layout)
+    assert indices.size == 12
+    assert np.all(np.diff(indices) > 0)
 
 
 def test_dense_block_equals_slice_of_kron_oracle():
     rng = np.random.default_rng(11)
     ops = [random_pauli_sum(rng, n, int(rng.integers(1, 12)))
            for n in (3, 4, 5, 6) for _ in range(3)]
-    ops += [PauliSum.zero(4), PauliSum.identity(4, 0.5 - 2j),
+    ops += [PauliSum(4), PauliSum.from_label("IIII", 0.5 - 2j),
             PauliSum(5, [("YYYYY", 1.5j), ("IYIYI", -0.25)])]
     for op in ops:
         full = dense_from_sum(op)
@@ -73,7 +72,7 @@ def test_dense_block_equals_slice_of_kron_oracle():
 
 def test_dense_rejects_unsorted_indices():
     with pytest.raises(ValueError, match="ascending"):
-        dense_matrix(PauliSum.identity(3), np.array([3, 1]))
+        dense_matrix(PauliSum.from_label("III"), np.array([3, 1]))
 
 
 def test_physical_spectrum_matches_onv_rule_oracle():
@@ -105,7 +104,7 @@ def test_sixteen_qubit_layout_with_64_physical_states():
                                atol=1e-10 * np.abs(expected).max())
     energy, state = ground_state_vector(h, layout)
     assert energy == pytest.approx(expected[0], abs=1e-9)
-    vec = state.amplitudes[PhysicalProjector.build(layout).indices]
+    vec = state.amplitudes[physical_indices(layout)]
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(oracle @ vec, energy * vec, atol=1e-9)
 
@@ -120,8 +119,8 @@ def test_uncoupled_harmonic_spectrum(harmonic_system):
 def test_penalty_operator_form_vanishes_on_physical_subspace(coupled_system):
     layout, _, hamiltonian = coupled_system
     mu = 1e5
-    penalty = PauliSum.zero(layout.num_qubits)
-    identity = PauliSum.identity(layout.num_qubits)
+    penalty = PauliSum(layout.num_qubits)
+    identity = PauliSum.from_label("I" * layout.num_qubits)
     for mode in range(layout.num_modes):
         dev = number_operator(layout, mode) - identity
         penalty = penalty + pauli_product(dev, dev)
@@ -134,7 +133,7 @@ def test_penalty_operator_form_vanishes_on_physical_subspace(coupled_system):
 def test_ground_state_vector_is_physical_eigenvector(coupled_system):
     layout, _, hamiltonian = coupled_system
     energy, state = ground_state_vector(hamiltonian, layout)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     assert energy == pytest.approx(physical_spectrum(hamiltonian, layout)[0],
                                    abs=1e-10)
     residual = dense_matrix(hamiltonian) @ state.amplitudes \
@@ -144,7 +143,7 @@ def test_ground_state_vector_is_physical_eigenvector(coupled_system):
 
 
 def test_dimension_cap_refuses_before_allocating():
-    op = PauliSum.identity(13)
+    op = PauliSum.from_label("I" * 13)
     layout = QubitLayout((2,) * 13)
     tracemalloc.start()
     try:

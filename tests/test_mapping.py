@@ -5,10 +5,12 @@ from helpers import dense_from_sum, onv_rule_matrix, pauli_product, \
     physical_onvs, random_sq_hamiltonian
 from vibriq.circuits import excitation_list, excitation_sq_terms
 from vibriq.mapping import (QubitLayout, SqTerm, build_sq_hamiltonian,
-                            map_to_pauli, number_operator, penalty_objective)
+                            map_to_pauli, number_operator, occupations,
+                            penalty_objective)
 from vibriq.pauli import DROP_TOL, PauliSum
 from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
                         solve_modals)
+from vibriq.simulator import StateVector, expectation
 
 
 def test_layout_offsets_and_total():
@@ -143,6 +145,31 @@ def test_number_operator_forms():
     assert dense[0, 0] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("modals", [(2, 2), (2, 3, 4), (4, 4, 4)])
+def test_occupations_match_number_operators(modals):
+    layout = QubitLayout(modals)
+    n = layout.num_qubits
+    rng = np.random.default_rng(sum(modals))
+    for _ in range(3):
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+        expected = [expectation(state, number_operator(layout, l))
+                    for l in range(layout.num_modes)]
+        got = occupations(layout, state.amplitudes, np.arange(1 << n))
+        assert got.shape == (layout.num_modes,)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        # the same state held on a subset of the basis states
+        indices = np.sort(rng.choice(1 << n, size=(1 << n) // 3,
+                                     replace=False))
+        sub = np.zeros(1 << n, dtype=complex)
+        sub[indices] = state.amplitudes[indices]
+        sub /= np.linalg.norm(sub)
+        expected = [expectation(StateVector(n, sub), number_operator(layout, l))
+                    for l in range(layout.num_modes)]
+        np.testing.assert_allclose(occupations(layout, sub[indices], indices),
+                                   expected, rtol=0, atol=1e-12)
+
+
 def test_penalty_objective_arithmetic():
     assert penalty_objective(-12.5, [1.0, 1.0], 1e5) == pytest.approx(-12.5)
     assert penalty_objective(3.0, [0.0, 0.0], 1e5) == pytest.approx(3.0 + 2e5)
@@ -194,9 +221,9 @@ def _product_form(terms, layout):
     product of ``helpers.pauli_product``; the slow reference for
     ``map_to_pauli``."""
     n = layout.num_qubits
-    total = PauliSum.zero(n)
+    total = PauliSum(n)
     for term in terms:
-        op = PauliSum.identity(n, term.coefficient)
+        op = PauliSum.from_label("I" * n, term.coefficient)
         for mode, k, h in term.factors:
             qc = layout.qubit_index(mode, k)
             qa = layout.qubit_index(mode, h)

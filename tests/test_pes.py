@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from helpers import pes_to_dict, save_pes
 from vibriq.pes import (PesExpansion, PesTerm, ho_q_power_matrix, load_pes,
                         modal_operator_matrices, modal_q_power_matrix,
-                        one_body_matrix, pes_from_dict, pes_to_dict, save_pes,
-                        solve_modals)
+                        one_body_matrix, pes_from_dict, solve_modals)
 
 
 def hermite_quadrature_q_matrix(power: int, dim: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 from scipy import linalg
 
 from helpers import dense_from_sum, random_pauli_sum
-from vibriq.exact import (PhysicalProjector, ground_state_vector,
+from vibriq.exact import (ground_state_vector, physical_indices,
                           physical_spectrum)
 from vibriq.pauli import PauliSum
 from vibriq.qeom import (EomOperators, build_eom_operators, compute_matrices,
@@ -16,7 +16,7 @@ def test_double_commutator_of_commuting_operators_vanishes():
     a = PauliSum.from_label("XI")
     h = PauliSum.from_label("IZ")
     b = PauliSum.from_label("XX")  # commutes with both? X0 yes, check via result
-    z = double_commutator(a, PauliSum.identity(2), b)
+    z = double_commutator(a, PauliSum.from_label("II"), b)
     assert len(z) == 0
     z2 = double_commutator(a, a, a)
     assert len(z2) == 0
@@ -112,7 +112,7 @@ def test_matrices_of_a_leaky_non_eigen_state_match_dense_full_square():
     amps = amps + 0.1 * (rng.normal(size=amps.size)
                          + 1j * rng.normal(size=amps.size))
     psi = amps / np.linalg.norm(amps)
-    physical = PhysicalProjector.build(layout).indices
+    physical = physical_indices(layout)
     assert np.sum(np.abs(psi[physical]) ** 2) < 0.99
     state = StateVector(n, psi)
     h = random_pauli_sum(rng, n, 60, hermitian=True)
@@ -232,7 +232,7 @@ def test_diagnostics_of_the_harmonic_ground_state(harmonic_system):
 def test_diagnostics_count_complex_pairs_of_a_perturbed_state(coupled_system):
     layout, _, h = coupled_system
     _, ground = ground_state_vector(h, layout)
-    idx = PhysicalProjector.build(layout).indices
+    idx = physical_indices(layout)
     amps = ground.amplitudes.copy()
     amps[idx] += 0.6 * np.random.default_rng(1).normal(size=idx.size)
     state = StateVector(layout.num_qubits, amps / np.linalg.norm(amps))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from vibriq import vqe
-from vibriq.exact import PhysicalProjector, physical_spectrum
-from vibriq.mapping import QubitLayout, number_operator, penalty_objective
+from vibriq.exact import physical_indices, physical_spectrum
+from vibriq.mapping import (QubitLayout, number_operator, occupations,
+                            penalty_objective)
 from vibriq.pauli import PauliSum
 from vibriq.simulator import apply_circuit, compile_pauli_sum, expectation
 from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
@@ -19,6 +20,7 @@ def test_quadratic_bowl():
                       VqeConfig(tol=1e-14))
     assert result.params[0] == pytest.approx(1.0, abs=1e-6)
     assert result.energy == pytest.approx(0.0, abs=1e-12)
+    assert result.state is None  # no ansatz basis without ground_state
 
 
 def test_quadratic_bowl_spsa():
@@ -119,11 +121,16 @@ def test_config_validation():
         VqeConfig(ansatz="uccsd")
     with pytest.raises(ValueError):
         VqeConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        VqeConfig(init_range=(0.3, -0.3))
     assert VqeConfig(ansatz="swaprz").effective_mu() == 1e5
     assert VqeConfig(ansatz="chc").effective_mu() == 0.0
     assert VqeConfig(ansatz="chc", mu=7.0).effective_mu() == 7.0
+
+
+def test_negative_penalty_weight_rejected():
+    for ansatz in ("uvccsd", "ryrz"):
+        with pytest.raises(ValueError, match="penalty weight"):
+            VqeConfig(ansatz=ansatz, mu=-1.0)
+    assert VqeConfig(ansatz="ryrz", mu=0.0).effective_mu() == 0.0
 
 
 def test_initial_params_shape_checked(coupled_system):
@@ -258,7 +265,7 @@ def test_non_hermitian_hamiltonian_refused_on_both_routes():
 def test_physical_program_matches_full_space(modals, trotter_steps):
     layout = QubitLayout(modals)
     config = VqeConfig(ansatz="uvccsd", trotter_steps=trotter_steps)
-    indices = PhysicalProjector.build(layout).indices
+    indices = physical_indices(layout)
     full = ansatz_program(layout, config)
     block = ansatz_program(layout, config, indices)
     assert block.real and block.indices.size == np.prod(modals)
@@ -276,7 +283,7 @@ def test_leaking_ansatz_refused_on_the_physical_basis():
     # a chc single flips its two qubits, which leaves the physical basis
     # whenever the mode's third modal is the occupied one
     layout = QubitLayout((3, 3))
-    indices = PhysicalProjector.build(layout).indices
+    indices = physical_indices(layout)
     with pytest.raises(ValueError, match="leaves the program's basis"):
         ansatz_program(layout, VqeConfig(ansatz="chc"), indices)
 
@@ -293,7 +300,7 @@ def test_physical_route_matches_full_space_minimization(num_modes, modals,
     program = ansatz_program(layout, config)
     compiled = compile_pauli_sum(h)
     start = np.random.default_rng(config.seed).uniform(
-        *config.init_range, size=program.num_parameters)
+        *vqe.INIT_RANGE, size=program.num_parameters)
     reference = minimize(lambda p: expectation(program.prepare(p), compiled),
                          start, config)
     result = ground_state(h, layout, config)
@@ -303,6 +310,41 @@ def test_physical_route_matches_full_space_minimization(num_modes, modals,
         <= 1e-10 * abs(reference.energy)
     expected = program.prepare(result.params).amplitudes
     assert np.max(np.abs(result.state.amplitudes - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("ansatz", ["swaprz", "ryrz"])
+def test_full_route_penalty_matches_number_operators(coupled_system, ansatz):
+    layout, _, h = coupled_system
+    config = VqeConfig(ansatz=ansatz, depth=2)
+    assert config.effective_mu() == 1e5
+    objective, program = vqe._full_objective(h, layout, config)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        params = rng.uniform(-np.pi, np.pi, program.num_parameters)
+        state = program.prepare(params)
+        expected = penalty_objective(
+            expectation(state, h),
+            [expectation(state, number_operator(layout, l))
+             for l in range(layout.num_modes)], 1e5)
+        assert objective(params) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("modals", [(2, 2), (3, 3)])
+def test_physical_route_keeps_its_state_on_the_block(coupled_pes, modals):
+    layout, _, h = build_qubit_hamiltonian(coupled_pes, modals)
+    result = ground_state(h, layout, VqeConfig(seed=1, max_evals=300))
+    assert result.route == "physical"
+    np.testing.assert_array_equal(result.indices, physical_indices(layout))
+    assert result.amplitudes.shape == (np.prod(modals),)
+    np.testing.assert_allclose(
+        occupations(layout, result.amplitudes, result.indices), 1.0,
+        rtol=0, atol=1e-12)
+    state = result.state
+    np.testing.assert_array_equal(state.amplitudes[result.indices],
+                                  result.amplitudes)
+    assert np.linalg.norm(state.amplitudes[result.indices]) == \
+        pytest.approx(1.0, abs=1e-12)
+    assert expectation(state, h) == pytest.approx(result.energy, rel=1e-12)
 
 
 def test_penalty_is_zero_on_the_physical_route(coupled_system):
