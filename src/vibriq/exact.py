@@ -2,8 +2,8 @@
 
 The physical subspace is the Π N_l direct-product (VCI) modal basis: the
 basis states with one set bit per mode register, in ascending index order
-(mode 0 varying fastest).  Only that block is built, straight from the
-Pauli terms' bit masks; the 2^N × 2^N operator is never formed.
+(mode 0 varying fastest).  Only that block is built, from the Pauli sum
+compiled on those states; the 2^N × 2^N operator is never formed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from .mapping import QubitLayout
 from .pauli import PauliSum
-from .simulator import _CHUNK_ELEMENTS, StateVector, embed, pauli_term_masks
+from .simulator import StateVector, _basis, _mask_chunks, _term_groups, embed
 
 # Largest dimension of a matrix built here: 268 MB of complex entries.
 MAX_DENSE_DIM = 4096
@@ -28,27 +28,21 @@ def _check_dimension(dim: int) -> None:
 def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
     """Block of ``op``'s matrix on the ascending basis states ``indices``.
 
-    ``None`` means all 2^N states (qubit 0 = least significant bit).  A
-    term puts c (-i)^n_Y (-1)^popcount(j & sign) at row j, column j ^ flip.
+    ``None`` means all 2^N states (qubit 0 = least significant bit).  Row j
+    holds ``compile_pauli_sum(op, indices)``'s diags[g, j] at perms[g, j],
+    written one mask at a time, so no table is held whole.
     """
     n = op.num_qubits
     _check_dimension(1 << n if indices is None else len(indices))
-    indices = np.asarray(np.arange(1 << n) if indices is None else indices,
-                         dtype=np.int64)
-    if np.any(np.diff(indices) <= 0):
-        raise ValueError("basis indices must be strictly ascending")
-    dim = indices.size
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    flips, signs, weights = pauli_term_masks(op)
-    block = max(1, _CHUNK_ELEMENTS // max(dim, 1))
-    for lo in range(0, flips.size, block):
-        sl = slice(lo, lo + block)
-        cols = indices ^ flips[sl, None]
-        pos = np.minimum(np.searchsorted(indices, cols), dim - 1)
-        term, row = np.nonzero(indices[pos] == cols)
-        parity = np.bitwise_count(indices[row] & signs[sl][term]) & 1
-        np.add.at(out, (row, pos[term, row]),
-                  weights[sl][term] * (1.0 - 2.0 * parity))
+    basis = _basis(n, indices)
+    out = np.zeros((basis.size, basis.size), dtype=np.complex128)
+    for _, perms, diags in _mask_chunks(_term_groups(op), basis,
+                                        indices is None):
+        # distinct masks never share an entry, and a flip that leaves the
+        # basis has a zero diagonal there
+        for perm, diag in zip(perms, diags):
+            nonzero = np.flatnonzero(diag)
+            out[nonzero, perm[nonzero]] = diag[nonzero]
     return out
 
 

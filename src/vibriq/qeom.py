@@ -142,6 +142,8 @@ def solve_pseudo_eigenproblem(matrices: EomMatrices,
     with multiplicity.  Only real parts are kept: ``eom_diagnostics``
     counts the eigenvalues whose imaginary parts this drops.
     """
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
     values, _ = _solve_pencil(matrices)
     return np.sort(values.real[values.real > threshold])
 

@@ -35,6 +35,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .circuits import (Block, Circuit, Excitation, ExcitationRotation, Gate,
                        PauliRotation, build_chc, build_uvcc, excitation_list)
@@ -206,7 +207,7 @@ _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 @dataclass(frozen=True)
 class CompiledPauliSum:
-    """A Pauli sum grouped by X-flip mask.
+    """A Pauli sum grouped by X-flip mask, on an ascending set of states.
 
     (op psi)[j] = sum over masks g of diags[g, j] * psi[perms[g, j]].
 
@@ -217,8 +218,8 @@ class CompiledPauliSum:
     """
 
     num_qubits: int
-    perms: np.ndarray   # (masks, 2^N) basis-index permutations j -> j ^ mask
-    diags: np.ndarray   # (masks, 2^N) summed complex diagonals
+    perms: np.ndarray   # (masks, states) positions of state j ^ mask
+    diags: np.ndarray   # (masks, states) summed diagonals, 0 off the states
 
     @property
     def num_masks(self) -> int:
@@ -226,57 +227,105 @@ class CompiledPauliSum:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """op|psi> for the amplitude vector ``amps``."""
-        out = np.zeros(1 << self.num_qubits, dtype=np.complex128)
-        block = max(1, _CHUNK_ELEMENTS >> self.num_qubits)
+        out = np.zeros(self.perms.shape[1], dtype=np.complex128)
+        block = max(1, _CHUNK_ELEMENTS // max(out.size, 1))
         for lo in range(0, self.num_masks, block):
             sl = slice(lo, lo + block)
             out += np.sum(self.diags[sl] * amps[self.perms[sl]], axis=0)
         return out
 
 
-def pauli_term_masks(op: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each term's flip mask, sign mask and weight, as three arrays.
+def _basis(num_qubits: int, indices) -> np.ndarray:
+    """``indices`` as int64, all 2^N states for ``None``."""
+    if indices is None:
+        return np.arange(1 << num_qubits, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if np.any(np.diff(indices) <= 0):
+        raise ValueError("basis indices must be strictly ascending")
+    return indices
 
-    The masks are the terms' x and z (see ``PauliSum.masks``), in
-    ``items`` order, and (op psi)[j] = sum over terms t of
-    weights[t] * (-1)^popcount(j & signs[t]) * psi[j ^ flips[t]]: the sign
-    is read at the output index j, and the weight is c (-i)^|x & z|.
-    """
+
+def _lookup(indices: np.ndarray, states: np.ndarray):
+    """Positions of ``states`` in the ascending ``indices``, and which exist."""
+    pos = np.minimum(np.searchsorted(indices, states), indices.size - 1)
+    return pos, indices[pos] == states
+
+
+def _term_groups(op: PauliSum):
+    """The distinct flip masks and, per term sorted by mask (each mask in
+    ``items`` order), its mask's number, z and weight c (-i)^|x & z|."""
     terms = op.masks()
     flips = np.array([x for x, _, _ in terms], dtype=np.int64)
-    signs = np.array([z for _, z, _ in terms], dtype=np.int64)
-    weights = (np.array([c for _, _, c in terms], dtype=np.complex128)
+    order = np.argsort(flips, kind="stable")
+    flips = flips[order]
+    signs = np.array([z for _, z, _ in terms], dtype=np.int64)[order]
+    weights = (np.array([c for _, _, c in terms], dtype=np.complex128)[order]
                * _MINUS_I_POWERS[np.bitwise_count(flips & signs) % 4])
-    return flips, signs, weights
+    return (*np.unique(flips, return_inverse=True), signs, weights)
 
 
-def compile_pauli_sum(op: PauliSum | CompiledPauliSum) -> CompiledPauliSum:
-    """The mask-grouped form of ``op``; compiled operators pass through.
+def _mask_chunks(groups, indices: np.ndarray, full: bool):
+    """Yield ``compile_pauli_sum``'s rows one chunk of masks at a time, as
+    (slice of masks, perms, diags); ``full`` says ``indices`` is all 2^N.
+    Every chunk is written into the same two arrays: read it before the next.
+    """
+    masks, group, signs, weights = groups
+    block = max(1, _CHUNK_ELEMENTS // max(indices.size, 1))
+    size = (min(block, masks.size), indices.size)
+    all_perms, all_diags = np.empty(size, np.int64), np.empty(size, complex)
+    for g0 in range(0, masks.size, block):
+        sl = slice(g0, min(g0 + block, masks.size))
+        perms, diags = all_perms[:sl.stop - g0], all_diags[:sl.stop - g0]
+        diags[:] = 0.0
+        t0, t1 = np.searchsorted(group, [sl.start, sl.stop])
+        for lo in range(t0, t1, block):
+            ts = slice(lo, min(lo + block, t1))
+            table = 1.0 - 2.0 * (np.bitwise_count(signs[ts, None] & indices) & 1)
+            # a sparse row per mask these terms hold and an entry per term,
+            # so each mask's terms add one by one, in order
+            first, rows = group[lo] - g0, group[ts] - group[lo]
+            shape = (rows[-1] + 1, rows.size)
+            csr = (np.arange(rows.size),
+                   np.searchsorted(rows, np.arange(shape[0] + 1)))
+            part = diags[first:first + shape[0]]
+            part.real += sparse.csr_array((weights[ts].real, *csr), shape) @ table
+            part.imag += sparse.csr_array((weights[ts].imag, *csr), shape) @ table
+        del table  # not held while the caller reads the chunk
+        np.bitwise_xor(indices, masks[sl, None], out=perms)
+        if not full:  # on all 2^N states, a state is its own position
+            perms[:], found = _lookup(indices, perms)
+            diags[~found] = 0.0
+        yield sl, perms, diags
 
-    Raises ``ValueError`` before allocating when the (masks, 2^N) tables
-    would exceed ``MAX_COMPILED_ELEMENTS`` entries.
+
+def compile_pauli_sum(op: PauliSum | CompiledPauliSum,
+                      indices: np.ndarray | None = None) -> CompiledPauliSum:
+    """The mask-grouped form of ``op`` on the ascending basis states
+    ``indices`` (all 2^N when ``None``).  A compiled operator passes
+    through, and only with ``indices`` left ``None``.
+
+    A term c P(x, z) sends state j to j ^ x with phase c (-i)^|x & z|
+    (-1)^|j & z|.  Raises ``ValueError`` before allocating tables above
+    ``MAX_COMPILED_ELEMENTS`` entries.
     """
     if isinstance(op, CompiledPauliSum):
+        if indices is not None:
+            raise ValueError("a compiled operator keeps its own basis")
         return op
-    n = op.num_qubits
-    dim = 1 << n
-    flips, signs, weights = pauli_term_masks(op)
-    masks, group = np.unique(flips, return_inverse=True)
-    if masks.size * dim > MAX_COMPILED_ELEMENTS:
+    n, groups = op.num_qubits, _term_groups(op)
+    num_masks = groups[0].size
+    dim = 1 << n if indices is None else len(indices)
+    if num_masks * dim > MAX_COMPILED_ELEMENTS:
         raise ValueError(
-            f"compiling {masks.size} flip masks on {n} qubits needs "
-            f"{masks.size * dim * 24 / 1e6:.0f} MB; the limit is "
+            f"compiling {num_masks} flip masks on {n} qubits needs "
+            f"{num_masks * dim * 24 / 1e6:.0f} MB; the limit is "
             f"{MAX_COMPILED_ELEMENTS} mask-by-state entries")
-    idx = np.arange(dim, dtype=np.int64)
-    diags = np.zeros((masks.size, dim), dtype=np.complex128)
-    block = max(1, _CHUNK_ELEMENTS // dim)
-    for lo in range(0, flips.size, block):
-        sl = slice(lo, lo + block)
-        table = 1.0 - 2.0 * (np.bitwise_count(signs[sl, None] & idx) & 1)
-        onehot = np.zeros((masks.size, table.shape[0]), dtype=np.complex128)
-        onehot[group[sl], np.arange(table.shape[0])] = weights[sl]
-        diags += onehot.real @ table + 1j * (onehot.imag @ table)
-    return CompiledPauliSum(n, masks[:, None] ^ idx, diags)
+    basis = _basis(n, indices)
+    perms = np.empty((num_masks, dim), dtype=np.int64)
+    diags = np.empty((num_masks, dim), dtype=np.complex128)
+    for sl, *chunk in _mask_chunks(groups, basis, indices is None):
+        perms[sl], diags[sl] = chunk
+    return CompiledPauliSum(n, perms, diags)
 
 
 def expectation_value(state: StateVector,
@@ -323,8 +372,8 @@ def _positions(indices: np.ndarray, states: np.ndarray) -> np.ndarray:
     Raises ``ValueError`` when one is missing: the step that produced
     ``states`` maps the program's basis outside itself.
     """
-    pos = np.minimum(np.searchsorted(indices, states), indices.size - 1)
-    if not np.array_equal(indices[pos], states):
+    pos, found = _lookup(indices, states)
+    if not found.all():
         raise ValueError("an ansatz step leaves the program's basis states")
     return pos
 
@@ -363,11 +412,11 @@ class PauliRotationStep:
                    pairs: Sequence[tuple[int, str]], param: int,
                    scale: float) -> "PauliRotationStep":
         letters = dict(pairs)
-        flips, signs, weights = pauli_term_masks(PauliSum.from_label(
-            "".join(letters.get(q, "I") for q in range(num_qubits))))
-        sign = 1.0 - 2.0 * (np.bitwise_count(indices & signs[0]) & 1)
-        return cls(_positions(indices, indices ^ flips[0]), weights[0] * sign,
-                   param, scale)
+        table = compile_pauli_sum(PauliSum.from_label(
+            "".join(letters.get(q, "I") for q in range(num_qubits))), indices)
+        if not np.all(table.diags):  # zero only where the string leaves
+            raise ValueError("an ansatz step leaves the program's basis states")
+        return cls(table.perms[0], table.diags[0], param, scale)
 
     def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
         angle = self.scale * params[self.param]
@@ -455,10 +504,7 @@ class AnsatzProgram:
                 indices: np.ndarray | None = None) -> "AnsatzProgram":
         """``None`` for ``indices`` means the full space; a step that maps
         a state of ``indices`` outside them raises ``ValueError``."""
-        indices = np.asarray(np.arange(1 << num_qubits) if indices is None
-                             else indices, dtype=np.int64)
-        if np.any(np.diff(indices) <= 0):
-            raise ValueError("basis indices must be strictly ascending")
+        indices = _basis(num_qubits, indices)
         runs: list = []
         for block in blocks:
             if isinstance(block, Gate) and block.kind in ("x", "cnot"):

@@ -161,6 +161,38 @@ def test_qeom_occupations_match_vqe(tmp_path, coupled_pes_file):
     assert results["vqe"]["route"] == results["qeom"]["vqe"]["route"] == "full"
 
 
+def test_one_modal_per_mode_gives_the_exact_eigenvalue(tmp_path,
+                                                       coupled_pes_file):
+    """D = 1: the ansatz has no parameters and the qEOM pool is empty."""
+    common = ["--pes", coupled_pes_file, "--modals", "1"]
+    assert run(["exact", *common, "--out", str(tmp_path / "exact.json")]) == 0
+    (reference,) = json.loads(
+        (tmp_path / "exact.json").read_text())["result"]["eigenvalues"]
+    for command in ("vqe", "qeom"):
+        for ansatz in ("uvccsd", "chc"):
+            out = tmp_path / f"{command}-{ansatz}.json"
+            assert run([command, *common, "--ansatz", ansatz,
+                        "--out", str(out)]) == 0
+            result = json.loads(out.read_text())["result"]
+            if command == "qeom":
+                assert result["energies"] == []
+                assert result["pool_size"] == 0
+                result = result["vqe"]
+            assert result["energy"] == pytest.approx(reference, rel=1e-12)
+            assert result["params"] == []
+            assert result["stop_reason"] == "tolerance"
+
+
+def test_qeom_refuses_negative_threshold(tmp_path, coupled_pes_file, capsys):
+    out = tmp_path / "qeom.json"
+    assert run(["qeom", "--pes", coupled_pes_file, "--modals", "2",
+                "--threshold=-1e9", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error in qeom" in err
+    assert "threshold must be nonnegative" in err
+    assert not out.exists()
+
+
 def test_noise_fidelity_subcommand(tmp_path):
     out = tmp_path / "nf.json"
     assert run(["noise-fidelity", "--modals", "2,2", "--trials", "2",

@@ -9,7 +9,7 @@ from vibriq.exact import (dense_matrix, ground_state_vector, physical_indices,
                           physical_spectrum)
 from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
 from vibriq.pauli import PauliSum
-from vibriq.simulator import expectation
+from vibriq.simulator import MAX_COMPILED_ELEMENTS, expectation
 
 
 def test_dense_single_qubit_cases():
@@ -27,6 +27,32 @@ def test_dense_matches_independent_kron_oracle():
                       for l in labels])
     np.testing.assert_allclose(dense_matrix(op), dense_from_sum(op),
                                atol=1e-14)
+
+
+def test_dense_block_is_not_bounded_by_the_compiled_table_limit():
+    """``dense_matrix`` writes the compiled rows chunk by chunk, so a block
+    inside ``MAX_DENSE_DIM`` is built even when its whole mask-by-state
+    table would exceed ``MAX_COMPILED_ELEMENTS`` (16 384 masks on 1 100
+    states here); the reference adds the terms one by one."""
+    rng = np.random.default_rng(71)
+    n = 14
+    masks = np.arange(1 << n)
+    signs = rng.integers(0, 1 << n, size=masks.size)
+    coeffs = rng.normal(size=masks.size) + 1j * rng.normal(size=masks.size)
+    op = PauliSum.from_masks(n, {(int(x), int(z)): complex(c)
+                                 for x, z, c in zip(masks, signs, coeffs)})
+    idx = np.sort(rng.choice(1 << n, size=1100, replace=False))
+    assert masks.size * idx.size > MAX_COMPILED_ELEMENTS
+    expected = np.zeros((idx.size, idx.size), dtype=complex)
+    for x, z, c in zip(masks, signs, coeffs):
+        cols = idx ^ x
+        pos = np.minimum(np.searchsorted(idx, cols), idx.size - 1)
+        (rows,) = np.nonzero(idx[pos] == cols)
+        sign = (-1.0) ** (np.bitwise_count(idx[rows] & z) & 1)
+        expected[rows, pos[rows]] += (
+            c * (-1j) ** (bin(x & z).count("1") % 4) * sign)
+    np.testing.assert_allclose(dense_matrix(op, idx), expected,
+                               rtol=0, atol=1e-12)
 
 
 def test_dense_transfer_operator():

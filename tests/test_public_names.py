@@ -1,4 +1,5 @@
-"""Every name the demos and the README quick start import from vibriq exists.
+"""Every name the demos, the README quick start and the benchmark's tracer
+use from vibriq exists.
 
 The scripts are parsed, not run, so a deleted or renamed public name
 fails here in milliseconds instead of when someone next runs a demo.
@@ -6,7 +7,9 @@ fails here in milliseconds instead of when someone next runs a demo.
 
 import ast
 import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,3 +55,45 @@ def test_demo_and_readme_imports_exist():
                 missing.append(f"{origin}: {module}.{name}")
     assert checked > 0
     assert not missing, missing
+
+
+BENCH = ROOT / "bench"
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_resolve_and_the_probe_fills_every_layer(
+        tmp_path, monkeypatch):
+    """The benchmark's tracer finds each traced function by its module and
+    name, and its probe pipeline reaches every layer.
+
+    Either failure makes ``bench/run.py --trace 1`` exit 1, as a rename of a
+    traced function once did.  The guard follows ``bench/tracing.py`` as it
+    is; the benchmark refresh (ROADMAP item 1), which may rename or drop a
+    traced name or a metric, is what relaxes it.
+    """
+    # bench/run.py imports tracing, and its probe pesgen, from bench/
+    monkeypatch.syspath_prepend(str(BENCH))
+    for name in ("tracing", "pesgen"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    tracing = _load_bench_module("tracing")
+    monkeypatch.setitem(sys.modules, "tracing", tracing)
+    missing = [f"vibriq.{module}.{fname}"
+               for module, fname, _, _ in tracing.TRACED
+               if not hasattr(importlib.import_module(f"vibriq.{module}"),
+                              fname)]
+    assert not missing, missing
+
+    run = _load_bench_module("run")
+    tracer = tracing.Tracer()
+    with tracer.installed(), tracer.span("probe.pipeline"):
+        run._probe_pipeline(tmp_path, 0)
+    metrics = tracing.layer_metrics(tracer.spans, "probe.pipeline")
+    empty = [name for name, value in metrics.items()
+             if value is None and name != "cli.self_s"]
+    assert not empty, empty

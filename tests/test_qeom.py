@@ -220,6 +220,17 @@ def test_threshold_filters_small_eigenvalues(harmonic_system):
     np.testing.assert_allclose(energies, [1500.0, 2500.0], atol=1e-8)
 
 
+def test_negative_threshold_refused(harmonic_system):
+    # below -E the negative mirrors would pass as excitation energies
+    layout, _, h = harmonic_system
+    _, ground = ground_state_vector(h, layout)
+    mats = compute_matrices(ground, h, build_eom_operators(layout, 2))
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        solve_pseudo_eigenproblem(mats, threshold=-1e9)
+    np.testing.assert_allclose(solve_pseudo_eigenproblem(mats, threshold=0.0),
+                               [1000.0, 1500.0, 2500.0], atol=1e-8)
+
+
 def test_diagnostics_of_the_harmonic_ground_state(harmonic_system):
     layout, _, h = harmonic_system
     _, ground = ground_state_vector(h, layout)

@@ -5,19 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import bench_pes, build_qubit_hamiltonian
 from helpers import (dense_circuit_unitary, dense_expectations,
                      dense_from_label, dense_from_sum, dense_gate_matrix,
                      density_matrix_simulation, noisy_trajectories,
                      random_pauli_sum)
 from vibriq.circuits import (Circuit, Gate, build_chc, build_uvcc,
                              excitation_list, reference_circuit)
+from vibriq.exact import dense_matrix
 from vibriq.mapping import QubitLayout
 from vibriq.pauli import PauliSum
 from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
                               apply_circuit, bitstring, compile_pauli_sum,
                               distribution_fidelity, expectation,
                               expectation_value, noisy_counts,
-                              noisy_distribution, pauli_term_masks, run_fidelity_experiment,
+                              noisy_distribution, run_fidelity_experiment,
                               sample)
 from vibriq.simulator import _conjugate_by_gate, _depolarize
 
@@ -140,13 +142,14 @@ def test_term_masks_rebuild_dense_matrix_on_non_hermitian_sums():
     rng = np.random.default_rng(53)
     for num_qubits in range(1, 6):
         op = random_pauli_sum(rng, num_qubits, 8, letters="IXYYZ")
-        flips, signs, weights = pauli_term_masks(op)
         dim = 1 << num_qubits
         mat = np.zeros((dim, dim), dtype=complex)
-        for flip, sign, weight in zip(flips, signs, weights):
+        for flip, sign, c in op.masks():
+            weight = c * (-1j) ** bin(flip & sign).count("1")
             for j in range(dim):
                 mat[j, j ^ flip] += weight * (-1) ** bin(j & sign).count("1")
         np.testing.assert_allclose(mat, dense_from_sum(op), atol=1e-12)
+        np.testing.assert_allclose(dense_matrix(op), mat, rtol=0, atol=1e-12)
 
 
 def test_compiled_y_maps_zero_to_i_one():
@@ -169,16 +172,68 @@ def test_compiled_sum_groups_terms_by_flip_mask():
     assert expectation(StateVector.vacuum(2), PauliSum(2)) == 0.0
 
 
+def test_compiled_basis_form_matches_slice_of_kron_oracle():
+    rng = np.random.default_rng(59)
+    for num_qubits in range(3, 7):
+        dim = 1 << num_qubits
+        for _ in range(3):
+            op = random_pauli_sum(rng, num_qubits, int(rng.integers(1, 24)))
+            full = dense_from_sum(op)
+            for size in (1, dim // 3, dim - 1, dim):
+                idx = np.sort(rng.choice(dim, size=size, replace=False))
+                amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+                amps /= np.linalg.norm(amps)
+                np.testing.assert_allclose(
+                    compile_pauli_sum(op, idx).apply(amps),
+                    full[np.ix_(idx, idx)] @ amps, rtol=0, atol=1e-12)
+
+
+def test_full_space_tables_sum_terms_in_items_order_bit_for_bit():
+    """The tables of the benchmark's seed-0 qEOM Hamiltonian (2 modes, 3
+    modals) equal each mask's terms added one by one in ``items`` order."""
+    _, _, h = build_qubit_hamiltonian(bench_pes(2, 0), (3, 3))
+    dim = 1 << h.num_qubits
+    states = np.arange(dim)
+    diags: dict[int, np.ndarray] = {}
+    for x, z, c in h.masks():
+        sign = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
+        weight = c * (-1j) ** (bin(x & z).count("1") % 4)
+        diags[x] = diags.get(x, np.zeros(dim, dtype=complex)) + weight * sign
+    masks = sorted(diags)
+    compiled = compile_pauli_sum(h)
+    np.testing.assert_array_equal(compiled.perms,
+                                  np.array(masks)[:, None] ^ states)
+    np.testing.assert_array_equal(compiled.diags,
+                                  np.array([diags[x] for x in masks]))
+
+
+def test_compile_refuses_unsorted_indices():
+    for indices in ([3, 1], [1, 1, 2]):
+        with pytest.raises(ValueError, match="ascending"):
+            compile_pauli_sum(PauliSum.from_label("IXI"), np.array(indices))
+
+
+def test_compiled_operator_refuses_a_basis():
+    compiled = compile_pauli_sum(PauliSum.from_label("XZ"))
+    assert compile_pauli_sum(compiled) is compiled
+    with pytest.raises(ValueError, match="keeps its own basis"):
+        compile_pauli_sum(compiled, np.array([1, 2]))
+
+
 def test_compile_refuses_oversized_tables_before_allocating():
     n = 20
     labels = ["".join("X" if (k >> q) & 1 else "I" for q in range(n))
               for k in range(1, 33)]
     op = PauliSum(n, [(label, 1.0) for label in labels])
+    subset = np.arange((1 << 19) + 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError,
                            match=r"32 flip masks on 20 qubits needs 805 MB"):
             compile_pauli_sum(op)
+        with pytest.raises(ValueError,
+                           match=r"32 flip masks on 20 qubits needs 403 MB"):
+            compile_pauli_sum(op, subset)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -48,6 +48,26 @@ def test_unknown_optimizer_rejected():
         minimize(lambda p: 0.0, [0.0], VqeConfig(optimizer="bfgs"))
 
 
+def test_empty_start_is_evaluated_once_and_returned():
+    for optimizer in ("nelder-mead", "spsa"):
+        result = minimize(lambda p: 7.5, [], VqeConfig(optimizer=optimizer))
+        assert result.energy == 7.5
+        assert result.params.shape == (0,)
+        assert result.evals == 1
+        assert result.stop_reason == "tolerance"
+
+
+@pytest.mark.parametrize("ansatz", ["uvccsd", "chc"])
+def test_one_modal_per_mode_gives_the_reference_energy(coupled_pes, ansatz):
+    """One modal per mode leaves one physical state and no parameters."""
+    layout, _, h = build_qubit_hamiltonian(coupled_pes, (1, 1))
+    result = ground_state(h, layout, VqeConfig(ansatz=ansatz))
+    (reference,) = physical_spectrum(h, layout)
+    assert result.params.shape == (0,)
+    assert result.evals == 1 and result.converged
+    assert result.energy == pytest.approx(reference, rel=1e-12)
+
+
 def test_uncoupled_start_is_already_optimal(harmonic_pes):
     layout, _, h = build_qubit_hamiltonian(harmonic_pes, (2, 2))
     config = VqeConfig(ansatz="uvccsd", initial_params=(0.0, 0.0, 0.0))
@@ -258,6 +278,15 @@ def test_non_hermitian_hamiltonian_refused_on_both_routes():
     for ansatz in ("uvccsd", "chc"):
         with pytest.raises(ValueError, match="operator is not Hermitian"):
             ground_state(hamiltonian, layout, VqeConfig(ansatz=ansatz))
+
+
+def test_non_hermitian_part_outside_the_block_refused(coupled_system):
+    # i X on qubit 0 flips one bit of mode 0's register, so it has no
+    # entry in the physical block; its coefficient still shows it
+    layout, _, h = coupled_system
+    hamiltonian = h + PauliSum.from_label("XIII", 1j)
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        ground_state(hamiltonian, layout, VqeConfig(ansatz="uvccsd"))
 
 
 @pytest.mark.parametrize("trotter_steps", [1, 3])
