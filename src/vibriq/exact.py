@@ -4,6 +4,9 @@ The physical subspace is the Π N_l direct-product (VCI) modal basis: the
 basis states with one set bit per mode register, in ascending index order
 (mode 0 varying fastest).  Only that block is built, from the Pauli sum
 compiled on those states; the 2^N × 2^N operator is never formed.
+The block is real symmetric for a Hamiltonian mapped from real n-mode SQ
+terms (Christiansen, PCCP 9, 2942 (2007)); ``physical_block`` refuses any
+other block, so the spectrum and the ground state come from real LAPACK.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import numpy as np
 
 from .mapping import QubitLayout
 from .pauli import PauliSum
-from .simulator import StateVector, _basis, _mask_chunks, _term_groups, embed
+from .simulator import (IMAG_TOL, StateVector, _basis, _mask_chunks,
+                        _term_groups, check_hermitian, embed)
 
 # Largest dimension of a matrix built here: 268 MB of complex entries.
 MAX_DENSE_DIM = 4096
@@ -57,15 +61,24 @@ def physical_indices(layout: QubitLayout) -> np.ndarray:
 
 def physical_block(h: PauliSum, layout: QubitLayout
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The physical basis and ``h``'s matrix on it.
+    """The physical basis and ``h``'s real symmetric matrix on it.
 
-    Refuses a block above ``MAX_DENSE_DIM`` before building anything.
+    Refuses a block above ``MAX_DENSE_DIM`` before building anything, a
+    non-Hermitian ``h``, and an imaginary block, which only strings with
+    an odd number of Y give: c P(x, z) enters as c (-i)^|x & z| (-1)^|j & z|.
     """
     _check_dimension(int(np.prod(layout.modal_counts)))
     if h.num_qubits != layout.num_qubits:
         raise ValueError("operator and layout disagree on the qubit count")
+    check_hermitian(h)
     indices = physical_indices(layout)
-    return indices, dense_matrix(h, indices)
+    block = dense_matrix(h, indices)
+    # reductions over views: no D x D temporary
+    residue = max(block.imag.max(), -block.imag.min())
+    if residue > IMAG_TOL * max(1.0, block.real.max(), -block.real.min()):
+        raise ValueError(f"physical block has imaginary part {residue:.3e}; "
+                         "a Hamiltonian mapped from real SQ terms has none")
+    return indices, np.ascontiguousarray(block.real)
 
 
 def physical_spectrum(h: PauliSum, layout: QubitLayout) -> np.ndarray:
@@ -79,7 +92,6 @@ def ground_state_vector(h: PauliSum, layout: QubitLayout
     indices, sub = physical_block(h, layout)
     vals, vecs = np.linalg.eigh(sub)
     vec = vecs[:, 0]
-    # deterministic gauge: largest-magnitude component real and positive
-    k = int(np.argmax(np.abs(vec)))
-    vec = vec * (np.abs(vec[k]) / vec[k])
+    # deterministic gauge: largest-magnitude component positive
+    vec = vec * np.sign(vec[np.argmax(np.abs(vec))])
     return float(vals[0]), embed(layout.num_qubits, indices, vec)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 DROP_TOL = 1e-12
 
 _LETTERS = frozenset("IXYZ")
@@ -37,21 +39,25 @@ def _parse(label: str, num_qubits: int) -> tuple[int, int]:
     return int(rev.translate(_X_BITS), 2), int(rev.translate(_Z_BITS), 2)
 
 
-def _digits(x: int, z: int, num_qubits: int) -> int:
-    """An integer that orders P(x, z) exactly like its label.
-
-    Qubit q becomes hex digit q from the left, (x ^ z)_q + 2 z_q: the
-    index of its letter in IXYZ.
-    """
-    fmt = f"0{num_qubits}b"
-    return (int(format(x ^ z, fmt)[::-1], 16)
-            + 2 * int(format(z, fmt)[::-1], 16))
+def _label_order(keys: list[tuple[int, int]], num_qubits: int) -> np.ndarray:
+    """Positions of the (x, z) keys in label order, with no label built:
+    qubit q's letter is its index in IXYZ, (x ^ z)_q + 2 z_q, and labels
+    compare qubit 0 first."""
+    size = (num_qubits + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(size, "little")
+                                 for key in keys for m in key), dtype=np.uint8)
+    x, z = np.unpackbits(raw.reshape(-1, 2, size), axis=2, count=num_qubits,
+                         bitorder="little").transpose(1, 0, 2)
+    return np.lexsort(((x ^ z) + 2 * z).T[::-1])
 
 
 def _label(x: int, z: int, num_qubits: int) -> str:
-    """The ``IXYZ`` label of P(x, z), qubit 0 leftmost."""
-    return format(_digits(x, z, num_qubits),
-                  f"0{num_qubits}x").translate(_DIGIT_LETTERS)
+    """The ``IXYZ`` label of P(x, z), qubit 0 leftmost: qubit q becomes hex
+    digit q from the left, the index of its letter in IXYZ."""
+    fmt = f"0{num_qubits}b"
+    digits = (int(format(x ^ z, fmt)[::-1], 16)
+              + 2 * int(format(z, fmt)[::-1], 16))
+    return format(digits, f"0{num_qubits}x").translate(_DIGIT_LETTERS)
 
 
 @dataclass(frozen=True)
@@ -121,14 +127,13 @@ class PauliSum:
     def items(self) -> list[tuple[str, complex]]:
         """(label, coefficient) pairs, sorted by label like ``terms``."""
         n = self._num_qubits
-        return sorted((_label(x, z, n), c)
-                      for (x, z), c in self._terms.items())
+        return [(_label(x, z, n), c) for x, z, c in self.masks()]
 
     def masks(self) -> list[tuple[int, int, complex]]:
         """(x, z, coefficient) per term, in ``items`` order."""
-        n = self._num_qubits
-        return sorted(((x, z, c) for (x, z), c in self._terms.items()),
-                      key=lambda t: _digits(t[0], t[1], n))
+        keys, coeffs = list(self._terms), list(self._terms.values())
+        return [(*keys[k], coeffs[k])
+                for k in _label_order(keys, self._num_qubits).tolist()]
 
     def __len__(self) -> int:
         return len(self._terms)

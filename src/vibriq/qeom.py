@@ -15,7 +15,8 @@ commutator DC(A,H,B) takes its Jacobi form [[A,H],B] + [H,[A,B]] / 2,
 and [A,B] between pool operators is short or zero.  Only the upper
 triangle of M, Q, V and W is evaluated: for Hermitian H, M and V are
 Hermitian, Q symmetric and W antisymmetric in any state, since
-DC(A,H,B)^+ = DC(B^+,H,A^+) and DC is symmetric in A and B.
+DC(A,H,B)^+ = DC(B^+,H,A^+) and DC is symmetric in A and B.  So
+``compute_matrices`` first checks H Hermitian, as VQE and the exact path do.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy import linalg
 from .circuits import Excitation, excitation_list, excitation_sq_terms
 from .mapping import QubitLayout, map_to_pauli
 from .pauli import PauliSum, commutator
-from .simulator import StateVector, expectation_value
+from .simulator import StateVector, check_hermitian, expectation_value
 
 METRIC_SINGULARITY_RTOL = 1e-10
 # An eigenvalue counts as complex when |Im E| exceeds this times max |E|.
@@ -85,6 +86,7 @@ def compute_matrices(ground: StateVector, h: PauliSum,
     """Commutator expectations in the (approximate) ground state."""
     if ground.num_qubits != h.num_qubits:
         raise ValueError("state and Hamiltonian disagree on the qubit count")
+    check_hermitian(h)
     size = ops.size
     m = np.zeros((size, size), dtype=np.complex128)
     q = np.zeros((size, size), dtype=np.complex128)

@@ -9,7 +9,8 @@ is compiled on a set of basis states: all 2^N, or a subset every step
 maps to itself, such as the physical states a uvccsd ansatz never
 leaves, where its amplitudes are real.  The reference-state X gates fold
 into the program's start state.  Pauli sums are evaluated through
-``CompiledPauliSum``, which groups the terms by the qubits they flip.
+``CompiledPauliSum``, which groups the terms by the qubits they flip;
+``check_hermitian`` is the one Hermiticity check a Hamiltonian gets.
 
 Basis convention: bit q of a basis index is the value of qubit q, and
 bitstrings render qubit 0 as the leftmost character.  The noise model is
@@ -44,7 +45,7 @@ from .pauli import PauliSum
 
 NORM_TOL = 1e-10
 
-# |Im <op>| / max(1, |<op>|) above which ``expectation`` calls op non-Hermitian.
+# Largest relative imaginary part of a coefficient, block entry or <op>.
 IMAG_TOL = 1e-10
 
 # Largest register the noisy path simulates: its density matrix holds 4^N
@@ -54,6 +55,17 @@ MAX_DENSITY_QUBITS = 12
 # Largest masks x 2^N table a compiled Pauli sum holds: an int64
 # permutation plus a complex diagonal per entry, 403 MB at the limit.
 MAX_COMPILED_ELEMENTS = 1 << 24
+
+
+def check_hermitian(op: PauliSum) -> None:
+    """Raise ``ValueError`` unless ``op`` is Hermitian: its strings are
+    Hermitian and independent, so every coefficient must be real, to
+    ``IMAG_TOL`` of the largest."""
+    coeffs = np.array([c for _, _, c in op.masks()], dtype=complex)
+    residue = float(np.max(np.abs(coeffs.imag), initial=0.0))
+    if residue > IMAG_TOL * max(1.0, np.max(np.abs(coeffs), initial=0.0)):
+        raise ValueError(f"Pauli coefficient has imaginary part "
+                         f"{residue:.3e}; operator is not Hermitian")
 
 
 def _check_norm(amps: np.ndarray) -> None:
@@ -522,7 +534,8 @@ class AnsatzProgram:
         real = not any(isinstance(s, PauliRotationStep) for s in steps)
         return cls(num_qubits, num_parameters, indices, start, steps, real)
 
-    def _run(self, params: Sequence[float]) -> np.ndarray:
+    def amplitudes(self, params: Sequence[float]) -> np.ndarray:
+        """The ansatz state at ``params`` on ``indices``, norm checked."""
         params = np.asarray(params, dtype=float)
         if params.shape != (self.num_parameters,):
             raise ValueError(f"expected {self.num_parameters} parameters, "
@@ -532,17 +545,8 @@ class AnsatzProgram:
         amps[self.start] = 1.0
         for step in self.steps:
             amps = step.apply(amps, params)
-        return amps
-
-    def amplitudes(self, params: Sequence[float]) -> np.ndarray:
-        """The ansatz state at ``params`` on ``indices``, norm checked."""
-        amps = self._run(params)
         _check_norm(amps)
         return amps
-
-    def prepare(self, params: Sequence[float]) -> StateVector:
-        """The ansatz state at ``params`` in the full 2^N space."""
-        return embed(self.num_qubits, self.indices, self._run(params))
 
 
 # -- sampling ------------------------------------------------------------------

@@ -13,14 +13,14 @@ The objective never touches the gate-level circuit: each run compiles
 the ansatz into an ``AnsatzProgram`` (one vectorized step per excitation
 or Pauli rotation), once, outside the objective, on one of two routes.
 uvccsd keeps one occupied modal per mode, so its state never leaves the
-Π N_l physical (VCI) basis: the ``"physical"`` route runs it there, on
-real amplitudes, against the real part of the Hamiltonian's physical
-block from ``exact.physical_block`` (checked Hermitian once, on the Pauli
-coefficients).  The occupation penalty is exactly zero on that basis.
+Π N_l physical (VCI) basis: the ``"physical"`` route runs it there, as
+a^T H a on real amplitudes against the real symmetric block of
+``exact.physical_block``, where the occupation penalty is exactly zero.
 chc, swaprz and ryrz leak out of it, so the ``"full"`` route runs them on
 all 2^N complex amplitudes against the mask-grouped ``CompiledPauliSum``.
-Either way the result keeps its state on the program's basis and embeds
-it into 2^N only when ``VqeResult.state`` is read.  ``build_ansatz``
+One objective serves both, and H is checked Hermitian once per run.
+The result keeps its state on the program's basis and embeds it into
+2^N only when ``VqeResult.state`` is read.  ``build_ansatz``
 still gives the ``Circuit`` used for resource counts, noise and as the
 reference the program is tested against.
 """
@@ -39,8 +39,8 @@ from .circuits import (Block, Circuit, chc_blocks, circuit_from_blocks,
 from .exact import physical_block
 from .mapping import QubitLayout, occupations, penalty_objective
 from .pauli import PauliSum
-from .simulator import (IMAG_TOL, AnsatzProgram, StateVector,
-                        compile_pauli_sum, embed, expectation)
+from .simulator import (AnsatzProgram, StateVector, check_hermitian,
+                        compile_pauli_sum, embed)
 
 ANSATZ_KINDS = ("uvccsd", "chc", "swaprz", "ryrz")
 DEFAULT_PENALTY_WEIGHT = 1e5
@@ -213,7 +213,6 @@ def _run_spsa(tracker: _Tracker, start: np.ndarray, config: VqeConfig) -> str:
     a, c, big_a = 0.2, 0.1, 0.1 * iterations
     alpha, gamma = 0.602, 0.101
     try:
-        tracker(theta)
         for k in range(iterations):
             ak = a / (k + 1 + big_a) ** alpha
             ck = c / (k + 1) ** gamma
@@ -280,49 +279,31 @@ def ansatz_program(layout: QubitLayout, config: VqeConfig,
                                  indices)
 
 
-def _physical_objective(hamiltonian: PauliSum, layout: QubitLayout,
-                        config: VqeConfig) -> tuple[Callable, AnsatzProgram]:
-    """<H> on the real amplitudes of the physical basis.
-
-    For a real state, psi^T H psi = psi^T Re(H) psi exactly when H is
-    Hermitian: for a Pauli sum, when every coefficient is real (the strings
-    are Hermitian and independent).  Checked once; Im(H) is dropped.
-    """
-    coeffs = np.array([c for _, _, c in hamiltonian.masks()], dtype=complex)
-    residue = float(np.max(np.abs(coeffs.imag), initial=0.0))
-    if residue > IMAG_TOL * max(1.0, np.max(np.abs(coeffs), initial=0.0)):
-        raise ValueError(f"Hamiltonian coefficient has imaginary part "
-                         f"{residue:.3e}; operator is not Hermitian")
-    # The block's dimension check comes before any index array is built.
-    indices, block = physical_block(hamiltonian, layout)
-    h = np.ascontiguousarray(block.real)
+def _objective(hamiltonian: PauliSum, layout: QubitLayout, config: VqeConfig
+               ) -> tuple[str, Callable, AnsatzProgram]:
+    """The route, the objective on the program's basis, and the program;
+    H is checked before the program builds its index arrays."""
+    # uvccsd is the one ansatz whose states cannot leave the physical basis
+    if config.ansatz == "uvccsd":
+        route = "physical"
+        indices, block = physical_block(hamiltonian, layout)
+    else:
+        route, indices, mu = "full", None, config.effective_mu()
+        check_hermitian(hamiltonian)
+        compiled = compile_pauli_sum(hamiltonian)
     program = ansatz_program(layout, config, indices)
 
     def objective(params: np.ndarray) -> float:
         amps = program.amplitudes(params)
-        return float(amps @ h @ amps)
-
-    return objective, program
-
-
-def _full_objective(hamiltonian: PauliSum, layout: QubitLayout,
-                    config: VqeConfig) -> tuple[Callable, AnsatzProgram]:
-    """<H>, plus the occupation penalty when it is on, on all 2^N states."""
-    # Compiling refuses an oversized register, so it runs before the
-    # ansatz program builds its index arrays.
-    h = compile_pauli_sum(hamiltonian)
-    mu = config.effective_mu()
-    program = ansatz_program(layout, config)
-
-    def objective(params: np.ndarray) -> float:
-        state = program.prepare(params)
-        energy = expectation(state, h)
+        if route == "physical":
+            return float(amps @ block @ amps)
+        energy = float(np.vdot(amps, compiled.apply(amps)).real)
         if mu > 0:
             return penalty_objective(energy, occupations(
-                layout, state.amplitudes, program.indices), mu)
+                layout, amps, program.indices), mu)
         return energy
 
-    return objective, program
+    return route, objective, program
 
 
 def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
@@ -336,13 +317,7 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
     config = config or VqeConfig()
     if hamiltonian.num_qubits != layout.num_qubits:
         raise ValueError("Hamiltonian and layout disagree on the qubit count")
-    # uvccsd is the one ansatz whose states cannot leave the physical basis
-    if config.ansatz == "uvccsd":
-        route = "physical"
-        objective, program = _physical_objective(hamiltonian, layout, config)
-    else:
-        route = "full"
-        objective, program = _full_objective(hamiltonian, layout, config)
+    route, objective, program = _objective(hamiltonian, layout, config)
 
     if config.initial_params is not None:
         start = np.asarray(config.initial_params, dtype=float)

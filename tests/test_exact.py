@@ -11,6 +11,8 @@ from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
 from vibriq.pauli import PauliSum
 from vibriq.simulator import MAX_COMPILED_ELEMENTS, expectation
 
+from conftest import bench_pes, build_qubit_hamiltonian
+
 
 def test_dense_single_qubit_cases():
     np.testing.assert_allclose(dense_matrix(PauliSum.from_label("Z")),
@@ -112,7 +114,9 @@ def test_physical_spectrum_matches_onv_rule_oracle():
                                    atol=1e-10 * np.abs(expected).max())
 
 
-def test_sixteen_qubit_layout_with_64_physical_states():
+def _sixteen_qubit_system():
+    """(layout, SQ terms, Pauli sum) on (8, 8): random one-mode terms and
+    a few two-mode couplings."""
     layout = QubitLayout((8, 8))
     rng = np.random.default_rng(17)
     terms = []
@@ -123,7 +127,11 @@ def test_sixteen_qubit_layout_with_64_physical_states():
                   for k in range(8) for h in range(8)]
     for k, h in ((0, 1), (1, 0), (2, 3), (3, 2)):
         terms.append(SqTerm(0.3, ((0, k, h), (1, h, k))))
-    h = map_to_pauli(terms, layout)
+    return layout, terms, map_to_pauli(terms, layout)
+
+
+def test_sixteen_qubit_layout_with_64_physical_states():
+    layout, terms, h = _sixteen_qubit_system()
     oracle = onv_rule_matrix(terms, layout)
     expected = np.linalg.eigvalsh(oracle)
     np.testing.assert_allclose(physical_spectrum(h, layout), expected,
@@ -133,6 +141,48 @@ def test_sixteen_qubit_layout_with_64_physical_states():
     vec = state.amplitudes[physical_indices(layout)]
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(oracle @ vec, energy * vec, atol=1e-9)
+
+
+@pytest.mark.parametrize("system", ["five modes", "(8,8)"])
+def test_real_block_spectrum_matches_complex_eigvalsh(system):
+    if system == "five modes":  # the benchmark's PES, D = 4^5 = 1 024
+        layout, _, h = build_qubit_hamiltonian(bench_pes(5, 0), (4,) * 5)
+    else:
+        layout, _, h = _sixteen_qubit_system()
+    expected = np.linalg.eigvalsh(dense_matrix(h, physical_indices(layout)))
+    np.testing.assert_allclose(physical_spectrum(h, layout), expected,
+                               rtol=1e-12, atol=0)
+
+
+def test_non_hermitian_sums_refused(coupled_system):
+    layout, _, h = coupled_system
+    # the 0.5i XXII term lies inside the block, i XIII outside it
+    inside = PauliSum(4, [("IIII", 1000.0), ("ZIZI", 3.0), ("XXII", 0.5j),
+                          ("XXXX", 2.0)])
+    outside = h + PauliSum.from_label("XIII", 1j)
+    for op in (inside, outside):
+        for exact_path in (physical_spectrum, ground_state_vector):
+            with pytest.raises(ValueError, match="operator is not Hermitian"):
+                exact_path(op, layout)
+
+
+def test_hermitian_sum_with_an_imaginary_block_refused(coupled_system):
+    # X0 Y1 swaps mode 0's two modals with phase -+i
+    layout, _, h = coupled_system
+    for op in (PauliSum.from_label("XYII", 0.5),
+               h + PauliSum.from_label("XYII", 0.5)):
+        for exact_path in (physical_spectrum, ground_state_vector):
+            with pytest.raises(ValueError,
+                               match="physical block has imaginary part"):
+                exact_path(op, layout)
+
+
+def test_ground_state_vector_gauge_is_real_and_positive(coupled_system):
+    layout, _, h = coupled_system
+    _, state = ground_state_vector(h, layout)
+    vec = state.amplitudes[physical_indices(layout)]
+    assert not np.any(vec.imag)
+    assert vec[np.argmax(np.abs(vec))] > 0
 
 
 def test_uncoupled_harmonic_spectrum(harmonic_system):

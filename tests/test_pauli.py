@@ -182,6 +182,37 @@ def test_masks_follow_items_order():
                          (0b100, 0b101, 2.0)]
 
 
+def _letters(x, z, num_qubits):
+    """The label of P(x, z) letter by letter: (x_q, z_q) picks I, X, Z or Y."""
+    return "".join("IXZY"[(x >> q & 1) + 2 * (z >> q & 1)]
+                   for q in range(num_qubits))
+
+
+@pytest.mark.parametrize("num_qubits", [1, 3, 8, 9, 17, 64, 90])
+def test_masks_follow_items_order_on_random_sums(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    # a shared prefix over all but the last few qubits makes the order
+    # turn on the trailing letters too
+    prefix = "".join(rng.choice(list("IXYZ"), size=max(0, num_qubits - 4)))
+    labels = ["".join(rng.choice(list("IXYZ"), size=num_qubits))
+              for _ in range(150)]
+    labels += [prefix + "".join(rng.choice(list("IXYZ"),
+                                           size=num_qubits - len(prefix)))
+               for _ in range(50)]
+    coeffs = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    s = PauliSum(num_qubits, list(zip(labels, coeffs)))
+    merged = {}
+    for label, c in zip(labels, coeffs):
+        merged[label] = merged.get(label, 0.0) + c
+    expected = sorted(merged)
+    masks = s.masks()
+    assert [_letters(x, z, num_qubits) for x, z, _ in masks] == expected
+    assert [label for label, _ in s.items()] == expected
+    np.testing.assert_allclose([c for _, _, c in masks],
+                               [merged[label] for label in expected],
+                               rtol=1e-15, atol=0)
+
+
 def test_simplify_idempotent_and_canonical_order():
     s = PauliSum(2, [("ZZ", 1.0), ("IX", 2.0), ("ZZ", -0.25)])
     rebuilt = PauliSum(2, {t.label: t.coefficient for t in s.terms})

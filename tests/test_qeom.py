@@ -151,6 +151,15 @@ def test_eom_operator_adjoints_are_conjugate_transposes():
                                    dense_from_sum(op).conj().T, atol=1e-13)
 
 
+def test_non_hermitian_hamiltonian_refused(coupled_system):
+    # the mirrored triangles of M, Q, V and W hold only for Hermitian H
+    layout, _, h = coupled_system
+    _, ground = ground_state_vector(h, layout)
+    ops = build_eom_operators(layout, 2)
+    with pytest.raises(ValueError, match="operator is not Hermitian"):
+        compute_matrices(ground, h + PauliSum.from_label("XXII", 0.5j), ops)
+
+
 def test_harmonic_matrices_and_energies(harmonic_system):
     layout, _, h = harmonic_system
     _, ground = ground_state_vector(h, layout)

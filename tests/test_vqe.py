@@ -8,7 +8,8 @@ from vibriq.exact import physical_indices, physical_spectrum
 from vibriq.mapping import (QubitLayout, number_operator, occupations,
                             penalty_objective)
 from vibriq.pauli import PauliSum
-from vibriq.simulator import apply_circuit, compile_pauli_sum, expectation
+from vibriq.simulator import (StateVector, apply_circuit, compile_pauli_sum,
+                              embed, expectation)
 from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
                         minimize)
 
@@ -190,14 +191,14 @@ def test_program_state_matches_circuit(modals, ansatz, depth, trotter_steps):
     for _ in range(3):
         params = rng.uniform(-np.pi, np.pi, circuit.num_parameters)
         expected = apply_circuit(circuit, params).amplitudes
-        got = program.prepare(params).amplitudes
+        got = program.amplitudes(params)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_program_checks_parameter_count():
     program = ansatz_program(QubitLayout((2, 2)), VqeConfig())
     with pytest.raises(ValueError, match="parameters"):
-        program.prepare([0.0])
+        program.amplitudes([0.0])
 
 
 def test_result_carries_prepared_state(coupled_system):
@@ -225,6 +226,26 @@ def test_stop_reason_budget_versus_tolerance(coupled_system):
     spsa = minimize(lambda p: float(np.sum(p ** 2)), [0.5, 0.5],
                     VqeConfig(optimizer="spsa", max_evals=41))
     assert spsa.stop_reason == "max_evals"
+
+
+def test_spsa_evaluates_its_start_once():
+    calls = []
+
+    def bowl(p):
+        calls.append(np.array(p))
+        return float(np.sum(p ** 2))
+
+    result = minimize(bowl, [0.5, 0.5],
+                      VqeConfig(optimizer="spsa", max_evals=41))
+    assert result.evals == len(calls) == 41
+    assert result.stop_reason == "max_evals"
+    np.testing.assert_array_equal(calls[0], [0.5, 0.5])
+    assert not any(np.array_equal(a, b) for a, b in zip(calls, calls[1:]))
+    # the other 40 are the +- pairs of all 20 iterations, the first
+    # centred on the start
+    pairs = np.array(calls[1:]).reshape(20, 2, 2)
+    np.testing.assert_allclose(pairs[0].mean(axis=0), [0.5, 0.5],
+                               rtol=0, atol=1e-15)
 
 
 def test_max_evals_must_be_positive():
@@ -289,6 +310,20 @@ def test_non_hermitian_part_outside_the_block_refused(coupled_system):
         ground_state(hamiltonian, layout, VqeConfig(ansatz="uvccsd"))
 
 
+def test_imaginary_physical_block_refused_on_the_physical_route(
+        coupled_system):
+    # X0 Y1 is Hermitian and swaps mode 0's two modals with phase -+i, so
+    # the block is not real; the full route's complex amplitudes take it
+    layout, _, h = coupled_system
+    hamiltonian = h + PauliSum.from_label("XYII", 0.5)
+    with pytest.raises(ValueError, match="physical block has imaginary part"):
+        ground_state(hamiltonian, layout, VqeConfig(ansatz="uvccsd"))
+    chc = ground_state(hamiltonian, layout,
+                       VqeConfig(ansatz="chc", max_evals=60))
+    assert chc.route == "full" and chc.evals == 60
+    assert np.isfinite(chc.energy)
+
+
 @pytest.mark.parametrize("trotter_steps", [1, 3])
 @pytest.mark.parametrize("modals", [(2, 2), (2, 4), (3, 3), (3, 3, 2)])
 def test_physical_program_matches_full_space(modals, trotter_steps):
@@ -301,9 +336,9 @@ def test_physical_program_matches_full_space(modals, trotter_steps):
     rng = np.random.default_rng(sum(modals) * 10 + trotter_steps)
     for _ in range(3):
         params = rng.uniform(-np.pi, np.pi, full.num_parameters)
-        expected = full.prepare(params).amplitudes
-        assert np.max(np.abs(block.prepare(params).amplitudes
-                             - expected)) <= 1e-12
+        expected = full.amplitudes(params)
+        embedded = embed(layout.num_qubits, indices, block.amplitudes(params))
+        assert np.max(np.abs(embedded.amplitudes - expected)) <= 1e-12
         assert np.max(np.abs(block.amplitudes(params)
                              - expected[indices])) <= 1e-12
 
@@ -330,14 +365,17 @@ def test_physical_route_matches_full_space_minimization(num_modes, modals,
     compiled = compile_pauli_sum(h)
     start = np.random.default_rng(config.seed).uniform(
         *vqe.INIT_RANGE, size=program.num_parameters)
-    reference = minimize(lambda p: expectation(program.prepare(p), compiled),
-                         start, config)
+    def full_space_energy(params):
+        state = StateVector(layout.num_qubits, program.amplitudes(params))
+        return expectation(state, compiled)
+
+    reference = minimize(full_space_energy, start, config)
     result = ground_state(h, layout, config)
     assert result.route == "physical"
     assert result.evals == reference.evals == evals
     assert abs(result.energy - reference.energy) \
         <= 1e-10 * abs(reference.energy)
-    expected = program.prepare(result.params).amplitudes
+    expected = program.amplitudes(result.params)
     assert np.max(np.abs(result.state.amplitudes - expected)) <= 1e-12
 
 
@@ -346,11 +384,12 @@ def test_full_route_penalty_matches_number_operators(coupled_system, ansatz):
     layout, _, h = coupled_system
     config = VqeConfig(ansatz=ansatz, depth=2)
     assert config.effective_mu() == 1e5
-    objective, program = vqe._full_objective(h, layout, config)
+    route, objective, program = vqe._objective(h, layout, config)
+    assert route == "full"
     rng = np.random.default_rng(5)
     for _ in range(5):
         params = rng.uniform(-np.pi, np.pi, program.num_parameters)
-        state = program.prepare(params)
+        state = StateVector(layout.num_qubits, program.amplitudes(params))
         expected = penalty_objective(
             expectation(state, h),
             [expectation(state, number_operator(layout, l))
