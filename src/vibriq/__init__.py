@@ -20,8 +20,8 @@ from .circuits import (Circuit, Excitation, Gate, build_chc, build_heuristic,
 from .simulator import (AnsatzProgram, CompiledPauliSum, NoiseModel,
                         ShotCounts, StateVector, apply_circuit,
                         compile_pauli_sum, distribution_fidelity, expectation,
-                        expectation_value, noisy_counts, noisy_distribution,
-                        run_fidelity_experiment, sample)
+                        expectation_value, expectation_values, noisy_counts,
+                        noisy_distribution, run_fidelity_experiment, sample)
 from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
                   ground_state, minimize)
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,

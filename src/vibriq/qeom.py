@@ -9,14 +9,19 @@ that solve: the metric's conditioning and the complex eigenvalues whose
 imaginary parts the real branch drops, which signal a reference state
 that is not an exact eigenstate (Ollitrault et al., arXiv:1910.12890).
 
-The Pauli algebra is kept small three ways.  A commutator multiplies only
-the anticommuting string pairs (``pauli.commutator``).  The double
-commutator DC(A,H,B) takes its Jacobi form [[A,H],B] + [H,[A,B]] / 2,
-and [A,B] between pool operators is short or zero.  Only the upper
-triangle of M, Q, V and W is evaluated: for Hermitian H, M and V are
-Hermitian, Q symmetric and W antisymmetric in any state, since
-DC(A,H,B)^+ = DC(B^+,H,A^+) and DC is symmetric in A and B.  So
-``compute_matrices`` first checks H Hermitian, as VQE and the exact path do.
+The Pauli algebra is kept small four ways.  A commutator is one array
+pass over the string pairs of its two sums: it tests the whole pair grid
+for anticommutation and multiplies only the pairs that anticommute
+(``pauli.commutator``).  The double commutator DC(A,H,B) takes its Jacobi
+form [[A,H],B] + [H,[A,B]] / 2, and [A,B] between pool operators is short
+or zero.  The sums of one pool row, two DCs and two commutators per
+column, are evaluated together as one table of distinct strings on the
+state's nonzero amplitudes (``simulator.expectation_values``); only that
+row's sums are held at a time.  Only the upper triangle of M, Q, V and W
+is evaluated: for Hermitian H, M and V are Hermitian, Q symmetric and W
+antisymmetric in any state, since DC(A,H,B)^+ = DC(B^+,H,A^+) and DC is
+symmetric in A and B.  So ``compute_matrices`` first checks H Hermitian,
+as VQE and the exact path do.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from scipy import linalg
 from .circuits import Excitation, excitation_list, excitation_sq_terms
 from .mapping import QubitLayout, map_to_pauli
 from .pauli import PauliSum, commutator
-from .simulator import StateVector, check_hermitian, expectation_value
+from .simulator import StateVector, check_hermitian, expectation_values
 
 METRIC_SINGULARITY_RTOL = 1e-10
 # An eigenvalue counts as complex when |Im E| exceeds this times max |E|.
@@ -93,14 +98,15 @@ def compute_matrices(ground: StateVector, h: PauliSum,
     v = np.zeros((size, size), dtype=np.complex128)
     w = np.zeros((size, size), dtype=np.complex128)
     for i in range(size):
-        dag = ops.adjoints[i]
-        for j in range(i, size):
-            op = ops.operators[j]
-            op_dag = ops.adjoints[j]
-            m[i, j] = expectation_value(ground, double_commutator(dag, h, op))
-            q[i, j] = -expectation_value(ground, double_commutator(dag, h, op_dag))
-            v[i, j] = expectation_value(ground, commutator(dag, op))
-            w[i, j] = -expectation_value(ground, commutator(dag, op_dag))
+        # one row's sums at a time, evaluated in one pass over the state
+        dag, sums = ops.adjoints[i], []
+        for op, op_dag in zip(ops.operators[i:], ops.adjoints[i:]):
+            sums += [double_commutator(dag, h, op),
+                     double_commutator(dag, h, op_dag),
+                     commutator(dag, op), commutator(dag, op_dag)]
+        row = expectation_values(ground, sums).reshape(-1, 4)
+        m[i, i:], q[i, i:] = row[:, 0], -row[:, 1]
+        v[i, i:], w[i, i:] = row[:, 2], -row[:, 3]
     # The lower triangle from the upper: M and V are Hermitian, Q is
     # symmetric and W antisymmetric in any state.
     lower = np.tril_indices(size, -1)

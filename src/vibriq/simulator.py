@@ -8,9 +8,12 @@ rotation per cluster excitation) and is what the VQE objective uses.  It
 is compiled on a set of basis states: all 2^N, or a subset every step
 maps to itself, such as the physical states a uvccsd ansatz never
 leaves, where its amplitudes are real.  The reference-state X gates fold
-into the program's start state.  Pauli sums are evaluated through
-``CompiledPauliSum``, which groups the terms by the qubits they flip;
-``check_hermitian`` is the one Hermiticity check a Hamiltonian gets.
+into the program's start state.  A Pauli sum applied again and again is
+compiled once into a ``CompiledPauliSum``, which groups the terms by the
+qubits they flip.  A one-shot expectation compiles nothing:
+``expectation_values`` evaluates each distinct string of a batch of plain
+sums once, on the state's nonzero amplitudes only.  ``check_hermitian``
+is the one Hermiticity check a Hamiltonian gets.
 
 Basis convention: bit q of a basis index is the value of qubit q, and
 bitstrings render qubit 0 as the leftmost character.  The noise model is
@@ -41,7 +44,7 @@ from scipy import sparse
 from .circuits import (Block, Circuit, Excitation, ExcitationRotation, Gate,
                        PauliRotation, build_chc, build_uvcc, excitation_list)
 from .mapping import QubitLayout
-from .pauli import PauliSum
+from .pauli import PauliSum, unique_strings
 
 NORM_TOL = 1e-10
 
@@ -209,8 +212,9 @@ def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
 
 # -- Pauli expectation values -------------------------------------------------
 
-# Largest (rows x 2^N) temporary built at once when compiling or applying
-# a Pauli sum, so that memory stays bounded for long sums on many qubits.
+# Largest (rows x states) temporary built at once when compiling, applying
+# or evaluating a Pauli sum, so that memory stays bounded for long sums on
+# many qubits.
 _CHUNK_ELEMENTS = 1 << 20
 
 # (-i)^n_Y, indexed by n_Y mod 4.
@@ -340,17 +344,56 @@ def compile_pauli_sum(op: PauliSum | CompiledPauliSum,
     return CompiledPauliSum(n, perms, diags)
 
 
+def expectation_values(state: StateVector,
+                       sums: Sequence[PauliSum]) -> np.ndarray:
+    """<psi|S|psi> for each plain Pauli sum S, possibly non-Hermitian.
+
+    Each distinct string of the batch is evaluated once, on the state's
+    nonzero amplitudes only, a chunk of strings at a time:
+    <psi|P(x, z)|psi> = (-i)^|x & z| sum over j in supp psi of
+    conj(psi[j]) (-1)^|j & z| psi[j ^ x].  The values go back to their
+    sums weighted by the coefficients, so no table over 2^N is built.
+    """
+    if any(op.num_qubits != state.num_qubits for op in sums):
+        raise ValueError("state and operator disagree on the qubit count")
+    if not sums:
+        return np.zeros(0, dtype=np.complex128)
+    arrays = [op.mask_arrays() for op in sums]
+    x, z, coeffs = (np.concatenate(part) for part in zip(*arrays))
+    owner = np.repeat(np.arange(len(sums)), [len(op) for op in sums])
+    ids, first = unique_strings(x, z)
+    x, z = x[first], z[first]
+    amps = state.amplitudes
+    support = np.flatnonzero(amps)
+    bra = amps[support].conj()
+    values = np.empty(x.size, dtype=np.complex128)
+    block = max(1, _CHUNK_ELEMENTS // support.size)
+    for lo in range(0, x.size, block):
+        sl = slice(lo, lo + block)
+        ket = amps[support ^ x[sl, None]]
+        odd = (np.bitwise_count(support & z[sl, None]) & 1).astype(bool)
+        np.negative(ket, out=ket, where=odd)
+        values[sl] = ket @ bra
+    values *= _MINUS_I_POWERS[np.bitwise_count(x & z) % 4]
+    terms = values[ids] * coeffs
+    return (np.bincount(owner, terms.real, len(sums))
+            + 1j * np.bincount(owner, terms.imag, len(sums)))
+
+
 def expectation_value(state: StateVector,
                       op: PauliSum | CompiledPauliSum) -> complex:
     """<psi|op|psi> for an arbitrary (possibly non-Hermitian) Pauli sum.
 
-    A plain ``PauliSum`` is compiled on every call; compile it once with
-    ``compile_pauli_sum`` when it is evaluated repeatedly.
+    A plain ``PauliSum`` goes through ``expectation_values``, which reads
+    only the state's nonzero amplitudes; a ``CompiledPauliSum``, compiled
+    once for repeated use, is applied to the state.
     """
     if state.num_qubits != op.num_qubits:
         raise ValueError("state and operator disagree on the qubit count")
+    if isinstance(op, PauliSum):
+        return complex(expectation_values(state, [op])[0])
     amps = state.amplitudes
-    return complex(np.vdot(amps, compile_pauli_sum(op).apply(amps)))
+    return complex(np.vdot(amps, op.apply(amps)))
 
 
 def expectation(state: StateVector, op: PauliSum | CompiledPauliSum) -> float:

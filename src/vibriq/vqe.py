@@ -205,11 +205,13 @@ def _run_spsa(tracker: _Tracker, start: np.ndarray, config: VqeConfig) -> str:
     """Standard decaying-gain SPSA; each iteration costs two evaluations.
 
     Returns the stop reason.  The iteration count is derived from the
-    evaluation budget, so finishing the schedule counts as exhausting it.
+    evaluation budget left after the start point, so finishing the
+    schedule counts as exhausting it, and an even budget ends on a whole
+    +- pair, not on a lone "+" that no update uses.
     """
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5B5A)))
     theta = np.array(start, dtype=float)
-    iterations = config.max_evals // 2
+    iterations = (config.max_evals - 1) // 2
     a, c, big_a = 0.2, 0.1, 0.1 * iterations
     alpha, gamma = 0.602, 0.101
     try:

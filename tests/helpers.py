@@ -66,6 +66,28 @@ def pauli_product(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum.from_masks(a.num_qubits, out)
 
 
+def reference_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a b - b a`` by a double loop over the string pairs, ``a``'s terms
+    outer and ``b``'s inner: an anticommuting pair, popcount((xa & zb) ^
+    (za & xb)) odd, adds 2 P_a P_b by the mask product rule, and the rest
+    cancel.  Equal strings add in pair order; the result keeps its strings
+    in order of first occurrence."""
+    if a.num_qubits != b.num_qubits:
+        raise ValueError(f"qubit-count mismatch: {a.num_qubits} vs "
+                         f"{b.num_qubits}")
+    out: dict[tuple[int, int], complex] = {}
+    for (xa, za), ca in a._terms.items():
+        for (xb, zb), cb in b._terms.items():
+            if not ((xa & zb) ^ (za & xb)).bit_count() & 1:
+                continue
+            x, z = xa ^ xb, za ^ zb
+            k = ((xa & za).bit_count() + (xb & zb).bit_count()
+                 - (x & z).bit_count() + 2 * (za & xb).bit_count())
+            out[x, z] = out.get((x, z), 0.0) + _I_POWERS[k % 4] * ca * cb
+    return PauliSum.from_masks(a.num_qubits,
+                               {k: 2.0 * c for k, c in out.items()})
+
+
 def dense_from_sum(op: PauliSum) -> np.ndarray:
     dim = 1 << op.num_qubits
     out = np.zeros((dim, dim), dtype=complex)

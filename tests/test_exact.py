@@ -143,6 +143,23 @@ def test_sixteen_qubit_layout_with_64_physical_states():
     np.testing.assert_allclose(oracle @ vec, energy * vec, atol=1e-9)
 
 
+def test_sixteen_qubit_expectation_reads_only_the_nonzero_amplitudes():
+    """One expectation on a 64-amplitude state of a 16-qubit register
+    builds no table over the 65 536 states (a compiled H would hold
+    ~144 MB)."""
+    layout, _, h = _sixteen_qubit_system()
+    energy, state = ground_state_vector(h, layout)
+    assert np.count_nonzero(state.amplitudes) <= 64
+    tracemalloc.start()
+    try:
+        value = expectation(state, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(energy, abs=1e-8)
+    assert peak < 5 << 20
+
+
 @pytest.mark.parametrize("system", ["five modes", "(8,8)"])
 def test_real_block_spectrum_matches_complex_eigvalsh(system):
     if system == "five modes":  # the benchmark's PES, D = 4^5 = 1 024

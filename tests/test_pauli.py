@@ -3,8 +3,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import dense_from_sum, pauli_product, random_pauli_sum
-from vibriq.pauli import PauliSum, commutator
+from conftest import build_qubit_hamiltonian
+from helpers import (dense_from_sum, pauli_product, random_pauli_sum,
+                     reference_commutator)
+from vibriq import pauli
+from vibriq.pauli import MAX_MASK_QUBITS, PauliSum, commutator
 
 
 def test_single_qubit_product_identity():
@@ -129,6 +132,89 @@ def test_commutator_of_anticommuting_strings_is_twice_the_product():
         got = dense_from_sum(commutator(a, b))
         np.testing.assert_allclose(got, da @ db - db @ da, atol=1e-12)
         np.testing.assert_allclose(got, 2.0 * da @ db, atol=1e-12)
+
+
+def _assert_same_terms(got: PauliSum, ref: PauliSum) -> None:
+    """The same strings in the same order, coefficients to 1e-15 relative."""
+    assert list(got._terms) == list(ref._terms)
+    for key, c in ref._terms.items():
+        assert abs(got._terms[key] - c) <= 1e-15 * abs(c)
+
+
+def test_commutator_matches_the_pair_loop_term_for_term():
+    rng = np.random.default_rng(59)
+    for num_qubits, n_a, n_b in ((1, 3, 4), (3, 12, 9), (6, 40, 100),
+                                 (9, 150, 60)):
+        for hermitian in (True, False):
+            a = random_pauli_sum(rng, num_qubits, n_a, hermitian=hermitian)
+            b = random_pauli_sum(rng, num_qubits, n_b, hermitian=hermitian)
+            _assert_same_terms(commutator(a, b), reference_commutator(a, b))
+            _assert_same_terms(commutator(b, a), reference_commutator(b, a))
+
+
+def test_commutator_matches_the_pair_loop_on_qeom_products(coupled_pes):
+    """[a, H], [[a, H], b] and [H, [a, b]] of the pool's excitations."""
+    from vibriq.qeom import build_eom_operators
+    layout, _, h = build_qubit_hamiltonian(coupled_pes, (3, 3))
+    ops = build_eom_operators(layout)
+    for a in ops.adjoints[::3]:
+        ah = commutator(a, h)
+        _assert_same_terms(ah, reference_commutator(a, h))
+        for b in ops.operators[::2] + ops.adjoints[1::3]:
+            _assert_same_terms(commutator(ah, b), reference_commutator(ah, b))
+            ab = commutator(a, b)
+            _assert_same_terms(ab, reference_commutator(a, b))
+            _assert_same_terms(commutator(h, ab), reference_commutator(h, ab))
+
+
+def test_commutator_with_no_anticommuting_pair_or_no_terms_is_empty():
+    rng = np.random.default_rng(61)
+    a = _sum_from_letters(rng, ("IZ", "IZ", "IX"), 7)
+    b = _sum_from_letters(rng, ("IZ", "IZ", "IX"), 8)
+    empty = PauliSum(3)
+    for left, right in ((a, b), (a, empty), (empty, b), (empty, empty)):
+        got = commutator(left, right)
+        assert got == PauliSum(3) and got.num_qubits == 3
+        assert got == reference_commutator(left, right)
+
+
+def test_commutator_on_the_widest_masks():
+    """Strings on qubit 62, the top bit an int64 mask holds."""
+    n = MAX_MASK_QUBITS
+    assert n == 63
+    x_top = PauliSum.from_label("I" * 62 + "X")
+    y_top = PauliSum.from_label("I" * 62 + "Y", 0.5)
+    assert commutator(x_top, y_top) == PauliSum.from_label("I" * 62 + "Z", 1j)
+    rng = np.random.default_rng(67)
+    letters = ("IXYZ",) * 3 + ("I",) * 57 + ("IXYZ",) * 3
+    for _ in range(5):
+        a = _sum_from_letters(rng, letters, 12)
+        b = _sum_from_letters(rng, letters, 15)
+        got = commutator(a, b)
+        _assert_same_terms(got, reference_commutator(a, b))
+        assert any(x >> 62 or z >> 62 for x, z in got._terms)
+
+
+def test_commutator_across_row_chunks(monkeypatch):
+    """A pair grid many chunks long gives the one-chunk terms."""
+    rng = np.random.default_rng(71)
+    a = random_pauli_sum(rng, 5, 40)
+    for n_b in (3, 30):  # two rows of a per chunk, then one
+        b = random_pauli_sum(rng, 5, n_b)
+        whole = commutator(a, b)
+        monkeypatch.setattr(pauli, "_PAIR_CHUNK", 7)
+        chunked = commutator(a, b)
+        monkeypatch.undo()
+        assert list(chunked._terms.items()) == list(whole._terms.items())
+        _assert_same_terms(chunked, reference_commutator(a, b))
+
+
+def test_commutator_refuses_masks_wider_than_int64():
+    a = PauliSum.from_label("X" + "I" * 63)
+    b = PauliSum.from_label("Z" + "I" * 63)
+    for left, right in ((a, b), (PauliSum(64), PauliSum(64))):
+        with pytest.raises(ValueError, match="limit is 63"):
+            commutator(left, right)
 
 
 def test_multiply_associative_and_distributive():

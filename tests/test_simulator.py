@@ -18,9 +18,10 @@ from vibriq.pauli import PauliSum
 from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
                               apply_circuit, bitstring, compile_pauli_sum,
                               distribution_fidelity, expectation,
-                              expectation_value, noisy_counts,
-                              noisy_distribution, run_fidelity_experiment,
-                              sample)
+                              expectation_value, expectation_values,
+                              noisy_counts, noisy_distribution,
+                              run_fidelity_experiment, sample)
+from vibriq import simulator
 from vibriq.simulator import _conjugate_by_gate, _depolarize
 
 
@@ -111,6 +112,69 @@ def test_expectation_value_complex_operator():
     got = expectation_value(StateVector(2, amps), op)
     expected = np.vdot(amps, dense_from_sum(op) @ amps)
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _random_state(rng, num_qubits, zeros=0):
+    """A normalized complex state with ``zeros`` amplitudes exactly 0."""
+    dim = 1 << num_qubits
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps[rng.choice(amps.size, size=zeros, replace=False)] = 0.0
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+
+
+def _assert_matches_compiled_apply(state, sums, got):
+    """Each value against vdot(psi, compile_pauli_sum(op).apply(psi)), to
+    1e-12 of the sum's coefficient 1-norm, which bounds |<op>|."""
+    amps = state.amplitudes
+    assert got.shape == (len(sums),)
+    for op, value in zip(sums, got):
+        expected = np.vdot(amps, compile_pauli_sum(op).apply(amps))
+        scale = sum(abs(c) for _, c in op.items())
+        assert abs(value - expected) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("zeros", [0, 5, 60])
+def test_expectation_values_match_the_compiled_sum(zeros):
+    """Dense states and states with exact zeros, Hermitian and not."""
+    rng = np.random.default_rng(83 + zeros)
+    state = _random_state(rng, 6, zeros)
+    sums = [random_pauli_sum(rng, 6, n, hermitian=k % 2 == 0)
+            for k, n in enumerate((1, 7, 30, 90))]
+    _assert_matches_compiled_apply(state, sums,
+                                   expectation_values(state, sums))
+
+
+def test_expectation_values_share_strings_across_sums():
+    """A string in several sums is evaluated once and weighted per sum."""
+    rng = np.random.default_rng(89)
+    state = _random_state(rng, 4, 3)
+    base = random_pauli_sum(rng, 4, 20)
+    sums = [base, base * 2.0, base.adjoint(), PauliSum(4),
+            base + random_pauli_sum(rng, 4, 5), base]
+    got = expectation_values(state, sums)
+    _assert_matches_compiled_apply(state, sums, got)
+    assert got[3] == 0.0
+    assert got[5] == got[0]
+    assert expectation_values(state, []).shape == (0,)
+    assert expectation_values(state, [PauliSum(4)]).tolist() == [0.0]
+
+
+def test_expectation_values_across_string_chunks(monkeypatch):
+    rng = np.random.default_rng(97)
+    state = _random_state(rng, 5, 4)
+    sums = [random_pauli_sum(rng, 5, n) for n in (40, 3, 60)]
+    whole = expectation_values(state, sums)
+    # 28 nonzero amplitudes: two strings per chunk
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 60)
+    chunked = expectation_values(state, sums)
+    _assert_matches_compiled_apply(state, sums, chunked)
+    np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0)
+
+
+def test_expectation_values_check_the_qubit_count():
+    sums = [PauliSum.from_label("XX"), PauliSum.from_label("X")]
+    with pytest.raises(ValueError, match="qubit count"):
+        expectation_values(StateVector.vacuum(2), sums)
 
 
 def test_expectation_raises_on_non_hermitian():

@@ -248,6 +248,31 @@ def test_spsa_evaluates_its_start_once():
                                rtol=0, atol=1e-15)
 
 
+def test_spsa_with_an_even_budget_ends_on_a_whole_pair():
+    """After the start, every evaluation is half of a +- pair that feeds
+    an update: 40 evaluations make 19 iterations, not 19 and a lone "+"."""
+    calls = []
+
+    def bowl(p):
+        calls.append(np.array(p))
+        return float((p[0] - 1.0) ** 2 + 3.0 * p[1] ** 2)
+
+    result = minimize(bowl, [0.5, -0.3],
+                      VqeConfig(optimizer="spsa", max_evals=40))
+    assert result.evals == len(calls) == 39
+    assert result.stop_reason == "max_evals"
+    pairs = np.array(calls[1:]).reshape(19, 2, 2)
+    # each pair is theta +- c_k delta with delta_i = +-1
+    half = (pairs[:, 0] - pairs[:, 1]) / 2.0
+    np.testing.assert_allclose(np.abs(half[:, 0]), np.abs(half[:, 1]),
+                               rtol=1e-12)
+    centres = pairs.mean(axis=1)
+    np.testing.assert_allclose(centres[0], [0.5, -0.3], rtol=0, atol=1e-15)
+    # each pair's update moved theta before the next pair
+    assert not any(np.array_equal(c0, c1)
+                   for c0, c1 in zip(centres, centres[1:]))
+
+
 def test_max_evals_must_be_positive():
     with pytest.raises(ValueError, match="max_evals"):
         VqeConfig(max_evals=0)
