@@ -27,5 +27,5 @@ from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,
                    compute_matrices, double_commutator, eom_diagnostics,
                    excitation_energies, solve_pseudo_eigenproblem)
-from .exact import (dense_matrix, ground_state_vector, physical_indices,
-                    physical_spectrum)
+from .exact import (dense_matrix, ground_state_vector, parity_indices,
+                    physical_indices, physical_spectrum)

@@ -7,6 +7,8 @@ compiled on those states; the 2^N × 2^N operator is never formed.
 The block is real symmetric for a Hamiltonian mapped from real n-mode SQ
 terms (Christiansen, PCCP 9, 2942 (2007)); ``physical_block`` refuses any
 other block, so the spectrum and the ground state come from real LAPACK.
+``parity_indices`` gives the larger basis, odd weight in every register,
+that the chc VQE runs on.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import numpy as np
 
 from .mapping import QubitLayout
 from .pauli import PauliSum
-from .simulator import (IMAG_TOL, StateVector, _basis, _mask_chunks,
-                        _term_groups, check_hermitian, embed)
+from .simulator import (IMAG_TOL, MAX_COMPILED_ELEMENTS, StateVector,
+                        _basis, _mask_chunks, _term_groups, check_hermitian,
+                        embed)
 
 # Largest dimension of a matrix built here: 268 MB of complex entries.
 MAX_DENSE_DIM = 4096
@@ -50,13 +53,43 @@ def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def physical_indices(layout: QubitLayout) -> np.ndarray:
-    """The physical basis states, ascending: one set bit per mode register."""
+def _register_product(layout: QubitLayout, patterns) -> np.ndarray:
+    """The basis states, ascending, whose bits in each mode register form
+    one of ``patterns(n)``, the register's ascending n-bit values."""
     indices = np.zeros(1, dtype=np.int64)
     for offset, n in zip(layout.offsets, layout.modal_counts):
-        bits = np.left_shift(1, np.arange(offset, offset + n, dtype=np.int64))
-        indices = (bits[:, None] + indices).ravel()
+        local = np.left_shift(patterns(n), offset)
+        indices = (local[:, None] + indices).ravel()
     return indices
+
+
+def physical_indices(layout: QubitLayout) -> np.ndarray:
+    """The physical basis states, ascending: one set bit per mode register."""
+    return _register_product(
+        layout, lambda n: np.left_shift(1, np.arange(n, dtype=np.int64)))
+
+
+def parity_indices(layout: QubitLayout) -> np.ndarray:
+    """The states with an odd number of set bits in every mode register,
+    ascending: Π 2^(N_l - 1) = 2^(N - M) of them.
+
+    Every transfer operator flips 0 or 2 bits of one register, so a
+    mapped Hamiltonian keeps this set, and so does a chc ansatz from the
+    reference state.  A set larger than ``MAX_COMPILED_ELEMENTS``, on
+    which no compiled table fits, is refused before it is built.
+    """
+    size_log2 = layout.num_qubits - layout.num_modes
+    if 1 << size_log2 > MAX_COMPILED_ELEMENTS:
+        raise ValueError(
+            f"the parity basis of {layout.num_qubits} qubits in "
+            f"{layout.num_modes} registers has 2^{size_log2} states; the "
+            f"limit is {MAX_COMPILED_ELEMENTS}")
+
+    def odd(n):
+        values = np.arange(1 << n, dtype=np.int64)
+        return values[np.bitwise_count(values) & 1 == 1]
+
+    return _register_product(layout, odd)
 
 
 def physical_block(h: PauliSum, layout: QubitLayout

@@ -3,14 +3,16 @@
 Two noise-free paths lead to a state.  ``apply_circuit`` runs a
 gate-level ``Circuit`` gate by gate; it serves the noise model and is the
 reference in tests.  An ``AnsatzProgram`` runs the same ansatz as a few
-vectorized steps (basis permutations, Pauli rotations, one Givens
-rotation per cluster excitation) and is what the VQE objective uses.  It
-is compiled on a set of basis states: all 2^N, or a subset every step
-maps to itself, such as the physical states a uvccsd ansatz never
-leaves, where its amplitudes are real.  The reference-state X gates fold
-into the program's start state.  A Pauli sum applied again and again is
-compiled once into a ``CompiledPauliSum``, which groups the terms by the
-qubits they flip.  A one-shot expectation compiles nothing:
+vectorized steps (basis permutations, Pauli rotations, one real Givens
+rotation per cluster excitation or per Pauli string with an odd number
+of Y) and is what the VQE objective uses.  It is compiled on a set of
+basis states: all 2^N, or a subset every step maps to itself, such as
+the physical states a uvccsd ansatz never leaves or the per-register
+odd-parity states a chc ansatz never leaves; both programs have real
+amplitudes.  The reference-state X gates fold into the program's start
+state.  A Pauli sum applied again and again is compiled once into a
+``CompiledPauliSum``, which groups the terms by the qubits they flip.  A
+one-shot expectation compiles nothing:
 ``expectation_values`` evaluates each distinct string of a batch of plain
 sums once, on the state's nonzero amplitudes only.  ``check_hermitian``
 is the one Hermiticity check a Hamiltonian gets.
@@ -55,8 +57,9 @@ IMAG_TOL = 1e-10
 # complex amplitudes, 268 MB at 12 qubits.
 MAX_DENSITY_QUBITS = 12
 
-# Largest masks x 2^N table a compiled Pauli sum holds: an int64
-# permutation plus a complex diagonal per entry, 403 MB at the limit.
+# Largest masks x states table a compiled Pauli sum holds: an int64
+# permutation plus a real (complex) diagonal per entry, 268 MB (403 MB) at
+# the limit.
 MAX_COMPILED_ELEMENTS = 1 << 24
 
 
@@ -228,9 +231,11 @@ class CompiledPauliSum:
     (op psi)[j] = sum over masks g of diags[g, j] * psi[perms[g, j]].
 
     All terms that flip the same qubits share one permutation, and their
-    phases and signs add into one complex diagonal, so applying the sum
-    costs one gather and one multiply per distinct mask, however many
-    terms the mask holds.
+    phases and signs add into one diagonal, so applying the sum costs one
+    gather and one multiply per distinct mask, however many terms the mask
+    holds.  The diagonals are float64 when every term weight
+    c (-i)^|x & z| is real, as for any Hamiltonian mapped from real SQ
+    terms, and complex128 otherwise; ``apply`` keeps a real state real.
     """
 
     num_qubits: int
@@ -243,8 +248,11 @@ class CompiledPauliSum:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """op|psi> for the amplitude vector ``amps``."""
-        out = np.zeros(self.perms.shape[1], dtype=np.complex128)
-        block = max(1, _CHUNK_ELEMENTS // max(out.size, 1))
+        block = max(1, _CHUNK_ELEMENTS // max(self.perms.shape[1], 1))
+        if self.num_masks <= block:  # one chunk: no accumulator
+            return np.sum(self.diags * amps[self.perms], axis=0)
+        out = np.zeros(self.perms.shape[1],
+                       dtype=np.result_type(self.diags, amps))
         for lo in range(0, self.num_masks, block):
             sl = slice(lo, lo + block)
             out += np.sum(self.diags[sl] * amps[self.perms[sl]], axis=0)
@@ -283,12 +291,15 @@ def _term_groups(op: PauliSum):
 def _mask_chunks(groups, indices: np.ndarray, full: bool):
     """Yield ``compile_pauli_sum``'s rows one chunk of masks at a time, as
     (slice of masks, perms, diags); ``full`` says ``indices`` is all 2^N.
-    Every chunk is written into the same two arrays: read it before the next.
+    The diags are real when every weight is.  Every chunk is written into
+    the same two arrays: read it before the next.
     """
     masks, group, signs, weights = groups
+    real = not weights.imag.any()
     block = max(1, _CHUNK_ELEMENTS // max(indices.size, 1))
     size = (min(block, masks.size), indices.size)
-    all_perms, all_diags = np.empty(size, np.int64), np.empty(size, complex)
+    all_perms = np.empty(size, np.int64)
+    all_diags = np.empty(size, float if real else complex)
     for g0 in range(0, masks.size, block):
         sl = slice(g0, min(g0 + block, masks.size))
         perms, diags = all_perms[:sl.stop - g0], all_diags[:sl.stop - g0]
@@ -305,7 +316,9 @@ def _mask_chunks(groups, indices: np.ndarray, full: bool):
                    np.searchsorted(rows, np.arange(shape[0] + 1)))
             part = diags[first:first + shape[0]]
             part.real += sparse.csr_array((weights[ts].real, *csr), shape) @ table
-            part.imag += sparse.csr_array((weights[ts].imag, *csr), shape) @ table
+            if not real:
+                part.imag += sparse.csr_array((weights[ts].imag, *csr),
+                                              shape) @ table
         del table  # not held while the caller reads the chunk
         np.bitwise_xor(indices, masks[sl, None], out=perms)
         if not full:  # on all 2^N states, a state is its own position
@@ -321,7 +334,8 @@ def compile_pauli_sum(op: PauliSum | CompiledPauliSum,
     through, and only with ``indices`` left ``None``.
 
     A term c P(x, z) sends state j to j ^ x with phase c (-i)^|x & z|
-    (-1)^|j & z|.  Raises ``ValueError`` before allocating tables above
+    (-1)^|j & z|; the diagonals are real when every c (-i)^|x & z| is.
+    Raises ``ValueError`` before allocating tables above
     ``MAX_COMPILED_ELEMENTS`` entries.
     """
     if isinstance(op, CompiledPauliSum):
@@ -329,16 +343,18 @@ def compile_pauli_sum(op: PauliSum | CompiledPauliSum,
             raise ValueError("a compiled operator keeps its own basis")
         return op
     n, groups = op.num_qubits, _term_groups(op)
-    num_masks = groups[0].size
+    num_masks, real = groups[0].size, not groups[3].imag.any()
     dim = 1 << n if indices is None else len(indices)
     if num_masks * dim > MAX_COMPILED_ELEMENTS:
+        # an int64 position and a float64 or complex128 diagonal per entry
         raise ValueError(
             f"compiling {num_masks} flip masks on {n} qubits needs "
-            f"{num_masks * dim * 24 / 1e6:.0f} MB; the limit is "
-            f"{MAX_COMPILED_ELEMENTS} mask-by-state entries")
+            f"{num_masks * dim * (16 if real else 24) / 1e6:.0f} MB; the "
+            f"limit is {MAX_COMPILED_ELEMENTS} mask-by-state entries")
     basis = _basis(n, indices)
     perms = np.empty((num_masks, dim), dtype=np.int64)
-    diags = np.empty((num_masks, dim), dtype=np.complex128)
+    diags = np.empty((num_masks, dim), dtype=np.float64 if real
+                     else np.complex128)
     for sl, *chunk in _mask_chunks(groups, basis, indices is None):
         perms[sl], diags[sl] = chunk
     return CompiledPauliSum(n, perms, diags)
@@ -449,7 +465,7 @@ class BitFlipStep:
             source = _flip_states(source, gate)
         return cls(_positions(indices, source))
 
-    def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
+    def apply(self, amps: np.ndarray, params: Sequence[float]) -> np.ndarray:
         return amps[self.perm]
 
 
@@ -462,18 +478,7 @@ class PauliRotationStep:
     param: int
     scale: float
 
-    @classmethod
-    def from_pairs(cls, num_qubits: int, indices: np.ndarray,
-                   pairs: Sequence[tuple[int, str]], param: int,
-                   scale: float) -> "PauliRotationStep":
-        letters = dict(pairs)
-        table = compile_pauli_sum(PauliSum.from_label(
-            "".join(letters.get(q, "I") for q in range(num_qubits))), indices)
-        if not np.all(table.diags):  # zero only where the string leaves
-            raise ValueError("an ansatz step leaves the program's basis states")
-        return cls(table.perms[0], table.diags[0], param, scale)
-
-    def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
+    def apply(self, amps: np.ndarray, params: Sequence[float]) -> np.ndarray:
         angle = self.scale * params[self.param]
         return (math.cos(angle) * amps
                 + (1j * math.sin(angle)) * (self.phase * amps[self.perm]))
@@ -481,16 +486,17 @@ class PauliRotationStep:
 
 @dataclass(frozen=True)
 class GivensStep:
-    """exp(scale * theta[param] * (T - T+)) for one cluster excitation.
+    """exp(scale * theta[param] * (T - T+)) for a T that maps each basis
+    state of a set (src) to one partner (dst) with coefficient 1.
 
-    T maps every basis state with the occupied modals on and the virtual
-    ones off (src) to the state with those bits swapped (dst) and
-    annihilates the rest, so the exponential is a real rotation within
-    each (src, dst) pair; the single and double excitation gates of
-    Arrazola et al., Quantum 6, 742 (2022).  ``pairs`` holds the
-    positions of src (row 0) and dst (row 1) in the program's basis; one
-    gather and one 2x2 rotation update them in place, on the array
-    ``AnsatzProgram`` owns.
+    The exponential is a real rotation within each (src, dst) pair.  T is
+    a cluster excitation, which takes the states with the occupied modals
+    on and the virtual ones off to those with the bits swapped (the single
+    and double excitation gates of Arrazola et al., Quantum 6, 742
+    (2022)), or the real half of a Pauli string with an odd number of Y:
+    then i P = T - T+.  ``pairs`` holds the positions of src (row 0) and
+    dst (row 1) in the program's basis; one gather and one 2x2 rotation
+    update them in place, on the array ``AnsatzProgram`` owns.
     """
 
     pairs: np.ndarray
@@ -506,11 +512,31 @@ class GivensStep:
         dst = _positions(indices, indices[src] ^ occ ^ virt)
         return cls(np.stack([src, dst]), param, scale)
 
-    def apply(self, amps: np.ndarray, params: np.ndarray) -> np.ndarray:
+    def apply(self, amps: np.ndarray, params: Sequence[float]) -> np.ndarray:
         angle = self.scale * params[self.param]
         c, s = math.cos(angle), math.sin(angle)
-        amps[self.pairs] = np.array([[c, -s], [s, c]]).dot(amps[self.pairs])
+        amps[self.pairs] = np.array(((c, -s), (s, c))).dot(amps[self.pairs])
         return amps
+
+
+def _rotation_step(num_qubits: int, indices: np.ndarray,
+                   pairs: Sequence[tuple[int, str]], param: int, scale: float):
+    """exp(i * scale * theta[param] * P) for the string P on ``pairs``.
+
+    P sends state j to j ^ x with the phase of its one-string table.  With
+    an odd number of Y that phase is +-i and i P is real: a Givens
+    rotation whose src is each state where Re(i phase) = -1.
+    """
+    letters = dict(pairs)
+    table = compile_pauli_sum(PauliSum.from_label(
+        "".join(letters.get(q, "I") for q in range(num_qubits))), indices)
+    perm, phase = table.perms[0], table.diags[0]
+    if not np.all(phase):  # zero only where the string leaves
+        raise ValueError("an ansatz step leaves the program's basis states")
+    if sum(letter == "Y" for letter in letters.values()) % 2 == 0:
+        return PauliRotationStep(perm, phase, param, scale)
+    src = np.flatnonzero((1j * phase).real < 0)
+    return GivensStep(np.stack([src, perm[src]]), param, scale)
 
 
 def _program_step(num_qubits: int, indices: np.ndarray, block):
@@ -521,10 +547,10 @@ def _program_step(num_qubits: int, indices: np.ndarray, block):
         return GivensStep.from_excitation(indices, block.excitation,
                                           block.param, block.scale)
     if isinstance(block, PauliRotation):
-        return PauliRotationStep.from_pairs(num_qubits, indices, block.pairs,
-                                            block.param, -0.5 * block.scale)
+        return _rotation_step(num_qubits, indices, block.pairs, block.param,
+                              -0.5 * block.scale)
     if block.kind in ("rx", "ry", "rz") and block.param is not None:
-        return PauliRotationStep.from_pairs(
+        return _rotation_step(
             num_qubits, indices, [(block.qubits[0], block.kind[1].upper())],
             block.param, -0.5 * block.scale)
     raise ValueError(f"no program step for block {block}")
@@ -535,11 +561,14 @@ class AnsatzProgram:
     """Noise-free state preparation as a short list of vectorized steps.
 
     The amplitudes live on ``indices``, ascending basis states that every
-    step maps among themselves: all 2^N, or the Π N_l physical states for
-    an ansatz that keeps one occupied modal per mode.  The leading run of
-    X and CNOT gates is folded into ``start``, the position of the basis
-    state it makes from the vacuum.  A program of Givens rotations and
-    basis permutations alone has ``real`` amplitudes.
+    step maps among themselves: all 2^N, the Π N_l physical states for an
+    ansatz that keeps one occupied modal per mode, or the 2^(N-M)
+    per-register odd-parity states for one whose every step flips an even
+    number of each register's bits.  The leading run of X and CNOT gates
+    is folded into ``start``, the position of the basis state it makes
+    from the vacuum.  A program of Givens rotations (cluster excitations
+    and odd-Y Pauli rotations) and basis permutations alone has ``real``
+    amplitudes.
 
     Compiled from the same blocks as the ansatz ``Circuit`` and indexed by
     the same parameters; the circuit stays the reference for resource
@@ -586,8 +615,9 @@ class AnsatzProgram:
         amps = np.zeros(self.indices.size,
                         dtype=np.float64 if self.real else np.complex128)
         amps[self.start] = 1.0
+        angles = params.tolist()  # Python floats for the steps' scalar math
         for step in self.steps:
-            amps = step.apply(amps, params)
+            amps = step.apply(amps, angles)
         _check_norm(amps)
         return amps
 

@@ -11,14 +11,20 @@ ended the run.
 
 The objective never touches the gate-level circuit: each run compiles
 the ansatz into an ``AnsatzProgram`` (one vectorized step per excitation
-or Pauli rotation), once, outside the objective, on one of two routes.
+or Pauli rotation), once, outside the objective, on one of three routes.
 uvccsd keeps one occupied modal per mode, so its state never leaves the
 Π N_l physical (VCI) basis: the ``"physical"`` route runs it there, as
 a^T H a on real amplitudes against the real symmetric block of
 ``exact.physical_block``, where the occupation penalty is exactly zero.
-chc, swaprz and ryrz leak out of it, so the ``"full"`` route runs them on
-all 2^N complex amplitudes against the mask-grouped ``CompiledPauliSum``.
-One objective serves both, and H is checked Hermitian once per run.
+chc leaks out of that basis, but each of its blocks exp(i theta Y X..X)
+is a real rotation that flips two or four bits, an even number per
+register: the ``"parity"`` route runs it on the 2^(N-M) real amplitudes
+of ``exact.parity_indices``, the states with odd weight in every
+register, against the ``CompiledPauliSum`` on those states.  swaprz and
+ryrz leave even that set, so the ``"full"`` route runs them on all 2^N
+complex amplitudes against the ``CompiledPauliSum``.  The parity and
+full routes share one objective, Re<a|H a> plus the occupation penalty,
+and H is checked Hermitian once per run.
 The result keeps its state on the program's basis and embeds it into
 2^N only when ``VqeResult.state`` is read.  ``build_ansatz``
 still gives the ``Circuit`` used for resource counts, noise and as the
@@ -27,16 +33,16 @@ reference the program is tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .circuits import (Block, Circuit, chc_blocks, circuit_from_blocks,
                        excitation_list, heuristic_blocks, reference_circuit,
                        uvcc_blocks)
-from .exact import physical_block
+from .exact import parity_indices, physical_block
 from .mapping import QubitLayout, occupations, penalty_objective
 from .pauli import PauliSum
 from .simulator import (AnsatzProgram, StateVector, check_hermitian,
@@ -96,8 +102,8 @@ class VqeResult:
     evals: int
     seed: int
     stop_reason: str
-    # The basis the objective ran on, "physical" or "full"; set by
-    # ``ground_state``.
+    # The basis the objective ran on, "physical", "parity" or "full"; set
+    # by ``ground_state``.
     route: str | None = None
     # The state at ``params`` on the program's ascending basis states; set
     # by ``ground_state``, not serialized.
@@ -155,7 +161,7 @@ class _Tracker:
             self.stop_reason = STOP_MAX_EVALS
             raise _Converged
         value = float(self._objective(np.asarray(params, dtype=float)))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise RuntimeError(
                 f"objective returned non-finite value {value!r} at "
                 f"parameters {np.asarray(params).tolist()}")
@@ -179,6 +185,9 @@ class _Tracker:
 def _run_nelder_mead(tracker: _Tracker, start: np.ndarray,
                      config: VqeConfig) -> str:
     """Simplex runs with restarts; returns the stop reason."""
+    # imported here, so that commands without a VQE do not load it
+    from scipy import optimize
+
     current = start
     previous_best = np.inf
     for _ in range(NELDER_MEAD_RUNS):
@@ -285,14 +294,17 @@ def _objective(hamiltonian: PauliSum, layout: QubitLayout, config: VqeConfig
                ) -> tuple[str, Callable, AnsatzProgram]:
     """The route, the objective on the program's basis, and the program;
     H is checked before the program builds its index arrays."""
-    # uvccsd is the one ansatz whose states cannot leave the physical basis
+    # uvccsd is the one ansatz whose states cannot leave the physical
+    # basis, and chc the one that keeps every register's parity
     if config.ansatz == "uvccsd":
         route = "physical"
         indices, block = physical_block(hamiltonian, layout)
     else:
-        route, indices, mu = "full", None, config.effective_mu()
+        mu = config.effective_mu()
         check_hermitian(hamiltonian)
-        compiled = compile_pauli_sum(hamiltonian)
+        route, indices = (("parity", parity_indices(layout))
+                          if config.ansatz == "chc" else ("full", None))
+        compiled = compile_pauli_sum(hamiltonian, indices)
     program = ansatz_program(layout, config, indices)
 
     def objective(params: np.ndarray) -> float:
@@ -312,9 +324,9 @@ def ground_state(hamiltonian: PauliSum, layout: QubitLayout,
                  config: VqeConfig | None = None) -> VqeResult:
     """Penalty-aware VQE on exact statevector expectations (noise-free).
 
-    uvccsd runs on the physical basis, every other ansatz on the full
-    space; the result names the ``route`` and carries the state of its
-    best parameters on that basis.
+    uvccsd runs on the physical basis, chc on the parity basis, swaprz and
+    ryrz on the full space; the result names the ``route`` and carries the
+    state of its best parameters on that basis.
     """
     config = config or VqeConfig()
     if hamiltonian.num_qubits != layout.num_qubits:

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,20 @@ def coupled_pes_file(tmp_path, coupled_pes):
 
 def run(argv):
     return main(argv)
+
+
+def test_cli_import_does_not_load_the_optimizer():
+    """scipy.optimize is imported by the VQE only, so ``exact``,
+    ``resources`` and ``noise-fidelity`` start without it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, vibriq.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_resources_golden_row(tmp_path):
@@ -158,7 +176,8 @@ def test_qeom_occupations_match_vqe(tmp_path, coupled_pes_file):
     assert len(occupations) == 2
     assert occupations == results["vqe"]["occupations"]
     assert occupations == pytest.approx([1.0, 1.0], abs=1e-6)
-    assert results["vqe"]["route"] == results["qeom"]["vqe"]["route"] == "full"
+    assert results["vqe"]["route"] == results["qeom"]["vqe"]["route"] \
+        == "parity"
 
 
 def test_one_modal_per_mode_gives_the_exact_eigenvalue(tmp_path,

@@ -5,11 +5,13 @@ import pytest
 
 from helpers import (dense_from_sum, onv_rule_matrix, pauli_product,
                      random_pauli_sum, random_sq_hamiltonian)
-from vibriq.exact import (dense_matrix, ground_state_vector, physical_indices,
-                          physical_spectrum)
+from vibriq.exact import (dense_matrix, ground_state_vector, parity_indices,
+                          physical_indices, physical_spectrum)
 from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
 from vibriq.pauli import PauliSum
-from vibriq.simulator import MAX_COMPILED_ELEMENTS, expectation
+from vibriq.qeom import build_eom_operators
+from vibriq.simulator import (MAX_COMPILED_ELEMENTS, compile_pauli_sum,
+                              expectation)
 
 from conftest import bench_pes, build_qubit_hamiltonian
 
@@ -71,6 +73,45 @@ def test_projector_enumeration():
     # ONVs (0,0), (1,0), (0,1), (1,1): mode 0 varies fastest
     np.testing.assert_array_equal(physical_indices(layout),
                                   [0b0101, 0b0110, 0b1001, 0b1010])
+
+
+@pytest.mark.parametrize("modals", [(1,), (2, 2), (3, 1), (3, 3, 2),
+                                    (4, 2, 3)])
+def test_parity_basis_is_every_state_with_odd_register_weights(modals):
+    layout = QubitLayout(modals)
+    registers = [sum(1 << q for q in layout.register(l))
+                 for l in range(layout.num_modes)]
+    expected = [j for j in range(1 << layout.num_qubits)
+                if all(bin(j & r).count("1") % 2 for r in registers)]
+    indices = parity_indices(layout)
+    assert indices.dtype == np.int64
+    np.testing.assert_array_equal(indices, expected)
+    assert indices.size == 2 ** (layout.num_qubits - layout.num_modes)
+    assert np.isin(physical_indices(layout), indices).all()
+
+
+@pytest.mark.parametrize("num_modes,modals", [(2, (3, 3)), (3, (2, 2, 2)),
+                                              (2, (4, 4)), (3, (3, 3, 2))])
+def test_hamiltonian_and_pool_keep_every_register_parity(num_modes, modals):
+    """Every flip mask of the bench Hamiltonians and of the qEOM pool flips
+    an even number of each register's bits, so the parity basis is closed:
+    its compiled table finds every j ^ mask, and no entry is zeroed for
+    leaving the basis."""
+    layout, _, h = build_qubit_hamiltonian(bench_pes(num_modes, 0), modals)
+    registers = [sum(1 << q for q in layout.register(l))
+                 for l in range(layout.num_modes)]
+    pool = build_eom_operators(layout)
+    for op in (h, *pool.operators, *pool.adjoints):
+        for x, _, _ in op.masks():
+            assert all(bin(x & r).count("1") % 2 == 0 for r in registers), \
+                (op, x)
+    indices = parity_indices(layout)
+    compiled = compile_pauli_sum(h, indices)
+    masks = np.unique([x for x, _, _ in h.masks()])
+    np.testing.assert_array_equal(indices[compiled.perms],
+                                  masks[:, None] ^ indices)
+    np.testing.assert_array_equal(compiled.diags,
+                                  compile_pauli_sum(h).diags[:, indices])
 
 
 def test_projector_dimension_is_product_of_counts():

@@ -9,11 +9,11 @@ from conftest import bench_pes, build_qubit_hamiltonian
 from helpers import (dense_circuit_unitary, dense_expectations,
                      dense_from_label, dense_from_sum, dense_gate_matrix,
                      density_matrix_simulation, noisy_trajectories,
-                     random_pauli_sum)
-from vibriq.circuits import (Circuit, Gate, build_chc, build_uvcc,
-                             excitation_list, reference_circuit)
-from vibriq.exact import dense_matrix
-from vibriq.mapping import QubitLayout
+                     random_pauli_sum, random_sq_hamiltonian)
+from vibriq.circuits import (Circuit, Gate, PauliRotation, build_chc,
+                             build_uvcc, excitation_list, reference_circuit)
+from vibriq.exact import dense_matrix, parity_indices
+from vibriq.mapping import QubitLayout, map_to_pauli
 from vibriq.pauli import PauliSum
 from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
                               apply_circuit, bitstring, compile_pauli_sum,
@@ -290,18 +290,86 @@ def test_compile_refuses_oversized_tables_before_allocating():
               for k in range(1, 33)]
     op = PauliSum(n, [(label, 1.0) for label in labels])
     subset = np.arange((1 << 19) + 1)
+    # a Y makes the weights, and so the diagonals, complex: 24 B an entry
+    # instead of 16
+    complex_op = op + PauliSum.from_label("Y" + "I" * (n - 1))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError,
-                           match=r"32 flip masks on 20 qubits needs 805 MB"):
+                           match=r"32 flip masks on 20 qubits needs 537 MB"):
             compile_pauli_sum(op)
         with pytest.raises(ValueError,
-                           match=r"32 flip masks on 20 qubits needs 403 MB"):
+                           match=r"32 flip masks on 20 qubits needs 268 MB"):
             compile_pauli_sum(op, subset)
+        with pytest.raises(ValueError,
+                           match=r"32 flip masks on 20 qubits needs 805 MB"):
+            compile_pauli_sum(complex_op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("modals", [(2, 2), (3, 3), (2, 3, 2)])
+def test_real_diagonal_tables_match_the_dense_oracle(modals):
+    """A mapped Hamiltonian's weights c (-i)^|x & z| are all real, so its
+    tables are float64; on all 2^N states and on the parity basis they
+    act as the dense matrix on real and on complex states."""
+    rng = np.random.default_rng(sum(modals) * 7 + len(modals))
+    layout = QubitLayout(modals)
+    op = map_to_pauli(random_sq_hamiltonian(rng, layout), layout)
+    full = dense_from_sum(op)
+    dim = 1 << layout.num_qubits
+    for indices in (np.arange(dim), parity_indices(layout)):
+        compiled = compile_pauli_sum(op, indices)
+        assert compiled.diags.dtype == np.float64
+        block = full[np.ix_(indices, indices)]
+        real = rng.normal(size=indices.size)
+        complex_ = real + 1j * rng.normal(size=indices.size)
+        for amps in (real, complex_):
+            got = compiled.apply(amps)
+            assert got.dtype == amps.dtype
+            np.testing.assert_allclose(got, block @ amps, rtol=0,
+                                       atol=1e-12 * np.abs(full).max())
+    # one imaginary weight keeps the table complex
+    assert compile_pauli_sum(op + PauliSum.from_label(
+        "XY" + "I" * (layout.num_qubits - 2), 0.5)).diags.dtype \
+        == np.complex128
+
+
+def test_odd_y_rotation_compiles_to_a_givens_step():
+    """exp(i a P) with an odd number of Y is a real rotation: the Givens
+    step equals the Pauli rotation on the same one-string table, and the
+    dense cos I + i sin P, on random complex states."""
+    rng = np.random.default_rng(61)
+    for num_qubits in range(1, 6):
+        for _ in range(4):
+            letters = list(rng.choice(list("IXYZ"), size=num_qubits))
+            ys = [q for q, l in enumerate(letters) if l == "Y"]
+            if len(ys) % 2 == 0:  # make the Y count odd
+                q = int(rng.integers(num_qubits))
+                letters[q] = "I" if letters[q] == "Y" else "Y"
+            pairs = tuple((q, l) for q, l in enumerate(letters) if l != "I")
+            label = "".join(letters)
+            indices = np.arange(1 << num_qubits)
+            scale = float(rng.uniform(-2.0, 2.0))
+            step = simulator._program_step(
+                num_qubits, indices, PauliRotation(pairs, 0, scale))
+            assert isinstance(step, simulator.GivensStep)
+            table = compile_pauli_sum(PauliSum.from_label(label))
+            rotation = simulator.PauliRotationStep(
+                table.perms[0], table.diags[0], 0, -0.5 * scale)
+            for _ in range(3):
+                params = rng.uniform(-np.pi, np.pi, 1)
+                amps = (rng.normal(size=indices.size)
+                        + 1j * rng.normal(size=indices.size))
+                angle = -0.5 * scale * params[0]
+                dense = (math.cos(angle) * amps + 1j * math.sin(angle)
+                         * (dense_from_label(label) @ amps))
+                expected = rotation.apply(amps, params)
+                got = step.apply(amps.copy(), params)
+                assert np.max(np.abs(got - expected)) <= 1e-12
+                assert np.max(np.abs(got - dense)) <= 1e-12
 
 
 def test_expectation_raises_on_compiled_non_hermitian():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vibriq import vqe
-from vibriq.exact import physical_indices, physical_spectrum
+from vibriq.exact import parity_indices, physical_indices, physical_spectrum
 from vibriq.mapping import (QubitLayout, number_operator, occupations,
                             penalty_objective)
 from vibriq.pauli import PauliSum
@@ -211,7 +211,7 @@ def test_result_carries_prepared_state(coupled_system):
     assert expectation(result.state, h) == pytest.approx(result.energy,
                                                          abs=1e-9)
     assert "state" not in result.to_dict()
-    assert result.route == "full"
+    assert result.route == "parity"
 
 
 def test_stop_reason_budget_versus_tolerance(coupled_system):
@@ -281,7 +281,8 @@ def test_max_evals_must_be_positive():
 def test_oversized_register_refused_before_the_ansatz_is_built(monkeypatch):
     """On the full route the Hamiltonian's size check comes before the
     ansatz program's index arrays: 32 flip masks on 20 qubits exceed the
-    compiled limit."""
+    compiled limit.  (chc on the parity route compiles only 32 x 32 768
+    entries here.)"""
     layout = QubitLayout((4,) * 5)
     n = layout.num_qubits
     labels = ["".join("X" if (k >> q) & 1 else "I" for q in range(n))
@@ -293,7 +294,29 @@ def test_oversized_register_refused_before_the_ansatz_is_built(monkeypatch):
 
     monkeypatch.setattr(vqe, "ansatz_program", no_program)
     with pytest.raises(ValueError, match="32 flip masks on 20 qubits"):
-        vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="chc"))
+        vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="ryrz"))
+
+
+def test_oversized_parity_basis_refused_before_any_index_array(monkeypatch):
+    """chc on (5,)*7 runs on 2^(35 - 7) = 2^28 parity states, above the
+    compiled limit: refused before the basis, a table or the program is
+    built."""
+    layout = QubitLayout((5,) * 7)
+    hamiltonian = PauliSum(layout.num_qubits,
+                           [("Z" + "I" * (layout.num_qubits - 1), 1.0)])
+
+    def no_program(*args, **kwargs):
+        raise AssertionError("ansatz program built before the size check")
+
+    monkeypatch.setattr(vqe, "ansatz_program", no_program)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"has 2\^28 states"):
+            vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="chc"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oversized_physical_block_refused_before_the_ansatz_is_built(
@@ -338,14 +361,15 @@ def test_non_hermitian_part_outside_the_block_refused(coupled_system):
 def test_imaginary_physical_block_refused_on_the_physical_route(
         coupled_system):
     # X0 Y1 is Hermitian and swaps mode 0's two modals with phase -+i, so
-    # the block is not real; the full route's complex amplitudes take it
+    # the block is not real; the parity route takes it, as Re<a|H a> is
+    # the exact energy of real amplitudes a
     layout, _, h = coupled_system
     hamiltonian = h + PauliSum.from_label("XYII", 0.5)
     with pytest.raises(ValueError, match="physical block has imaginary part"):
         ground_state(hamiltonian, layout, VqeConfig(ansatz="uvccsd"))
     chc = ground_state(hamiltonian, layout,
                        VqeConfig(ansatz="chc", max_evals=60))
-    assert chc.route == "full" and chc.evals == 60
+    assert chc.route == "parity" and chc.evals == 60
     assert np.isfinite(chc.energy)
 
 
@@ -368,6 +392,27 @@ def test_physical_program_matches_full_space(modals, trotter_steps):
                              - expected[indices])) <= 1e-12
 
 
+@pytest.mark.parametrize("modals", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 2)])
+def test_parity_program_matches_full_space_and_circuit(modals):
+    layout = QubitLayout(modals)
+    config = VqeConfig(ansatz="chc")
+    indices = parity_indices(layout)
+    full = ansatz_program(layout, config)
+    parity = ansatz_program(layout, config, indices)
+    assert parity.real and full.real
+    assert parity.indices.size == 2 ** (layout.num_qubits - len(modals))
+    circuit = build_ansatz(layout, config)
+    rng = np.random.default_rng(sum(modals) * 10 + len(modals))
+    for _ in range(3):
+        params = rng.uniform(-np.pi, np.pi, full.num_parameters)
+        expected = apply_circuit(circuit, params).amplitudes
+        got = parity.amplitudes(params)
+        embedded = embed(layout.num_qubits, indices, got).amplitudes
+        assert np.max(np.abs(embedded - expected)) <= 1e-12
+        assert np.max(np.abs(got - full.amplitudes(params)[indices])) \
+            <= 1e-12
+
+
 def test_leaking_ansatz_refused_on_the_physical_basis():
     # a chc single flips its two qubits, which leaves the physical basis
     # whenever the mode's third modal is the occupied one
@@ -377,15 +422,20 @@ def test_leaking_ansatz_refused_on_the_physical_basis():
         ansatz_program(layout, VqeConfig(ansatz="chc"), indices)
 
 
-@pytest.mark.parametrize("num_modes,modals,evals", [(3, 2, 889),
-                                                    (2, 3, 1301)])
-def test_physical_route_matches_full_space_minimization(num_modes, modals,
+@pytest.mark.parametrize("ansatz,route,num_modes,modals,evals", [
+    pytest.param("uvccsd", "physical", 3, 2, 889, id="3-2-889"),
+    pytest.param("uvccsd", "physical", 2, 3, 1301, id="2-3-1301"),
+    pytest.param("chc", "parity", 2, 3, 1418, id="chc-2-3-1418"),
+])
+def test_physical_route_matches_full_space_minimization(ansatz, route,
+                                                        num_modes, modals,
                                                         evals):
     """The benchmark's seed-0 systems: same evaluations, same energy and
-    the same state as Nelder-Mead over the full-space program."""
+    the same state as Nelder-Mead over the full-space program, for
+    uvccsd on the physical route and chc on the parity route."""
     layout, _, h = build_qubit_hamiltonian(bench_pes(num_modes, 0),
                                            (modals,) * num_modes)
-    config = VqeConfig(ansatz="uvccsd", seed=0)
+    config = VqeConfig(ansatz=ansatz, seed=0)
     program = ansatz_program(layout, config)
     compiled = compile_pauli_sum(h)
     start = np.random.default_rng(config.seed).uniform(
@@ -396,7 +446,7 @@ def test_physical_route_matches_full_space_minimization(num_modes, modals,
 
     reference = minimize(full_space_energy, start, config)
     result = ground_state(h, layout, config)
-    assert result.route == "physical"
+    assert result.route == route
     assert result.evals == reference.evals == evals
     assert abs(result.energy - reference.energy) \
         <= 1e-10 * abs(reference.energy)
@@ -404,22 +454,32 @@ def test_physical_route_matches_full_space_minimization(num_modes, modals,
     assert np.max(np.abs(result.state.amplitudes - expected)) <= 1e-12
 
 
-@pytest.mark.parametrize("ansatz", ["swaprz", "ryrz"])
-def test_full_route_penalty_matches_number_operators(coupled_system, ansatz):
-    layout, _, h = coupled_system
-    config = VqeConfig(ansatz=ansatz, depth=2)
-    assert config.effective_mu() == 1e5
-    route, objective, program = vqe._objective(h, layout, config)
-    assert route == "full"
+@pytest.mark.parametrize("ansatz,route,modals", [
+    pytest.param("swaprz", "full", (2, 2), id="swaprz"),
+    pytest.param("ryrz", "full", (2, 2), id="ryrz"),
+    pytest.param("chc", "parity", (3, 3), id="chc"),
+])
+def test_full_route_penalty_matches_number_operators(coupled_pes, ansatz,
+                                                     route, modals):
+    """The penalty on the full and parity routes against the number
+    operators' expectations; chc at (3,3) leaks into weight-3 registers."""
+    layout, _, h = build_qubit_hamiltonian(coupled_pes, modals)
+    config = VqeConfig(ansatz=ansatz, depth=2, mu=1e5)
+    route_taken, objective, program = vqe._objective(h, layout, config)
+    assert route_taken == route
     rng = np.random.default_rng(5)
+    penalties = []
     for _ in range(5):
         params = rng.uniform(-np.pi, np.pi, program.num_parameters)
-        state = StateVector(layout.num_qubits, program.amplitudes(params))
+        state = embed(layout.num_qubits, program.indices,
+                      program.amplitudes(params))
+        energy = expectation(state, h)
         expected = penalty_objective(
-            expectation(state, h),
-            [expectation(state, number_operator(layout, l))
-             for l in range(layout.num_modes)], 1e5)
+            energy, [expectation(state, number_operator(layout, l))
+                     for l in range(layout.num_modes)], 1e5)
         assert objective(params) == pytest.approx(expected, rel=1e-12)
+        penalties.append(expected - energy)
+    assert max(penalties) > 1.0
 
 
 @pytest.mark.parametrize("modals", [(2, 2), (3, 3)])
