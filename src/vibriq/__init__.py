@@ -7,7 +7,7 @@ the Hamiltonian."""
 
 __version__ = "0.1.0"
 
-from .pauli import PauliString, PauliSum, commutator
+from .pauli import PauliString, PauliSum, commutator, commutators
 from .pes import (ModalBasis, ModalOperators, PesExpansion, PesTerm,
                   ho_q_power_matrix, load_pes, modal_operator_matrices,
                   modal_q_power_matrix, one_body_matrix, pes_from_dict,

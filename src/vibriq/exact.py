@@ -37,14 +37,17 @@ def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
 
     ``None`` means all 2^N states (qubit 0 = least significant bit).  Row j
     holds ``compile_pauli_sum(op, indices)``'s diags[g, j] at perms[g, j],
-    written one mask at a time, so no table is held whole.
+    written one mask at a time, so no table is held whole.  The block is
+    float64 when every term weight c (-i)^|x & z| is real, as the
+    compiled diagonals are, and complex128 otherwise.
     """
     n = op.num_qubits
     _check_dimension(1 << n if indices is None else len(indices))
-    basis = _basis(n, indices)
-    out = np.zeros((basis.size, basis.size), dtype=np.complex128)
-    for _, perms, diags in _mask_chunks(_term_groups(op), basis,
-                                        indices is None):
+    basis, groups = _basis(n, indices), _term_groups(op)
+    real = not groups[3].imag.any()
+    out = np.zeros((basis.size, basis.size),
+                   dtype=np.float64 if real else np.complex128)
+    for _, perms, diags in _mask_chunks(groups, basis, indices is None):
         # distinct masks never share an entry, and a flip that leaves the
         # basis has a zero diagonal there
         for perm, diag in zip(perms, diags):
@@ -69,21 +72,28 @@ def physical_indices(layout: QubitLayout) -> np.ndarray:
         layout, lambda n: np.left_shift(1, np.arange(n, dtype=np.int64)))
 
 
-def parity_indices(layout: QubitLayout) -> np.ndarray:
-    """The states with an odd number of set bits in every mode register,
-    ascending: Π 2^(N_l - 1) = 2^(N - M) of them.
-
-    Every transfer operator flips 0 or 2 bits of one register, so a
-    mapped Hamiltonian keeps this set, and so does a chc ansatz from the
-    reference state.  A set larger than ``MAX_COMPILED_ELEMENTS``, on
-    which no compiled table fits, is refused before it is built.
-    """
+def parity_dimension(layout: QubitLayout) -> int:
+    """The size 2^(N - M) of ``parity_indices(layout)``, refused above
+    ``MAX_COMPILED_ELEMENTS``, on which no compiled table fits."""
     size_log2 = layout.num_qubits - layout.num_modes
     if 1 << size_log2 > MAX_COMPILED_ELEMENTS:
         raise ValueError(
             f"the parity basis of {layout.num_qubits} qubits in "
             f"{layout.num_modes} registers has 2^{size_log2} states; the "
             f"limit is {MAX_COMPILED_ELEMENTS}")
+    return 1 << size_log2
+
+
+def parity_indices(layout: QubitLayout) -> np.ndarray:
+    """The states with an odd number of set bits in every mode register,
+    ascending: Π 2^(N_l - 1) = 2^(N - M) of them.
+
+    Every transfer operator flips 0 or 2 bits of one register, so a
+    mapped Hamiltonian keeps this set, and so does a chc ansatz from the
+    reference state.  A set larger than ``parity_dimension`` allows is
+    refused before it is built.
+    """
+    parity_dimension(layout)
 
     def odd(n):
         values = np.arange(1 << n, dtype=np.int64)
@@ -106,6 +116,8 @@ def physical_block(h: PauliSum, layout: QubitLayout
     check_hermitian(h)
     indices = physical_indices(layout)
     block = dense_matrix(h, indices)
+    if block.dtype == np.float64:
+        return indices, block
     # reductions over views: no D x D temporary
     residue = max(block.imag.max(), -block.imag.min())
     if residue > IMAG_TOL * max(1.0, block.real.max(), -block.real.min()):

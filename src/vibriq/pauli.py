@@ -6,9 +6,13 @@ letter Y is i X Z.  Products need popcounts only (Aaronson & Gottesman,
 PRA 70, 052328 (2004)): P(xa, za) P(xb, zb) = i^k P(x, z) with x = xa ^ xb,
 z = za ^ zb and k = |xa & za| + |xb & zb| - |x & z| + 2 |za & xb|.  Two
 strings anticommute when |(xa & zb) ^ (za & xb)| is odd; only those pairs
-enter a commutator, the one product of two sums the library needs.  It
-runs as one array pass over the pair grid, on masks held as int64, so at
-most ``MAX_MASK_QUBITS`` qubits.
+enter a commutator, the one product of two sums the library needs.  One
+kernel, ``commutators(a, bs)``, gives [a, b] for many b at once: one
+array pass over a's strings against all of bs's strings, on masks held
+as int64 (so at most ``MAX_MASK_QUBITS`` qubits), that tags each product
+with its b and merges equal (b, string) pairs by one sort.  The grid is
+taken in runs of whole sums of bs, each of at most ``_PAIR_CHUNK`` pairs,
+so memory stays bounded however many sums a row holds.
 
 Labels over ``IXYZ`` (qubit 0 = leftmost letter) are only the boundary
 format of constructors, ``items``, ``terms`` and ``repr``.  Sums
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,9 +34,10 @@ DROP_TOL = 1e-12
 # Widest string whose masks fit an int64, the array form of the algebra.
 MAX_MASK_QUBITS = 63
 
-# Largest rows-of-a by terms-of-b grid of string pairs ``commutator`` tests
-# at once, so that memory stays bounded for long sums.
-_PAIR_CHUNK = 1 << 18
+# Largest grid of string pairs one commutator pass tests at once: whole
+# right-hand sums are grouped up to it, and a wider sum is tested in row
+# chunks, so that memory stays bounded for long sums and many columns.
+_PAIR_CHUNK = 1 << 13
 
 _LETTERS = frozenset("IXYZ")
 _X_BITS = str.maketrans("IXYZ", "0110")
@@ -118,18 +123,6 @@ class PauliSum:
         out = cls.__new__(cls)
         out._num_qubits = num_qubits
         out._terms = {k: c for k, c in terms.items() if abs(c) > tol}
-        return out
-
-    @classmethod
-    def _from_arrays(cls, num_qubits: int, x: np.ndarray, z: np.ndarray,
-                     coeffs: np.ndarray) -> "PauliSum":
-        """``from_masks`` on arrays, in their order, with |c| <= DROP_TOL
-        dropped in one array pass."""
-        keep = np.abs(coeffs) > DROP_TOL
-        out = cls.__new__(cls)
-        out._num_qubits = num_qubits
-        out._terms = dict(zip(zip(x[keep].tolist(), z[keep].tolist()),
-                              coeffs[keep].tolist()))
         return out
 
     @classmethod
@@ -231,25 +224,37 @@ class PauliSum:
             {k: c.conjugate() for k, c in self._terms.items()}, 0.0)
 
 
-def unique_strings(x: np.ndarray,
-                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct (x, z) mask pairs by first occurrence.
+def unique_strings(x: np.ndarray, z: np.ndarray,
+                   owner: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct (x, z) mask pairs by first occurrence; with
+    ``owner``, the distinct (owner, x, z) triples.
 
     Returns each pair's number and, per number, the position where it
     first occurs (ascending).  Equal pairs are brought together by one
-    sort, on the packed key x << width(z) | z where it fits an int64 (a
-    quicksort, several times faster than ``np.lexsort`` on two keys).
+    sort, on the packed key owner << width(x, z) | x << width(z) | z where
+    it fits 63 bits (a quicksort, several times faster than ``np.lexsort``
+    on the separate keys).
     """
     if not x.size:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     shift = int(z.max()).bit_length()
-    if int(x.max()).bit_length() + shift <= 63:
-        order = np.argsort((x << shift) | z)
+    width = int(x.max()).bit_length() + shift
+    starts = np.ones(x.size, dtype=bool)
+    if width + (0 if owner is None else int(owner.max()).bit_length()) <= 63:
+        key = (x << shift) | z
+        if owner is not None:
+            key |= owner << width
+        order = np.argsort(key)
+        key = key[order]
+        starts[1:] = key[1:] != key[:-1]
     else:
-        order = np.lexsort((z, x))
-    xs, zs = x[order], z[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+        columns = (z, x) if owner is None else (z, x, owner)
+        order = np.lexsort(columns)
+        starts[1:] = False
+        for column in columns:
+            column = column[order]
+            starts[1:] |= column[1:] != column[:-1]
     first = np.minimum.reduceat(order, np.flatnonzero(starts))
     by_first = np.argsort(first)
     number = np.empty(first.size, dtype=np.int64)
@@ -259,43 +264,137 @@ def unique_strings(x: np.ndarray,
     return ids, first[by_first]
 
 
-def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``a b - b a``, simplified.
+class _Terms(NamedTuple):
+    """The terms of several sums as arrays: each term's sum (its
+    ``owner``), masks and coefficient, one sum after another."""
+
+    owner: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    c: np.ndarray
+
+    def sizes(self, count: int) -> np.ndarray:
+        return np.bincount(self.owner, minlength=count)
+
+
+def _stack(sums: Sequence[PauliSum]) -> _Terms:
+    """The terms of ``sums``, each sum in storage order, owner = position."""
+    arrays = [s.mask_arrays() for s in sums]
+    owner = np.repeat(np.arange(len(sums)), [len(s) for s in sums])
+    return _Terms(owner, *(np.concatenate(part) for part in zip(*arrays)))
+
+
+def _split(num_qubits: int, terms: _Terms, count: int) -> list[PauliSum]:
+    """One sum per owner 0 .. count - 1, from terms grouped by owner."""
+    bounds = np.cumsum(terms.sizes(count)).tolist()
+    keys = list(zip(terms.x.tolist(), terms.z.tolist()))
+    coeffs = terms.c.tolist()
+    out = []
+    for lo, hi in zip([0] + bounds, bounds):
+        s = PauliSum.__new__(PauliSum)
+        s._num_qubits = num_qubits
+        s._terms = dict(zip(keys[lo:hi], coeffs[lo:hi]))
+        out.append(s)
+    return out
+
+
+def _merge(owner: np.ndarray, x: np.ndarray, z: np.ndarray, re: np.ndarray,
+           im: np.ndarray, scale: float) -> _Terms:
+    """``scale`` times the sum of the weights re + i im of equal (owner,
+    x, z), added in array order; terms with |c| <= DROP_TOL are dropped.
+    The result is grouped by owner, each owner's strings in order of
+    first occurrence."""
+    ids, first = unique_strings(x, z, owner)
+    coeffs = np.empty(first.size, dtype=np.complex128)
+    coeffs.real = scale * np.bincount(ids, re, first.size)
+    coeffs.imag = scale * np.bincount(ids, im, first.size)
+    keep = np.flatnonzero(np.abs(coeffs) > DROP_TOL)
+    keep = keep[np.argsort(owner[first[keep]], kind="stable")]
+    at = first[keep]
+    return _Terms(owner[at], x[at], z[at], coeffs[keep])
+
+
+def _column_runs(rows: int, sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Runs [first, stop) of consecutive columns whose pair grid with
+    ``rows`` rows holds at most ``_PAIR_CHUNK`` pairs; a wider column is a
+    run of its own."""
+    first, held = 0, 0
+    for k, size in enumerate(sizes.tolist()):
+        if held and rows * (held + size) > _PAIR_CHUNK:
+            yield first, k
+            first, held = k, 0
+        held += size
+    if sizes.size:
+        yield first, sizes.size
+
+
+def _commutator_terms(a: _Terms, b: _Terms, count: int) -> _Terms:
+    """[a, b_k] for each of the ``count`` sums b_k that ``b`` holds, as
+    terms owned by k; ``a``'s owners are ignored.
+
+    A run of whole columns b_k is one pass: the pair grid of a's strings
+    (rows) against the run's strings is tested for anticommutation in row
+    chunks, and the products of the anticommuting pairs are merged per
+    (k, string).  Pairs come in the order of a double loop, a's terms
+    outer, so each [a, b_k] equals ``commutator(a, b_k)`` term for term.
+    """
+    xa, za, ca = a.x, a.z, a.c
+    ya = np.bitwise_count(xa & za)
+    sizes = b.sizes(count)
+    ends = np.cumsum(sizes)
+    parts = [_Terms(*(np.empty(0, dtype=np.int64),) * 3,
+                    np.empty(0, dtype=np.complex128))]
+    for first, stop in _column_runs(xa.size, sizes):
+        lo = ends[first - 1] if first else 0
+        xb, zb, cb = (v[lo:ends[stop - 1]] for v in (b.x, b.z, b.c))
+        rows = max(1, _PAIR_CHUNK // max(xb.size, 1))
+        ia, ib = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for r in range(0, xa.size, rows):
+            sl = slice(r, r + rows)
+            odd = np.bitwise_count((xa[sl, None] & zb)
+                                   ^ (za[sl, None] & xb)) & 1
+            # row-major: the pair order of a double loop
+            i, j = np.nonzero(odd)
+            ia.append(i + r)
+            ib.append(j)
+        i, j = np.concatenate(ia), np.concatenate(ib)
+        if not i.size:
+            continue
+        zi, xj = za[i], xb[j]
+        x, z = xa[i] ^ xj, zi ^ zb[j]
+        k = (ya[i] + np.bitwise_count(xb & zb)[j] - np.bitwise_count(x & z)
+             + 2 * np.bitwise_count(zi & xj))
+        # i^k ca is exact; its product with cb is taken in real parts, each
+        # rounded on its own as in a Python complex product (no fused
+        # multiply-add), so every coefficient is the double loop's sum
+        p, q = _I_POWERS[k % 4] * ca[i], cb[j]
+        parts.append(_merge(b.owner[lo + j], x, z,
+                            p.real * q.real - p.imag * q.imag,
+                            p.real * q.imag + p.imag * q.real, 2.0))
+    return _Terms(*(np.concatenate(part) for part in zip(*parts)))
+
+
+def commutators(a: PauliSum, bs: Sequence[PauliSum]) -> list[PauliSum]:
+    """``[a, b]`` for each ``b`` in ``bs``, simplified.
 
     Commuting string pairs cancel, and an anticommuting pair, one with
     popcount((xa & zb) ^ (za & xb)) odd, gives P_a P_b - P_b P_a =
-    2 P_a P_b, so only those pairs are multiplied.  The test runs over the
-    pair grid in row chunks; equal products are summed by ``np.bincount``
-    in pair order (a's terms outer, b's inner, each in storage order), and
-    the result keeps its strings in order of first occurrence.  Raises
-    ``ValueError`` above ``MAX_MASK_QUBITS`` qubits.
+    2 P_a P_b, so only those pairs are multiplied.  All of bs is one
+    array pass over a's strings against bs's strings, in runs of whole
+    sums of at most ``_PAIR_CHUNK`` pairs.  Equal products of one b are
+    summed by ``np.bincount`` in pair order (a's terms outer, b's inner,
+    each in storage order), and each result keeps its strings in order of
+    first occurrence.  Raises ``ValueError`` above ``MAX_MASK_QUBITS``
+    qubits.
     """
-    a._check_compatible(b)
-    xa, za, ca = a.mask_arrays()
-    xb, zb, cb = b.mask_arrays()
-    rows = max(1, _PAIR_CHUNK // max(xb.size, 1))
-    ia, ib = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for lo in range(0, xa.size, rows):
-        sl = slice(lo, lo + rows)
-        odd = np.bitwise_count((xa[sl, None] & zb) ^ (za[sl, None] & xb)) & 1
-        i, j = np.nonzero(odd)  # row-major: the pair order of a double loop
-        ia.append(i + lo)
-        ib.append(j)
-    i, j = np.concatenate(ia), np.concatenate(ib)
-    if not i.size:
-        return PauliSum.from_masks(a._num_qubits, {})
-    zi, xj = za[i], xb[j]
-    x, z = xa[i] ^ xj, zi ^ zb[j]
-    k = (np.bitwise_count(xa & za)[i] + np.bitwise_count(xb & zb)[j]
-         - np.bitwise_count(x & z) + 2 * np.bitwise_count(zi & xj))
-    # i^k ca is exact; its product with cb is taken in real parts, each
-    # rounded on its own as in a Python complex product (no fused
-    # multiply-add), so every coefficient is the double loop's sum
-    p, q = _I_POWERS[k % 4] * ca[i], cb[j]
-    ids, first = unique_strings(x, z)
-    coeffs = np.empty(first.size, dtype=np.complex128)
-    coeffs.real = 2.0 * np.bincount(ids, p.real * q.real - p.imag * q.imag,
-                                    first.size)
-    coeffs.imag = 2.0 * np.bincount(ids, p.real * q.imag + p.imag * q.real,
-                                    first.size)
-    return PauliSum._from_arrays(a._num_qubits, x[first], z[first], coeffs)
+    for b in bs:
+        a._check_compatible(b)
+    if not bs:
+        return []
+    return _split(a._num_qubits,
+                  _commutator_terms(_stack([a]), _stack(bs), len(bs)), len(bs))
+
+
+def commutator(a: PauliSum, b: PauliSum) -> PauliSum:
+    """``a b - b a``, simplified: ``commutators(a, [b])[0]``."""
+    return commutators(a, [b])[0]

@@ -9,16 +9,20 @@ that solve: the metric's conditioning and the complex eigenvalues whose
 imaginary parts the real branch drops, which signal a reference state
 that is not an exact eigenstate (Ollitrault et al., arXiv:1910.12890).
 
-The Pauli algebra is kept small four ways.  A commutator is one array
-pass over the string pairs of its two sums: it tests the whole pair grid
-for anticommutation and multiplies only the pairs that anticommute
-(``pauli.commutator``).  The double commutator DC(A,H,B) takes its Jacobi
-form [[A,H],B] + [H,[A,B]] / 2, and [A,B] between pool operators is short
-or zero.  The sums of one pool row, two DCs and two commutators per
-column, are evaluated together as one table of distinct strings on the
-state's nonzero amplitudes (``simulator.expectation_values``); only that
-row's sums are held at a time.  Only the upper triangle of M, Q, V and W
-is evaluated: for Hermitian H, M and V are Hermitian, Q symmetric and W
+The Pauli algebra is kept small five ways.  It runs one pool row at a
+time: row i needs DC(A_i^+, H, B) and [A_i^+, B] for the columns
+B = A_j, A_j^+ with j >= i, and ``double_commutator`` and
+``pauli.commutators`` each take the whole row in one call, so [A_i^+, H]
+is formed once per row and every further commutator of the row is one
+array pass.  A pass tests the pair grid for anticommutation and
+multiplies only the pairs that anticommute, in runs of whole columns of
+bounded size.  The double commutator DC(A,H,B) takes its Jacobi form
+[[A,H],B] + [H,[A,B]] / 2, and [A,B] between pool operators is short or
+zero.  The row's sums, two DCs and two commutators per column, are
+evaluated together as one table of distinct strings on the state's
+nonzero amplitudes (``simulator.expectation_values``); only that row's
+sums are held at a time.  Only the upper triangle of M, Q, V and W is
+evaluated: for Hermitian H, M and V are Hermitian, Q symmetric and W
 antisymmetric in any state, since DC(A,H,B)^+ = DC(B^+,H,A^+) and DC is
 symmetric in A and B.  So ``compute_matrices`` first checks H Hermitian,
 as VQE and the exact path do.
@@ -27,13 +31,15 @@ as VQE and the exact path do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import linalg
 
 from .circuits import Excitation, excitation_list, excitation_sq_terms
 from .mapping import QubitLayout, map_to_pauli
-from .pauli import PauliSum, commutator
+from .pauli import (DROP_TOL, PauliSum, _commutator_terms, _merge, _split,
+                    _stack, commutators)
 from .simulator import StateVector, check_hermitian, expectation_values
 
 METRIC_SINGULARITY_RTOL = 1e-10
@@ -41,16 +47,37 @@ METRIC_SINGULARITY_RTOL = 1e-10
 COMPLEX_EIGENVALUE_RTOL = 1e-8
 
 
-def double_commutator(a: PauliSum, h: PauliSum, b: PauliSum) -> PauliSum:
-    """Symmetrized double commutator ([[a,h],b] + [a,[h,b]]) / 2.
+def double_commutator(a: PauliSum, h: PauliSum,
+                      bs: Sequence[PauliSum]) -> list[PauliSum]:
+    """Symmetrized double commutator ([[a,h],b] + [a,[h,b]]) / 2 for each
+    ``b`` in ``bs``.
 
     By the Jacobi identity [a,[h,b]] = [[a,h],b] + [h,[a,b]], so this is
     [[a,h],b] + [h,[a,b]] / 2: one commutator with h fewer, and [a,b]
-    between pool operators is short or zero.  Reduces to [[a,h],b]
-    whenever [a,b] commutes with h.
+    between pool operators is short or zero.  [a,h] is formed once; then
+    [[a,h],b], [a,b] and [h,[a,b]] each take one array pass for all of
+    bs, with no sum built between them.  Each result equals
+    ``commutator(commutator(a, h), b) + commutator(h, commutator(a, b))
+    * 0.5`` term for term.
     """
-    return (commutator(commutator(a, h), b)
-            + commutator(h, commutator(a, b)) * 0.5)
+    for op in (h, *bs):
+        a._check_compatible(op)
+    if not bs:
+        return []
+    count = len(bs)
+    a_terms, h_terms, b_terms = _stack([a]), _stack([h]), _stack(bs)
+    outer = _commutator_terms(_commutator_terms(a_terms, h_terms, 1),
+                              b_terms, count)
+    inner = _commutator_terms(h_terms, _commutator_terms(a_terms, b_terms,
+                                                         count), count)
+    half = inner.c * 0.5
+    keep = np.abs(half) > DROP_TOL
+    # [[a,h],b]'s strings first, then the new ones of [h,[a,b]] / 2, as
+    # a sum of the two adds them
+    owner, x, z, c = (np.concatenate(pair) for pair in zip(
+        outer, (inner.owner[keep], inner.x[keep], inner.z[keep], half[keep])))
+    return _split(a.num_qubits, _merge(owner, x, z, c.real, c.imag, 1.0),
+                  count)
 
 
 @dataclass(frozen=True)
@@ -98,12 +125,16 @@ def compute_matrices(ground: StateVector, h: PauliSum,
     v = np.zeros((size, size), dtype=np.complex128)
     w = np.zeros((size, size), dtype=np.complex128)
     for i in range(size):
-        # one row's sums at a time, evaluated in one pass over the state
-        dag, sums = ops.adjoints[i], []
-        for op, op_dag in zip(ops.operators[i:], ops.adjoints[i:]):
-            sums += [double_commutator(dag, h, op),
-                     double_commutator(dag, h, op_dag),
-                     commutator(dag, op), commutator(dag, op_dag)]
+        # one row's sums at a time, built by one call of each kernel and
+        # evaluated in one pass over the state; columns j >= i alternate
+        # A_j, A_j^+
+        dag = ops.adjoints[i]
+        columns = [op for pair in zip(ops.operators[i:], ops.adjoints[i:])
+                   for op in pair]
+        dcs = double_commutator(dag, h, columns)
+        comms = commutators(dag, columns)
+        sums = [s for j in range(0, len(columns), 2)
+                for s in (*dcs[j:j + 2], *comms[j:j + 2])]
         row = expectation_values(ground, sums).reshape(-1, 4)
         m[i, i:], q[i, i:] = row[:, 0], -row[:, 1]
         v[i, i:], w[i, i:] = row[:, 2], -row[:, 3]

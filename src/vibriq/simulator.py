@@ -46,7 +46,7 @@ from scipy import sparse
 from .circuits import (Block, Circuit, Excitation, ExcitationRotation, Gate,
                        PauliRotation, build_chc, build_uvcc, excitation_list)
 from .mapping import QubitLayout
-from .pauli import PauliSum, unique_strings
+from .pauli import PauliSum, _stack, unique_strings
 
 NORM_TOL = 1e-10
 
@@ -220,6 +220,11 @@ def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
 # many qubits.
 _CHUNK_ELEMENTS = 1 << 20
 
+# The same for the rows ``_mask_chunks`` writes: each chunk holds several
+# such tables (positions, diagonals, a sign table), so it is kept small,
+# to a few MB beside a dense block and within cache.
+_COMPILE_CHUNK_ELEMENTS = 1 << 16
+
 # (-i)^n_Y, indexed by n_Y mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
@@ -296,7 +301,7 @@ def _mask_chunks(groups, indices: np.ndarray, full: bool):
     """
     masks, group, signs, weights = groups
     real = not weights.imag.any()
-    block = max(1, _CHUNK_ELEMENTS // max(indices.size, 1))
+    block = max(1, _COMPILE_CHUNK_ELEMENTS // max(indices.size, 1))
     size = (min(block, masks.size), indices.size)
     all_perms = np.empty(size, np.int64)
     all_diags = np.empty(size, float if real else complex)
@@ -304,13 +309,19 @@ def _mask_chunks(groups, indices: np.ndarray, full: bool):
         sl = slice(g0, min(g0 + block, masks.size))
         perms, diags = all_perms[:sl.stop - g0], all_diags[:sl.stop - g0]
         diags[:] = 0.0
-        t0, t1 = np.searchsorted(group, [sl.start, sl.stop])
-        for lo in range(t0, t1, block):
-            ts = slice(lo, min(lo + block, t1))
+        lo, t1 = np.searchsorted(group, [sl.start, sl.stop])
+        while lo < t1:
+            hi = min(lo + block, t1)
+            if hi < t1:
+                # end on a mask boundary, so that a mask's terms add in one
+                # product whatever the chunk size, unless they alone fill it
+                start = np.searchsorted(group, group[hi])
+                hi = start if start > lo else hi
+            ts, lo = slice(lo, hi), hi
             table = 1.0 - 2.0 * (np.bitwise_count(signs[ts, None] & indices) & 1)
             # a sparse row per mask these terms hold and an entry per term,
             # so each mask's terms add one by one, in order
-            first, rows = group[lo] - g0, group[ts] - group[lo]
+            first, rows = group[ts.start] - g0, group[ts] - group[ts.start]
             shape = (rows[-1] + 1, rows.size)
             csr = (np.arange(rows.size),
                    np.searchsorted(rows, np.arange(shape[0] + 1)))
@@ -325,6 +336,22 @@ def _mask_chunks(groups, indices: np.ndarray, full: bool):
             perms[:], found = _lookup(indices, perms)
             diags[~found] = 0.0
         yield sl, perms, diags
+
+
+def check_compiled_size(op: PauliSum, dim: int) -> None:
+    """Raise ``ValueError`` if ``compile_pauli_sum`` of ``op`` on ``dim``
+    basis states would exceed ``MAX_COMPILED_ELEMENTS`` mask-by-state
+    entries; needs only the terms, so it can run before the basis exists."""
+    x, z, c = op.mask_arrays()
+    num_masks = np.unique(x).size
+    if num_masks * dim > MAX_COMPILED_ELEMENTS:
+        weights = c * _MINUS_I_POWERS[np.bitwise_count(x & z) % 4]
+        real = not weights.imag.any()
+        # an int64 position and a float64 or complex128 diagonal per entry
+        raise ValueError(
+            f"compiling {num_masks} flip masks on {op.num_qubits} qubits "
+            f"needs {num_masks * dim * (16 if real else 24) / 1e6:.0f} MB; "
+            f"the limit is {MAX_COMPILED_ELEMENTS} mask-by-state entries")
 
 
 def compile_pauli_sum(op: PauliSum | CompiledPauliSum,
@@ -342,15 +369,11 @@ def compile_pauli_sum(op: PauliSum | CompiledPauliSum,
         if indices is not None:
             raise ValueError("a compiled operator keeps its own basis")
         return op
-    n, groups = op.num_qubits, _term_groups(op)
-    num_masks, real = groups[0].size, not groups[3].imag.any()
+    n = op.num_qubits
     dim = 1 << n if indices is None else len(indices)
-    if num_masks * dim > MAX_COMPILED_ELEMENTS:
-        # an int64 position and a float64 or complex128 diagonal per entry
-        raise ValueError(
-            f"compiling {num_masks} flip masks on {n} qubits needs "
-            f"{num_masks * dim * (16 if real else 24) / 1e6:.0f} MB; the "
-            f"limit is {MAX_COMPILED_ELEMENTS} mask-by-state entries")
+    check_compiled_size(op, dim)
+    groups = _term_groups(op)
+    num_masks, real = groups[0].size, not groups[3].imag.any()
     basis = _basis(n, indices)
     perms = np.empty((num_masks, dim), dtype=np.int64)
     diags = np.empty((num_masks, dim), dtype=np.float64 if real
@@ -374,9 +397,7 @@ def expectation_values(state: StateVector,
         raise ValueError("state and operator disagree on the qubit count")
     if not sums:
         return np.zeros(0, dtype=np.complex128)
-    arrays = [op.mask_arrays() for op in sums]
-    x, z, coeffs = (np.concatenate(part) for part in zip(*arrays))
-    owner = np.repeat(np.arange(len(sums)), [len(op) for op in sums])
+    owner, x, z, coeffs = _stack(sums)
     ids, first = unique_strings(x, z)
     x, z = x[first], z[first]
     amps = state.amplitudes

@@ -42,11 +42,11 @@ import numpy as np
 from .circuits import (Block, Circuit, chc_blocks, circuit_from_blocks,
                        excitation_list, heuristic_blocks, reference_circuit,
                        uvcc_blocks)
-from .exact import parity_indices, physical_block
+from .exact import parity_dimension, parity_indices, physical_block
 from .mapping import QubitLayout, occupations, penalty_objective
 from .pauli import PauliSum
-from .simulator import (AnsatzProgram, StateVector, check_hermitian,
-                        compile_pauli_sum, embed)
+from .simulator import (AnsatzProgram, StateVector, check_compiled_size,
+                        check_hermitian, compile_pauli_sum, embed)
 
 ANSATZ_KINDS = ("uvccsd", "chc", "swaprz", "ryrz")
 DEFAULT_PENALTY_WEIGHT = 1e5
@@ -302,8 +302,12 @@ def _objective(hamiltonian: PauliSum, layout: QubitLayout, config: VqeConfig
     else:
         mu = config.effective_mu()
         check_hermitian(hamiltonian)
-        route, indices = (("parity", parity_indices(layout))
-                          if config.ansatz == "chc" else ("full", None))
+        if config.ansatz == "chc":
+            # the table's size is refused before its basis is built
+            check_compiled_size(hamiltonian, parity_dimension(layout))
+            route, indices = "parity", parity_indices(layout)
+        else:
+            route, indices = "full", None
         compiled = compile_pauli_sum(hamiltonian, indices)
     program = ansatz_program(layout, config, indices)
 

@@ -88,6 +88,13 @@ def reference_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
                                {k: 2.0 * c for k, c in out.items()})
 
 
+def assert_same_terms(got: PauliSum, ref: PauliSum) -> None:
+    """The same strings in the same order, coefficients to 1e-15 relative."""
+    assert list(got._terms) == list(ref._terms)
+    for key, c in ref._terms.items():
+        assert abs(got._terms[key] - c) <= 1e-15 * abs(c)
+
+
 def dense_from_sum(op: PauliSum) -> np.ndarray:
     dim = 1 << op.num_qubits
     out = np.zeros((dim, dim), dtype=complex)

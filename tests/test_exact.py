@@ -6,7 +6,7 @@ import pytest
 from helpers import (dense_from_sum, onv_rule_matrix, pauli_product,
                      random_pauli_sum, random_sq_hamiltonian)
 from vibriq.exact import (dense_matrix, ground_state_vector, parity_indices,
-                          physical_indices, physical_spectrum)
+                          physical_block, physical_indices, physical_spectrum)
 from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
 from vibriq.pauli import PauliSum
 from vibriq.qeom import build_eom_operators
@@ -210,6 +210,34 @@ def test_real_block_spectrum_matches_complex_eigvalsh(system):
     expected = np.linalg.eigvalsh(dense_matrix(h, physical_indices(layout)))
     np.testing.assert_allclose(physical_spectrum(h, layout), expected,
                                rtol=1e-12, atol=0)
+
+
+def test_dense_matrix_is_real_when_every_term_weight_is():
+    real = PauliSum(3, [("XZY", 1j), ("ZZI", -2.0), ("XXI", 0.5)])
+    odd_y = real + PauliSum.from_label("YII", 0.25)
+    for op, dtype in ((real, np.float64), (odd_y, np.complex128)):
+        for idx in (None, np.array([1, 2, 4, 7])):
+            block = dense_matrix(op, idx)
+            assert block.dtype == dtype
+            full = dense_from_sum(op)
+            want = full if idx is None else full[np.ix_(idx, idx)]
+            np.testing.assert_allclose(block, want, rtol=0, atol=1e-14)
+
+
+def test_physical_block_is_written_real():
+    """The benchmark's 5-mode PES at D = 4^5 = 1 024: the block is built
+    float64 in place, with no complex block or real copy beside it."""
+    layout, _, h = build_qubit_hamiltonian(bench_pes(5, 0), (4,) * 5)
+    dim = 1024
+    tracemalloc.start()
+    try:
+        _, block = physical_block(h, layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.dtype == np.float64 and block.shape == (dim, dim)
+    assert block.flags.c_contiguous
+    assert peak < 1.5 * dim * dim * 8
 
 
 def test_non_hermitian_sums_refused(coupled_system):

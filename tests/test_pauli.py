@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import build_qubit_hamiltonian
-from helpers import (dense_from_sum, pauli_product, random_pauli_sum,
-                     reference_commutator)
+from helpers import (assert_same_terms, dense_from_sum, pauli_product,
+                     random_pauli_sum, reference_commutator)
 from vibriq import pauli
-from vibriq.pauli import MAX_MASK_QUBITS, PauliSum, commutator
+from vibriq.pauli import MAX_MASK_QUBITS, PauliSum, commutator, commutators
 
 
 def test_single_qubit_product_identity():
@@ -134,13 +134,6 @@ def test_commutator_of_anticommuting_strings_is_twice_the_product():
         np.testing.assert_allclose(got, 2.0 * da @ db, atol=1e-12)
 
 
-def _assert_same_terms(got: PauliSum, ref: PauliSum) -> None:
-    """The same strings in the same order, coefficients to 1e-15 relative."""
-    assert list(got._terms) == list(ref._terms)
-    for key, c in ref._terms.items():
-        assert abs(got._terms[key] - c) <= 1e-15 * abs(c)
-
-
 def test_commutator_matches_the_pair_loop_term_for_term():
     rng = np.random.default_rng(59)
     for num_qubits, n_a, n_b in ((1, 3, 4), (3, 12, 9), (6, 40, 100),
@@ -148,8 +141,8 @@ def test_commutator_matches_the_pair_loop_term_for_term():
         for hermitian in (True, False):
             a = random_pauli_sum(rng, num_qubits, n_a, hermitian=hermitian)
             b = random_pauli_sum(rng, num_qubits, n_b, hermitian=hermitian)
-            _assert_same_terms(commutator(a, b), reference_commutator(a, b))
-            _assert_same_terms(commutator(b, a), reference_commutator(b, a))
+            assert_same_terms(commutator(a, b), reference_commutator(a, b))
+            assert_same_terms(commutator(b, a), reference_commutator(b, a))
 
 
 def test_commutator_matches_the_pair_loop_on_qeom_products(coupled_pes):
@@ -159,12 +152,12 @@ def test_commutator_matches_the_pair_loop_on_qeom_products(coupled_pes):
     ops = build_eom_operators(layout)
     for a in ops.adjoints[::3]:
         ah = commutator(a, h)
-        _assert_same_terms(ah, reference_commutator(a, h))
+        assert_same_terms(ah, reference_commutator(a, h))
         for b in ops.operators[::2] + ops.adjoints[1::3]:
-            _assert_same_terms(commutator(ah, b), reference_commutator(ah, b))
+            assert_same_terms(commutator(ah, b), reference_commutator(ah, b))
             ab = commutator(a, b)
-            _assert_same_terms(ab, reference_commutator(a, b))
-            _assert_same_terms(commutator(h, ab), reference_commutator(h, ab))
+            assert_same_terms(ab, reference_commutator(a, b))
+            assert_same_terms(commutator(h, ab), reference_commutator(h, ab))
 
 
 def test_commutator_with_no_anticommuting_pair_or_no_terms_is_empty():
@@ -191,7 +184,7 @@ def test_commutator_on_the_widest_masks():
         a = _sum_from_letters(rng, letters, 12)
         b = _sum_from_letters(rng, letters, 15)
         got = commutator(a, b)
-        _assert_same_terms(got, reference_commutator(a, b))
+        assert_same_terms(got, reference_commutator(a, b))
         assert any(x >> 62 or z >> 62 for x, z in got._terms)
 
 
@@ -206,7 +199,98 @@ def test_commutator_across_row_chunks(monkeypatch):
         chunked = commutator(a, b)
         monkeypatch.undo()
         assert list(chunked._terms.items()) == list(whole._terms.items())
-        _assert_same_terms(chunked, reference_commutator(a, b))
+        assert_same_terms(chunked, reference_commutator(a, b))
+
+
+def _pool_row(ops, i):
+    """Row i's columns A_j, A_j^+ (j >= i), paired as ``compute_matrices``
+    pairs them."""
+    return [op for pair in zip(ops.operators[i:], ops.adjoints[i:])
+            for op in pair]
+
+
+def _assert_each_matches_the_pair_loop(a, bs, got):
+    assert len(got) == len(bs)
+    for b, one in zip(bs, got):
+        assert_same_terms(one, reference_commutator(a, b))
+        single = commutator(a, b)
+        assert list(one._terms.items()) == list(single._terms.items())
+        assert one.num_qubits == a.num_qubits
+
+
+def _row_cases(coupled_pes):
+    """(a, bs): random sums, with an empty and a commuting column, and the
+    pool rows of a (3,3) system against A_i^+ and against [A_i^+, H]."""
+    from vibriq.qeom import build_eom_operators
+    rng = np.random.default_rng(83)
+    cases = []
+    for num_qubits, n_a, sizes in ((1, 3, (4, 2)), (4, 12, (9, 0, 5, 30)),
+                                   (7, 40, (60, 1, 100))):
+        a = random_pauli_sum(rng, num_qubits, n_a)
+        bs = [random_pauli_sum(rng, num_qubits, n) if n
+              else PauliSum(num_qubits) for n in sizes]
+        cases.append((a, bs + [PauliSum.from_label("I" * num_qubits)]))
+    layout, _, h = build_qubit_hamiltonian(coupled_pes, (3, 3))
+    ops = build_eom_operators(layout)
+    for i in (0, 3, ops.size - 1):
+        row = _pool_row(ops, i)
+        dag = ops.adjoints[i]
+        cases += [(dag, row), (commutator(dag, h), row)]
+    return cases
+
+
+def test_commutators_match_the_pair_loop_for_each_column(coupled_pes):
+    for a, bs in _row_cases(coupled_pes):
+        _assert_each_matches_the_pair_loop(a, bs, commutators(a, bs))
+    assert commutators(PauliSum.from_label("X"), []) == []
+
+
+def test_commutators_with_every_column_its_own_pass(coupled_pes, monkeypatch):
+    """A one-pair budget makes every column a run and every row a chunk."""
+    cases = _row_cases(coupled_pes)
+    whole = [commutators(a, bs) for a, bs in cases]
+    monkeypatch.setattr(pauli, "_PAIR_CHUNK", 1)
+    # an empty column adds no pair, so it may share a run
+    sizes = np.array([3, 0, 5, 1])
+    assert list(pauli._column_runs(7, sizes)) == [(0, 1), (1, 3), (3, 4)]
+    for (a, bs), before in zip(cases, whole):
+        got = commutators(a, bs)
+        assert [list(g._terms.items()) for g in got] == \
+            [list(w._terms.items()) for w in before]
+        _assert_each_matches_the_pair_loop(a, bs, got)
+
+
+def test_column_runs_stay_within_the_pair_budget(monkeypatch):
+    monkeypatch.setattr(pauli, "_PAIR_CHUNK", 40)
+    sizes = np.array([3, 4, 0, 2, 30, 1, 1, 6])
+    runs = list(pauli._column_runs(4, sizes))
+    assert runs == [(0, 4), (4, 5), (5, 8)]
+    for first, stop in runs:
+        assert stop - first == 1 or 4 * sizes[first:stop].sum() <= 40
+    assert list(pauli._column_runs(4, np.array([], dtype=int))) == []
+
+
+def test_commutators_sort_owner_and_mask_keys_wider_than_63_bits(
+        monkeypatch):
+    """x up to qubit 31 and z up to qubit 30 fill a 63-bit key; the column
+    number needs more bits, so equal strings meet through ``np.lexsort``,
+    while a single column still takes the packed key."""
+    rng = np.random.default_rng(89)
+    letters = ("IXYZ",) * 3 + ("I",) * 26 + ("IXYZ", "IXYZ", "IX")
+    a = _sum_from_letters(rng, letters, 20)
+    bs = [_sum_from_letters(rng, letters, n) for n in (15, 8, 25)]
+    x, z = np.array([k for b in commutators(a, bs) for k in b._terms]).T
+    assert int(x.max()).bit_length() + int(z.max()).bit_length() == 63
+    keys = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort",
+                        lambda k: keys.append(len(k)) or lexsort(k))
+    _assert_each_matches_the_pair_loop(a, bs, commutators(a, bs))
+    assert keys == [3]
+    keys.clear()
+    for b in bs:
+        assert_same_terms(commutator(a, b), reference_commutator(a, b))
+    assert keys == []
 
 
 def test_commutator_refuses_masks_wider_than_int64():

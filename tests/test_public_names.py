@@ -8,9 +8,12 @@ fails here in milliseconds instead of when someone next runs a demo.
 import ast
 import importlib
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,3 +100,34 @@ def test_benchmark_hooks_resolve_and_the_probe_fills_every_layer(
     empty = [name for name, value in metrics.items()
              if value is None and name != "cli.self_s"]
     assert not empty, empty
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]])
+def test_each_benchmark_command_runs_once_traced(workload, tmp_path,
+                                                 monkeypatch):
+    """``bench/run.py --trace 1`` on each workload, cut to one traced
+    invocation: the counts the tracer takes from a command's own calls
+    (such as a traced function's result) must work, and every metric must
+    print.  Inputs, results and spans go to ``tmp_path``."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    modules = {}
+    # in import order, each registered before it runs, as its dataclasses
+    # need; the registrations are undone after the test
+    for name in ("tracing", "pesgen", "oracles", "workloads", "run"):
+        spec = importlib.util.spec_from_file_location(name,
+                                                      BENCH / f"{name}.py")
+        modules[name] = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, modules[name])
+        spec.loader.exec_module(modules[name])
+    run, workloads = modules["run"], modules["workloads"]
+    from vibriq import cli
+
+    spec = workloads.WORKLOADS[workload]
+    runner = run.Runner(cli.main, spec, spec.prepare(tmp_path, 0))
+    values, _ = run._traced(runner, 0, tmp_path, 0)
+    assert runner.failed == 0 and runner.correct
+    for name, _ in run.PER_LAYER:
+        format(values[name], "14.6g")

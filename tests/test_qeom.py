@@ -2,30 +2,33 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from helpers import dense_from_sum, random_pauli_sum
+from conftest import build_qubit_hamiltonian
+from helpers import (assert_same_terms, dense_from_sum, random_pauli_sum,
+                     reference_commutator)
+from vibriq import pauli
 from vibriq.exact import (ground_state_vector, physical_indices,
                           physical_spectrum)
-from vibriq.pauli import PauliSum
+from vibriq.pauli import PauliSum, commutator
 from vibriq.qeom import (EomOperators, build_eom_operators, compute_matrices,
                          double_commutator, eom_diagnostics,
                          excitation_energies, solve_pseudo_eigenproblem)
-from vibriq.simulator import StateVector
+from vibriq.simulator import StateVector, expectation_values
 
 
 def test_double_commutator_of_commuting_operators_vanishes():
     a = PauliSum.from_label("XI")
     h = PauliSum.from_label("IZ")
     b = PauliSum.from_label("XX")  # commutes with both? X0 yes, check via result
-    z = double_commutator(a, PauliSum.from_label("II"), b)
+    z = double_commutator(a, PauliSum.from_label("II"), [b])[0]
     assert len(z) == 0
-    z2 = double_commutator(a, a, a)
+    z2 = double_commutator(a, a, [a])[0]
     assert len(z2) == 0
 
 
 def test_double_commutator_single_qubit_case():
     x = PauliSum.from_label("X")
     z = PauliSum.from_label("Z")
-    got = double_commutator(x, z, x)
+    got = double_commutator(x, z, [x])[0]
     dx, dz = dense_from_sum(x), dense_from_sum(z)
 
     def comm(a, b):
@@ -48,8 +51,9 @@ def test_double_commutator_matches_dense_on_random_sums():
             return x @ y - y @ x
 
         expected = 0.5 * (comm(comm(da, dh), db) + comm(da, comm(dh, db)))
-        np.testing.assert_allclose(dense_from_sum(double_commutator(a, h, b)),
-                                   expected, atol=1e-10)
+        np.testing.assert_allclose(
+            dense_from_sum(double_commutator(a, h, [b])[0]), expected,
+            atol=1e-10)
 
 
 def _comm(x, y):
@@ -69,8 +73,98 @@ def test_double_commutator_jacobi_form_matches_literal_definition():
     for a, b in pairs:
         da, db = dense_from_sum(a), dense_from_sum(b)
         literal = 0.5 * (_comm(_comm(da, dh), db) + _comm(da, _comm(dh, db)))
-        np.testing.assert_allclose(dense_from_sum(double_commutator(a, h, b)),
-                                   literal, atol=1e-11)
+        np.testing.assert_allclose(
+            dense_from_sum(double_commutator(a, h, [b])[0]), literal,
+            atol=1e-11)
+
+
+def _single_double_commutator(a, h, b):
+    return (commutator(commutator(a, h), b)
+            + commutator(h, commutator(a, b)) * 0.5)
+
+
+def _reference_double_commutator(a, h, b):
+    """[[a,h],b] + [h,[a,b]] / 2 from the pair-loop commutator."""
+    return (reference_commutator(reference_commutator(a, h), b)
+            + reference_commutator(h, reference_commutator(a, b)) * 0.5)
+
+
+def _double_commutator_rows(coupled_pes):
+    """(a, h, bs): pool rows of a (3,3) system, and random sums."""
+    layout, _, h = build_qubit_hamiltonian(coupled_pes, (3, 3))
+    ops = build_eom_operators(layout)
+    rows = [(ops.adjoints[i], h,
+             [op for pair in zip(ops.operators[i:], ops.adjoints[i:])
+              for op in pair]) for i in (0, 2, ops.size - 1)]
+    rng = np.random.default_rng(79)
+    rows.append((random_pauli_sum(rng, 4, 6),
+                 random_pauli_sum(rng, 4, 12, hermitian=True),
+                 [random_pauli_sum(rng, 4, n) for n in (5, 1, 9)]
+                 + [PauliSum(4)]))
+    return rows
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_double_commutator_row_matches_the_pair_loop_jacobi_form(
+        coupled_pes, monkeypatch, budget):
+    """Each column's DC equals the per-column Jacobi form term for term,
+    also with every column and every row its own pass."""
+    if budget is not None:
+        monkeypatch.setattr(pauli, "_PAIR_CHUNK", budget)
+    for a, h, bs in _double_commutator_rows(coupled_pes):
+        got = double_commutator(a, h, bs)
+        assert len(got) == len(bs)
+        for b, dc in zip(bs, got):
+            assert_same_terms(dc, _reference_double_commutator(a, h, b))
+            single = _single_double_commutator(a, h, b)
+            assert list(dc._terms.items()) == list(single._terms.items())
+    assert double_commutator(a, h, []) == []
+
+
+def _per_entry_matrices(state, h, ops):
+    """M, Q, V and W with every entry's sums built on their own from
+    single commutators, evaluated one row at a time as
+    ``compute_matrices`` does."""
+    size = ops.size
+    out = {name: np.zeros((size, size), dtype=complex) for name in "mqvw"}
+    for i in range(size):
+        dag, sums = ops.adjoints[i], []
+        for op, op_dag in zip(ops.operators[i:], ops.adjoints[i:]):
+            sums += [_single_double_commutator(dag, h, op),
+                     _single_double_commutator(dag, h, op_dag),
+                     commutator(dag, op), commutator(dag, op_dag)]
+        row = expectation_values(state, sums).reshape(-1, 4)
+        out["m"][i, i:], out["q"][i, i:] = row[:, 0], -row[:, 1]
+        out["v"][i, i:], out["w"][i, i:] = row[:, 2], -row[:, 3]
+    lower = np.tril_indices(size, -1)
+    out["m"][lower] = out["m"].T[lower].conj()
+    out["v"][lower] = out["v"].T[lower].conj()
+    out["q"][lower] = out["q"].T[lower]
+    out["w"][lower] = -out["w"].T[lower]
+    return out
+
+
+def test_row_matrices_equal_the_per_entry_construction_exactly(coupled_pes):
+    """On an exact ground state, a uvccsd VQE state and a leaky chc
+    non-eigenstate of a (3,3) system, to the last bit."""
+    from vibriq.circuits import build_chc, excitation_list
+    from vibriq.simulator import apply_circuit
+    from vibriq.vqe import VqeConfig, ground_state
+    layout, _, h = build_qubit_hamiltonian(coupled_pes, (3, 3))
+    ops = build_eom_operators(layout)
+    _, exact_ground = ground_state_vector(h, layout)
+    uvcc = ground_state(h, layout, VqeConfig(ansatz="uvccsd", max_evals=300))
+    rng = np.random.default_rng(97)
+    circuit = build_chc(layout, excitation_list(layout, 2))
+    params = rng.uniform(-1.0, 1.0, circuit.num_parameters)
+    amps = apply_circuit(circuit, params).amplitudes
+    amps = amps + 0.1 * (rng.normal(size=amps.size)
+                         + 1j * rng.normal(size=amps.size))
+    leaky = StateVector(layout.num_qubits, amps / np.linalg.norm(amps))
+    for state in (exact_ground, uvcc.state, leaky):
+        mats = compute_matrices(state, h, ops)
+        for name, want in _per_entry_matrices(state, h, ops).items():
+            assert np.array_equal(getattr(mats, name), want), name
 
 
 def _dense_eom_matrices(psi, h, operators):
@@ -137,8 +231,9 @@ def test_double_commutator_adjoint_symmetry():
     h = random_pauli_sum(rng, 3, 5, hermitian=True)
     a = random_pauli_sum(rng, 3, 3)
     b = random_pauli_sum(rng, 3, 3)
-    left = dense_from_sum(double_commutator(a, h, b))
-    right = dense_from_sum(double_commutator(b.adjoint(), h, a.adjoint()))
+    left = dense_from_sum(double_commutator(a, h, [b])[0])
+    right = dense_from_sum(
+        double_commutator(b.adjoint(), h, [a.adjoint()])[0])
     np.testing.assert_allclose(left.conj().T, right, atol=1e-10)
 
 

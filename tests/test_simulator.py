@@ -271,6 +271,27 @@ def test_full_space_tables_sum_terms_in_items_order_bit_for_bit():
                                   np.array([diags[x] for x in masks]))
 
 
+def test_compiled_tables_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Term chunks end on mask boundaries, so a chunk of any size that
+    holds each mask's terms gives the same bits; a smaller one splits the
+    largest masks and differs only by rounding."""
+    _, _, h = build_qubit_hamiltonian(bench_pes(2, 0), (3, 3))
+    dim = 1 << h.num_qubits
+    whole = compile_pauli_sum(h)
+    most = int(np.bincount(simulator._term_groups(h)[1]).max())
+    assert most > 3
+    for terms, exact in ((most, True), (most + 1, True), (3, False),
+                         (1, False)):
+        monkeypatch.setattr(simulator, "_COMPILE_CHUNK_ELEMENTS", terms * dim)
+        chunked = compile_pauli_sum(h)
+        np.testing.assert_array_equal(chunked.perms, whole.perms)
+        if exact:
+            np.testing.assert_array_equal(chunked.diags, whole.diags)
+        else:
+            np.testing.assert_allclose(chunked.diags, whole.diags, rtol=0,
+                                       atol=1e-12 * np.abs(whole.diags).max())
+
+
 def test_compile_refuses_unsorted_indices():
     for indices in ([3, 1], [1, 1, 2]):
         with pytest.raises(ValueError, match="ascending"):

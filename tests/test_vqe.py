@@ -319,6 +319,31 @@ def test_oversized_parity_basis_refused_before_any_index_array(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_oversized_parity_table_refused_before_the_basis_is_built(
+        monkeypatch):
+    """chc on (5,)*6 runs on 2^24 parity states, a basis inside the limit,
+    but 2 flip masks on it are not: the compile's size check comes before
+    the 134 MB index array, with the compile's own message."""
+    layout = QubitLayout((5,) * 6)
+    n = layout.num_qubits
+    hamiltonian = PauliSum(n, [("Z" + "I" * (n - 1), 1.0),
+                               ("XX" + "I" * (n - 2), 0.5)])
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("parity basis built before the size check")
+
+    monkeypatch.setattr(vqe, "parity_indices", no_basis)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="compiling 2 flip masks on 30 "
+                                             "qubits needs 537 MB"):
+            vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="chc"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 def test_oversized_physical_block_refused_before_the_ansatz_is_built(
         monkeypatch):
     """uvccsd on (5,)*6 needs a 15 625-state block: refused by the exact
