@@ -8,6 +8,8 @@ positive branch returned.  ``eom_diagnostics`` reports how far to trust
 that solve: the metric's conditioning and the complex eigenvalues whose
 imaginary parts the real branch drops, which signal a reference state
 that is not an exact eigenstate (Ollitrault et al., arXiv:1910.12890).
+The pencil is solved once per ``EomMatrices``, for the energies and the
+diagnostics both.
 
 The Pauli algebra is kept small five ways.  It runs one pool row at a
 time: row i needs DC(A_i^+, H, B) and [A_i^+, B] for the columns
@@ -31,10 +33,10 @@ as VQE and the exact path do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg
 
 from .circuits import Excitation, excitation_list, excitation_sq_terms
 from .mapping import QubitLayout, map_to_pauli
@@ -112,6 +114,12 @@ class EomMatrices:
     def size(self) -> int:
         return self.m.shape[0]
 
+    @cached_property
+    def _pencil(self) -> tuple[np.ndarray, dict]:
+        """``_solve_pencil``'s result, computed on first read; a singular
+        metric raises on every read."""
+        return _solve_pencil(self)
+
 
 def compute_matrices(ground: StateVector, h: PauliSum,
                      ops: EomOperators) -> EomMatrices:
@@ -161,6 +169,9 @@ def _solve_pencil(matrices: EomMatrices) -> tuple[np.ndarray, dict]:
         raise ValueError(
             f"metric block is singular: near-null subspace dimension "
             f"{null_dim} of {b.shape[0]}")
+    # imported here, so that commands without a qEOM solve do not load it
+    from scipy import linalg
+
     values = linalg.eigvals(a, b)
     values = values[np.isfinite(values)]
     imag = np.abs(values.imag)
@@ -183,7 +194,7 @@ def solve_pseudo_eigenproblem(matrices: EomMatrices,
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    values, _ = _solve_pencil(matrices)
+    values, _ = matrices._pencil
     return np.sort(values.real[values.real > threshold])
 
 
@@ -196,7 +207,7 @@ def eom_diagnostics(matrices: EomMatrices) -> dict:
     |Im E|.  Raises like ``solve_pseudo_eigenproblem`` on a singular
     metric.
     """
-    return _solve_pencil(matrices)[1]
+    return dict(matrices._pencil[1])
 
 
 def excitation_energies(ground: StateVector, h: PauliSum, layout: QubitLayout,

@@ -3,11 +3,13 @@
 The default optimizer is a derivative-free simplex with restarts: each
 restart rebuilds a fresh simplex around the best point found so far,
 which recovers from the stalls simplex methods hit on higher-dimensional
-penalty landscapes.  A simultaneous-perturbation optimizer is available
-for noisy objectives.  Convergence is declared when the best objective
-value stops improving by more than the tolerance over a trailing
-evaluation window, or across a restart; the result says which stop
-ended the run.
+penalty landscapes.  The simplex is in-library: ``_nelder_mead`` takes
+scipy's Nelder-Mead steps in scipy's order and visits the same points
+bit for bit, without loading ``scipy.optimize`` for the run.  A
+simultaneous-perturbation optimizer is available for noisy objectives.
+Convergence is declared when the best objective value stops improving by
+more than the tolerance over a trailing evaluation window, or across a
+restart; the result says which stop ended the run.
 
 The objective never touches the gate-level circuit: each run compiles
 the ansatz into an ``AnsatzProgram`` (one vectorized step per excitation
@@ -60,6 +62,9 @@ STOP_RESTARTS = "restarts"
 
 # Simplex runs per minimization: the first plus the restarts.
 NELDER_MEAD_RUNS = 12
+# A simplex run ends when its vertices agree to these in x and in f.
+SIMPLEX_XATOL = 1e-10
+SIMPLEX_FATOL = 1e-12
 
 # Range of the uniform random start parameters.
 INIT_RANGE = (-0.2, 0.2)
@@ -182,23 +187,87 @@ class _Tracker:
         self._best_trace.clear()
 
 
+def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
+                 adaptive: bool) -> np.ndarray:
+    """Nelder-Mead from ``x0`` until the simplex is within ``SIMPLEX_XATOL``
+    in x and ``SIMPLEX_FATOL`` in f; returns the best vertex.
+
+    scipy 1.17's ``_minimize_neldermead`` with no bounds and no call or
+    iteration limit (``f`` ends a run early by raising), operation for
+    operation, so it evaluates the same points in the same order, bit for
+    bit.  ``adaptive`` takes the coefficients of Gao & Han, Comput. Optim.
+    Appl. 51, 259 (2012).  The reflection coefficient is 1 and is left
+    out of the steps' expressions; multiplying by it is exact.  ``f`` may
+    keep its argument but must not modify it.
+    """
+    n = len(x0)
+    if adaptive:
+        chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+    sim = np.tile(x0, (n + 1, 1))
+    steps = np.arange(n)
+    sim[steps + 1, steps] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k].copy())
+    # sorted twice, as scipy does: argsort is not stable, and ties in f
+    # occur near convergence
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    while not (np.max(np.abs(sim[1:] - sim[0])) <= SIMPLEX_XATOL
+               and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_FATOL):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j].copy())
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0]
+
+
 def _run_nelder_mead(tracker: _Tracker, start: np.ndarray,
                      config: VqeConfig) -> str:
-    """Simplex runs with restarts; returns the stop reason."""
-    # imported here, so that commands without a VQE do not load it
-    from scipy import optimize
+    """Simplex runs with restarts; returns the stop reason.
 
+    Each run is ``_nelder_mead``, the in-library simplex that follows
+    scipy's iterates; the tracker ends a run by raising, and its budget
+    counts the start point and every earlier run, so it always stops
+    before scipy's own ``maxfev``/``maxiter`` of ``max_evals`` could.
+    """
     current = start
     previous_best = np.inf
     for _ in range(NELDER_MEAD_RUNS):
         tracker.reset_window()
         try:
-            optimize.minimize(
-                tracker, current, method="Nelder-Mead",
-                options={"maxfev": config.max_evals,
-                         "maxiter": config.max_evals,
-                         "xatol": 1e-10, "fatol": 1e-12,
-                         "adaptive": len(current) >= 6})
+            _nelder_mead(tracker, current, len(current) >= 6)
         except _Converged:
             pass
         if tracker.stop_reason == STOP_MAX_EVALS:

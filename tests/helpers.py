@@ -10,6 +10,7 @@ import numpy as np
 
 from vibriq.mapping import QubitLayout, SqTerm
 from vibriq.pauli import PauliSum
+from vibriq.vqe import SIMPLEX_FATOL, SIMPLEX_XATOL
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -296,3 +297,18 @@ def dense_expectations(states: np.ndarray, op: PauliSum) -> np.ndarray:
     """<psi|op|psi> per row of ``states``, from the dense matrix of ``op``."""
     return np.einsum("ri,ij,rj->r", states.conj(), dense_from_sum(op),
                      states).real
+
+
+# -- optimizer oracle ---------------------------------------------------------
+
+def scipy_nelder_mead(f, x0, adaptive: bool, max_evals: int):
+    """scipy's Nelder-Mead driver with the VQE's tolerances, and
+    ``max_evals`` as both ``maxfev`` and ``maxiter``."""
+    from scipy import optimize
+
+    return optimize.minimize(
+        f, x0, method="Nelder-Mead",
+        options={"maxfev": max_evals, "maxiter": max_evals,
+                 "xatol": SIMPLEX_XATOL, "fatol": SIMPLEX_FATOL,
+                 "adaptive": adaptive})
+

@@ -32,18 +32,36 @@ def run(argv):
     return main(argv)
 
 
-def test_cli_import_does_not_load_the_optimizer():
-    """scipy.optimize is imported by the VQE only, so ``exact``,
-    ``resources`` and ``noise-fidelity`` start without it."""
+def test_cli_import_does_not_load_the_optimizer(tmp_path, coupled_pes_file):
+    """No command loads scipy.optimize: the VQE's simplex is in-library.
+    scipy.linalg is loaded for the qEOM pencil's solve only, so ``vqe``
+    and ``exact`` run without it.  Each command runs end to end in a
+    fresh interpreter on a (2,2) PES."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, vibriq.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy.optimize')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    probe = ("import sys, vibriq.cli\n"
+             "if sys.argv[1:]:\n"
+             "    assert vibriq.cli.main(sys.argv[1:]) == 0\n"
+             "print(' '.join(m for m in sys.modules "
+             "if m.startswith('scipy')))")
+    common = ["--pes", coupled_pes_file, "--modals", "2",
+              "--out", str(tmp_path / "out.json")]
+    loaded = {}
+    for argv in ([], ["vqe", *common], ["qeom", *common], ["exact", *common]):
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                             check=True, capture_output=True, text=True)
+        loaded[argv[0] if argv else "import"] = out.stdout.split()
+
+    def under(package, modules):
+        return [m for m in modules
+                if m == package or m.startswith(package + ".")]
+
+    for command, modules in loaded.items():
+        assert under("scipy.optimize", modules) == [], command
+        if command != "qeom":
+            assert under("scipy.linalg", modules) == [], command
+    assert "scipy.linalg" in loaded["qeom"]
 
 
 def test_resources_golden_row(tmp_path):
@@ -161,6 +179,34 @@ def test_qeom_subcommand(tmp_path, coupled_pes_file):
     assert diagnostics["complex_eigenvalues"] == 0
     assert run(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_qeom_solves_its_pencil_once(tmp_path, coupled_pes_file,
+                                    monkeypatch):
+    """The energies and the diagnostics share one solve of the pencil, and
+    the result file is the one that solving it twice writes."""
+    from scipy import linalg
+
+    from vibriq import cli, qeom
+
+    argv = ["qeom", "--pes", coupled_pes_file, "--modals", "2",
+            "--ansatz", "chc", "--out", str(tmp_path / "qeom.json")]
+    calls = []
+    eigvals = linalg.eigvals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigvals", counted)
+    assert run(argv) == 0
+    assert len(calls) == 1
+    once = (tmp_path / "qeom.json").read_bytes()
+    monkeypatch.setattr(cli, "eom_diagnostics",
+                        lambda matrices: qeom._solve_pencil(matrices)[1])
+    assert run(argv) == 0
+    assert len(calls) == 3
+    assert (tmp_path / "qeom.json").read_bytes() == once
 
 
 def test_qeom_occupations_match_vqe(tmp_path, coupled_pes_file):

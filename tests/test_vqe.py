@@ -14,6 +14,7 @@ from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
                         minimize)
 
 from conftest import bench_pes, build_qubit_hamiltonian
+from helpers import scipy_nelder_mead
 
 
 def test_quadratic_bowl():
@@ -532,3 +533,142 @@ def test_penalty_is_zero_on_the_physical_route(coupled_system):
     assert penalized.energy == bare.energy
     assert penalized.evals == bare.evals
     assert penalized.history == bare.history
+
+
+# -- the in-library simplex against scipy's driver ----------------------------
+
+class _Cap(Exception):
+    pass
+
+
+def _recorded(fn, cap=20_000):
+    """``fn`` recording each point it is given, and raising after ``cap``
+    so that a simplex that never converges still ends."""
+    points = []
+
+    def f(x):
+        if len(points) >= cap:
+            raise _Cap
+        points.append(np.array(x))
+        return float(fn(x))
+
+    return points, f
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                        + (1.0 - x[:-1]) ** 2))
+
+
+_PLATEAU_AT = np.array([0.3, -0.1, 0.2])
+
+
+def _plateau(x):
+    # 0 at the start and 1 anywhere else: every reflection and
+    # contraction ties with the worst vertex, so every step shrinks
+    return float(np.any(x != _PLATEAU_AT))
+
+
+def _stairs(x):
+    # flat steps: ties between a trial point and a vertex decide
+    # expansions and contractions, and contractions that fail on a tie
+    # force shrinks
+    return float(np.floor(8.0 * np.sum((x - 0.5) ** 2)))
+
+
+SIMPLEX_CASES = {
+    "rosenbrock-2": (_rosenbrock, [-1.2, 1.0]),
+    "rosenbrock-6-adaptive": (_rosenbrock, np.linspace(-0.5, 0.7, 6)),
+    "rosenbrock-8-adaptive": (_rosenbrock, np.linspace(0.9, -0.3, 8)),
+    "zero-entries": (_rosenbrock, [0.0, 0.3, 0.0, -0.2]),
+    "rounded-ties": (lambda x: round(_rosenbrock(x), 1), [0.1, -0.4, 0.3]),
+    "stairs-3": (_stairs, [0.1, 0.2, -0.3]),
+    "stairs-6-adaptive": (_stairs, [0.1, 0.2, -0.3, 0.4, 0.0, 0.1]),
+    "plateau-shrinks": (_plateau, _PLATEAU_AT),
+}
+
+
+@pytest.mark.parametrize("case", SIMPLEX_CASES)
+def test_simplex_visits_scipys_points_bit_for_bit(case):
+    fn, x0 = SIMPLEX_CASES[case]
+    x0 = np.array(x0, dtype=float)
+    adaptive = x0.size >= 6
+    got, f = _recorded(fn)
+    try:
+        best = vqe._nelder_mead(f, x0.copy(), adaptive)
+    except _Cap:
+        best = None
+    expected, f_ref = _recorded(fn)
+    try:
+        reference = scipy_nelder_mead(f_ref, x0.copy(), adaptive,
+                                      max_evals=10 ** 9)
+    except _Cap:
+        reference = None
+    assert len(got) == len(expected) > 2 * x0.size
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert (best is None) == (reference is None)
+    if best is not None:
+        np.testing.assert_array_equal(best, reference.x)
+    values = [fn(p) for p in got]
+    if case == "zero-entries":
+        # the initial simplex steps a zero entry to 0.00025
+        assert got[1][0] == got[3][2] == 0.00025
+    if case in ("rounded-ties", "stairs-3", "stairs-6-adaptive"):
+        assert len(set(values)) < len(values)
+    if case == "plateau-shrinks":
+        assert best is None  # shrinks until the cap
+
+
+def _compare_with_scipy_restarts(monkeypatch, run, max_evals):
+    """``run()`` with the in-library simplex and with scipy's driver under
+    the restart loop, with ``max_evals`` as scipy's ``maxfev`` and
+    ``maxiter``; returns the first result once they agree."""
+    result = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(vqe, "_nelder_mead", lambda f, x0, adaptive:
+                      scipy_nelder_mead(f, x0, adaptive, max_evals))
+        reference = run()
+    assert result.evals == reference.evals
+    assert result.history == reference.history
+    np.testing.assert_array_equal(result.params, reference.params)
+    assert result.stop_reason == reference.stop_reason
+    assert result.energy == reference.energy
+    return result
+
+
+@pytest.mark.parametrize("case", ["rosenbrock-2", "rosenbrock-6-adaptive",
+                                  "zero-entries", "plateau-shrinks"])
+@pytest.mark.parametrize("max_evals", [1, 2, 3, 4, 5, 8, 9, 13, 40, 150,
+                                       200_000])
+def test_minimize_matches_the_scipy_restart_loop(monkeypatch, case,
+                                                 max_evals):
+    """The budget runs out inside the initial simplex (at 3 and 4), inside
+    a shrink (plateau-shrinks at 8, 9 and 13: the start, 4 vertices, then
+    2 + 3 evaluations a step) and mid-run; the tracker, which counts the
+    start and every earlier run, always stops before scipy's ``maxfev``
+    and ``maxiter`` of ``max_evals`` could."""
+    fn, x0 = SIMPLEX_CASES[case]
+    config = VqeConfig(max_evals=max_evals)
+    result = _compare_with_scipy_restarts(
+        monkeypatch, lambda: minimize(fn, x0, config), max_evals)
+    if max_evals <= 13:
+        assert result.evals == max_evals
+        assert result.stop_reason == "max_evals"
+
+
+@pytest.mark.parametrize("num_modes,modals,evals", [
+    pytest.param(2, 4, 4339, id="2-4-4339"),
+    pytest.param(3, 3, 5187, id="3-3-5187"),
+])
+def test_larger_uvccsd_systems_keep_their_evaluation_counts(
+        monkeypatch, num_modes, modals, evals):
+    """uvccsd on the benchmark's seed-0 PES at (2x4) and (3x3), 16 and 27
+    parameters: the in-library simplex repeats scipy's run exactly."""
+    layout, _, h = build_qubit_hamiltonian(bench_pes(num_modes, 0),
+                                           (modals,) * num_modes)
+    config = VqeConfig(seed=0)
+    result = _compare_with_scipy_restarts(
+        monkeypatch, lambda: ground_state(h, layout, config),
+        config.max_evals)
+    assert result.evals == evals
+    assert result.converged
