@@ -21,10 +21,12 @@ from . import __version__
 from .circuits import count_resources
 from .exact import physical_spectrum
 from .mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli, occupations
-from .pes import load_pes, modal_operator_matrices, solve_modals
+from .pes import (DEFAULT_PRIMITIVE_DIM, load_pes, modal_operator_matrices,
+                  solve_modals)
 from .qeom import eom_diagnostics, excitation_energies
 from .simulator import NoiseModel, run_fidelity_experiment
-from .vqe import VqeConfig, build_ansatz, ground_state
+from .vqe import (ANSATZ_KINDS, DEFAULT_PENALTY_WEIGHT, OPTIMIZERS, VqeConfig,
+                  build_ansatz, ground_state)
 
 
 def _jsonify(obj):
@@ -179,22 +181,29 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--modals", default="2", type=_modals_argument,
                         help="modal count per mode: N or N1,N2,...")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--primitive-dim", type=int, default=40,
+    parser.add_argument("--primitive-dim", type=int,
+                        default=DEFAULT_PRIMITIVE_DIM,
                         help="harmonic primitive basis size per mode")
 
 
+def _add_ansatz_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--ansatz", default=VqeConfig.ansatz,
+                        choices=ANSATZ_KINDS)
+    parser.add_argument("--depth", type=int, default=VqeConfig.depth)
+    parser.add_argument("--trotter-steps", type=int,
+                        default=VqeConfig.trotter_steps)
+
+
 def _add_vqe_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--ansatz", default="uvccsd",
-                        choices=("uvccsd", "chc", "swaprz", "ryrz"))
-    parser.add_argument("--depth", type=int, default=1)
-    parser.add_argument("--trotter-steps", type=int, default=1)
-    parser.add_argument("--optimizer", default="nelder-mead",
-                        choices=("nelder-mead", "spsa"))
-    parser.add_argument("--max-evals", type=int, default=200_000)
-    parser.add_argument("--tol", type=float, default=1e-8)
-    parser.add_argument("--mu", type=float, default=None,
-                        help="penalty weight (default 1e5 for swaprz/ryrz)")
-    parser.add_argument("--seed", type=int, default=0)
+    _add_ansatz_options(parser)
+    parser.add_argument("--optimizer", default=VqeConfig.optimizer,
+                        choices=OPTIMIZERS)
+    parser.add_argument("--max-evals", type=int, default=VqeConfig.max_evals)
+    parser.add_argument("--tol", type=float, default=VqeConfig.tol)
+    parser.add_argument("--mu", type=float, default=VqeConfig.mu,
+                        help=f"penalty weight (default "
+                             f"{DEFAULT_PENALTY_WEIGHT:g} for swaprz/ryrz)")
+    parser.add_argument("--seed", type=int, default=VqeConfig.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,10 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modals", default="2", type=_modals_argument,
                    help="modal count per mode: N (with --modes) or N1,N2,...")
     p.add_argument("--out", default=None, help="output file (default stdout)")
-    p.add_argument("--ansatz", default="uvccsd",
-                   choices=("uvccsd", "chc", "swaprz", "ryrz"))
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--trotter-steps", type=int, default=1)
+    _add_ansatz_options(p)
     p.add_argument("--format", default="json", choices=("json", "csv"))
     p.set_defaults(func=_cmd_resources, stage="resource estimation")
 
@@ -240,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--shots", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p-u2", type=float, default=7e-4)
-    p.add_argument("--p-u3", type=float, default=1.4e-3)
-    p.add_argument("--p-cx", type=float, default=2.2e-2)
+    p.add_argument("--p-u2", type=float, default=NoiseModel.p_u2)
+    p.add_argument("--p-u3", type=float, default=NoiseModel.p_u3)
+    p.add_argument("--p-cx", type=float, default=NoiseModel.p_cx)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_noise_fidelity, stage="noise experiment")
     return parser

@@ -17,9 +17,9 @@ import numpy as np
 
 from .mapping import QubitLayout
 from .pauli import PauliSum
+from . import simulator
 from .simulator import (IMAG_TOL, MAX_COMPILED_ELEMENTS, StateVector,
-                        _basis, _mask_chunks, _term_groups, check_hermitian,
-                        embed)
+                        check_hermitian, embed)
 
 # Largest dimension of a matrix built here: 268 MB of complex entries.
 MAX_DENSE_DIM = 4096
@@ -37,17 +37,13 @@ def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
 
     ``None`` means all 2^N states (qubit 0 = least significant bit).  Row j
     holds ``compile_pauli_sum(op, indices)``'s diags[g, j] at perms[g, j],
-    written one mask at a time, so no table is held whole.  The block is
-    float64 when every term weight c (-i)^|x & z| is real, as the
-    compiled diagonals are, and complex128 otherwise.
+    in the compiled dtype, written one mask at a time, so no table is held
+    whole.
     """
-    n = op.num_qubits
-    _check_dimension(1 << n if indices is None else len(indices))
-    basis, groups = _basis(n, indices), _term_groups(op)
-    real = not groups[3].imag.any()
-    out = np.zeros((basis.size, basis.size),
-                   dtype=np.float64 if real else np.complex128)
-    for _, perms, diags in _mask_chunks(groups, basis, indices is None):
+    _check_dimension(1 << op.num_qubits if indices is None else len(indices))
+    _, dim, dtype, chunks = simulator._pauli_rows(op, indices)
+    out = np.zeros((dim, dim), dtype=dtype)
+    for _, perms, diags in chunks:
         # distinct masks never share an entry, and a flip that leaves the
         # basis has a zero diagonal there
         for perm, diag in zip(perms, diags):

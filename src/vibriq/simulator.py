@@ -10,12 +10,13 @@ basis states: all 2^N, or a subset every step maps to itself, such as
 the physical states a uvccsd ansatz never leaves or the per-register
 odd-parity states a chc ansatz never leaves; both programs have real
 amplitudes.  The reference-state X gates fold into the program's start
-state.  A Pauli sum applied again and again is compiled once into a
+state.  A Pauli rotation step is built from its string's bit masks.  A
+Hamiltonian applied again and again is compiled once into a
 ``CompiledPauliSum``, which groups the terms by the qubits they flip.  A
-one-shot expectation compiles nothing:
-``expectation_values`` evaluates each distinct string of a batch of plain
-sums once, on the state's nonzero amplitudes only.  ``check_hermitian``
-is the one Hermiticity check a Hamiltonian gets.
+one-shot expectation compiles nothing: ``expectation_values`` evaluates
+each distinct string of a batch of plain sums once, on the state's
+nonzero amplitudes only.  ``check_hermitian`` is the one Hermiticity
+check a Hamiltonian gets.
 
 Basis convention: bit q of a basis index is the value of qubit q, and
 bitstrings render qubit 0 as the leftmost character.  The noise model is
@@ -41,7 +42,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .circuits import (Block, Circuit, Excitation, ExcitationRotation, Gate,
                        PauliRotation, build_chc, build_uvcc, excitation_list)
@@ -67,7 +67,7 @@ def check_hermitian(op: PauliSum) -> None:
     """Raise ``ValueError`` unless ``op`` is Hermitian: its strings are
     Hermitian and independent, so every coefficient must be real, to
     ``IMAG_TOL`` of the largest."""
-    coeffs = np.array([c for _, _, c in op.masks()], dtype=complex)
+    coeffs = op.mask_arrays()[2]
     residue = float(np.max(np.abs(coeffs.imag), initial=0.0))
     if residue > IMAG_TOL * max(1.0, np.max(np.abs(coeffs), initial=0.0)):
         raise ValueError(f"Pauli coefficient has imaginary part "
@@ -280,27 +280,20 @@ def _lookup(indices: np.ndarray, states: np.ndarray):
     return pos, indices[pos] == states
 
 
-def _term_groups(op: PauliSum):
-    """The distinct flip masks and, per term sorted by mask (each mask in
-    ``items`` order), its mask's number, z and weight c (-i)^|x & z|."""
-    terms = op.masks()
-    flips = np.array([x for x, _, _ in terms], dtype=np.int64)
-    order = np.argsort(flips, kind="stable")
-    flips = flips[order]
-    signs = np.array([z for _, z, _ in terms], dtype=np.int64)[order]
-    weights = (np.array([c for _, _, c in terms], dtype=np.complex128)[order]
-               * _MINUS_I_POWERS[np.bitwise_count(flips & signs) % 4])
-    return (*np.unique(flips, return_inverse=True), signs, weights)
+def _sign_rows(z, states: np.ndarray) -> np.ndarray:
+    """(-1)^|j & z| for each state j: one row per z of an (n, 1) ``z``."""
+    return 1.0 - 2.0 * (np.bitwise_count(z & states) & 1)
 
 
-def _mask_chunks(groups, indices: np.ndarray, full: bool):
-    """Yield ``compile_pauli_sum``'s rows one chunk of masks at a time, as
-    (slice of masks, perms, diags); ``full`` says ``indices`` is all 2^N.
-    The diags are real when every weight is.  Every chunk is written into
-    the same two arrays: read it before the next.
+def _mask_chunks(groups, indices: np.ndarray, full: bool, real: bool):
+    """Yield the rows of ``_pauli_rows``' ``groups`` one chunk of masks at
+    a time, as (slice of masks, perms, diags); ``full`` says ``indices``
+    is all 2^N, ``real`` that every weight is.  Every chunk is written
+    into the same two arrays: read it before the next.
     """
+    from scipy import sparse  # a sum's rows are its one use
+
     masks, group, signs, weights = groups
-    real = not weights.imag.any()
     block = max(1, _COMPILE_CHUNK_ELEMENTS // max(indices.size, 1))
     size = (min(block, masks.size), indices.size)
     all_perms = np.empty(size, np.int64)
@@ -318,7 +311,7 @@ def _mask_chunks(groups, indices: np.ndarray, full: bool):
                 start = np.searchsorted(group, group[hi])
                 hi = start if start > lo else hi
             ts, lo = slice(lo, hi), hi
-            table = 1.0 - 2.0 * (np.bitwise_count(signs[ts, None] & indices) & 1)
+            table = _sign_rows(signs[ts, None], indices)
             # a sparse row per mask these terms hold and an entry per term,
             # so each mask's terms add one by one, in order
             first, rows = group[ts.start] - g0, group[ts] - group[ts.start]
@@ -338,6 +331,25 @@ def _mask_chunks(groups, indices: np.ndarray, full: bool):
         yield sl, perms, diags
 
 
+def _pauli_rows(op: PauliSum, indices):
+    """``op``'s rows on the ascending basis states ``indices`` (all 2^N
+    for ``None``) as (masks, states, dtype, chunks of ``_mask_chunks``);
+    the dtype is float64 when every term weight c (-i)^|x & z| is real.
+    The groups are the distinct flip masks and, per term sorted by mask
+    (each mask in ``items`` order), its mask's number, z and weight."""
+    terms = op.masks()
+    flips = np.array([x for x, _, _ in terms], dtype=np.int64)
+    order = np.argsort(flips, kind="stable")
+    flips = flips[order]
+    signs = np.array([z for _, z, _ in terms], dtype=np.int64)[order]
+    weights = (np.array([c for _, _, c in terms], dtype=np.complex128)[order]
+               * _MINUS_I_POWERS[np.bitwise_count(flips & signs) % 4])
+    groups = (*np.unique(flips, return_inverse=True), signs, weights)
+    basis, real = _basis(op.num_qubits, indices), not weights.imag.any()
+    return (groups[0].size, basis.size, np.float64 if real else np.complex128,
+            _mask_chunks(groups, basis, indices is None, real))
+
+
 def check_compiled_size(op: PauliSum, dim: int) -> None:
     """Raise ``ValueError`` if ``compile_pauli_sum`` of ``op`` on ``dim``
     basis states would exceed ``MAX_COMPILED_ELEMENTS`` mask-by-state
@@ -354,33 +366,24 @@ def check_compiled_size(op: PauliSum, dim: int) -> None:
             f"the limit is {MAX_COMPILED_ELEMENTS} mask-by-state entries")
 
 
-def compile_pauli_sum(op: PauliSum | CompiledPauliSum,
+def compile_pauli_sum(op: PauliSum,
                       indices: np.ndarray | None = None) -> CompiledPauliSum:
     """The mask-grouped form of ``op`` on the ascending basis states
-    ``indices`` (all 2^N when ``None``).  A compiled operator passes
-    through, and only with ``indices`` left ``None``.
+    ``indices`` (all 2^N when ``None``).
 
     A term c P(x, z) sends state j to j ^ x with phase c (-i)^|x & z|
     (-1)^|j & z|; the diagonals are real when every c (-i)^|x & z| is.
     Raises ``ValueError`` before allocating tables above
     ``MAX_COMPILED_ELEMENTS`` entries.
     """
-    if isinstance(op, CompiledPauliSum):
-        if indices is not None:
-            raise ValueError("a compiled operator keeps its own basis")
-        return op
-    n = op.num_qubits
-    dim = 1 << n if indices is None else len(indices)
-    check_compiled_size(op, dim)
-    groups = _term_groups(op)
-    num_masks, real = groups[0].size, not groups[3].imag.any()
-    basis = _basis(n, indices)
+    check_compiled_size(op, 1 << op.num_qubits if indices is None
+                        else len(indices))
+    num_masks, dim, dtype, chunks = _pauli_rows(op, indices)
     perms = np.empty((num_masks, dim), dtype=np.int64)
-    diags = np.empty((num_masks, dim), dtype=np.float64 if real
-                     else np.complex128)
-    for sl, *chunk in _mask_chunks(groups, basis, indices is None):
+    diags = np.empty((num_masks, dim), dtype=dtype)
+    for sl, *chunk in chunks:
         perms[sl], diags[sl] = chunk
-    return CompiledPauliSum(n, perms, diags)
+    return CompiledPauliSum(op.num_qubits, perms, diags)
 
 
 def expectation_values(state: StateVector,
@@ -417,23 +420,12 @@ def expectation_values(state: StateVector,
             + 1j * np.bincount(owner, terms.imag, len(sums)))
 
 
-def expectation_value(state: StateVector,
-                      op: PauliSum | CompiledPauliSum) -> complex:
-    """<psi|op|psi> for an arbitrary (possibly non-Hermitian) Pauli sum.
-
-    A plain ``PauliSum`` goes through ``expectation_values``, which reads
-    only the state's nonzero amplitudes; a ``CompiledPauliSum``, compiled
-    once for repeated use, is applied to the state.
-    """
-    if state.num_qubits != op.num_qubits:
-        raise ValueError("state and operator disagree on the qubit count")
-    if isinstance(op, PauliSum):
-        return complex(expectation_values(state, [op])[0])
-    amps = state.amplitudes
-    return complex(np.vdot(amps, op.apply(amps)))
+def expectation_value(state: StateVector, op: PauliSum) -> complex:
+    """<psi|op|psi> for any Pauli sum, by ``expectation_values``."""
+    return complex(expectation_values(state, [op])[0])
 
 
-def expectation(state: StateVector, op: PauliSum | CompiledPauliSum) -> float:
+def expectation(state: StateVector, op: PauliSum) -> float:
     """Real expectation value of a Hermitian Pauli sum.
 
     A non-negligible imaginary residue signals a non-Hermitian operator
@@ -544,19 +536,22 @@ def _rotation_step(num_qubits: int, indices: np.ndarray,
                    pairs: Sequence[tuple[int, str]], param: int, scale: float):
     """exp(i * scale * theta[param] * P) for the string P on ``pairs``.
 
-    P sends state j to j ^ x with the phase of its one-string table.  With
-    an odd number of Y that phase is +-i and i P is real: a Givens
+    P(x, z) sends state j to j ^ x with phase (-i)^|x & z| (-1)^|j & z|.
+    With an odd number of Y that phase is +-i and i P is real: a Givens
     rotation whose src is each state where Re(i phase) = -1.
     """
-    letters = dict(pairs)
-    table = compile_pauli_sum(PauliSum.from_label(
-        "".join(letters.get(q, "I") for q in range(num_qubits))), indices)
-    perm, phase = table.perms[0], table.diags[0]
-    if not np.all(phase):  # zero only where the string leaves
-        raise ValueError("an ansatz step leaves the program's basis states")
-    if sum(letter == "Y" for letter in letters.values()) % 2 == 0:
-        return PauliRotationStep(perm, phase, param, scale)
-    src = np.flatnonzero((1j * phase).real < 0)
+    x = z = 0
+    for qubit, letter in pairs:
+        x |= (letter in "XY") << qubit
+        z |= (letter in "YZ") << qubit
+    num_y = (x & z).bit_count()
+    perm = indices ^ x  # on all 2^N states, a state is its own position
+    if indices.size < 1 << num_qubits:
+        perm = _positions(indices, perm)
+    weight, signs = _MINUS_I_POWERS[num_y % 4], _sign_rows(z, indices)
+    if num_y % 2 == 0:
+        return PauliRotationStep(perm, weight.real * signs, param, scale)
+    src = np.flatnonzero((1j * weight).real * signs < 0)
     return GivensStep(np.stack([src, perm[src]]), param, scale)
 
 

@@ -51,6 +51,7 @@ from .simulator import (AnsatzProgram, StateVector, check_compiled_size,
                         check_hermitian, compile_pauli_sum, embed)
 
 ANSATZ_KINDS = ("uvccsd", "chc", "swaprz", "ryrz")
+OPTIMIZERS = ("nelder-mead", "spsa")
 DEFAULT_PENALTY_WEIGHT = 1e5
 
 # Why a run stopped.  Only "tolerance" counts as converged: "max_evals"
@@ -309,7 +310,7 @@ def minimize(objective: Callable[[np.ndarray], float], start: Sequence[float],
              config: VqeConfig | None = None) -> VqeResult:
     """Derivative-free minimization with accepted-value history."""
     config = config or VqeConfig()
-    if config.optimizer not in ("nelder-mead", "spsa"):
+    if config.optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {config.optimizer!r}")
     start = np.asarray(start, dtype=float)
     # The stagnation window grows with dimension: a simplex can stall for

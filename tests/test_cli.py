@@ -35,32 +35,44 @@ def run(argv):
 def test_cli_import_does_not_load_the_optimizer(tmp_path, coupled_pes_file):
     """No command loads scipy.optimize: the VQE's simplex is in-library.
     scipy.linalg is loaded for the qEOM pencil's solve only, so ``vqe``
-    and ``exact`` run without it.  Each command runs end to end in a
-    fresh interpreter on a (2,2) PES."""
+    and ``exact`` run without it, and scipy.sparse only when a Pauli sum
+    is compiled, so ``import vibriq``, ``resources`` and
+    ``noise-fidelity`` load no scipy module at all.  Each command runs end
+    to end in a fresh interpreter, on a (2,2) PES where it reads one."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, vibriq.cli\n"
-             "if sys.argv[1:]:\n"
-             "    assert vibriq.cli.main(sys.argv[1:]) == 0\n"
+    probe = ("import sys, importlib\n"
+             "module = importlib.import_module(sys.argv[1])\n"
+             "if sys.argv[2:]:\n"
+             "    assert module.main(sys.argv[2:]) == 0\n"
              "print(' '.join(m for m in sys.modules "
              "if m.startswith('scipy')))")
-    common = ["--pes", coupled_pes_file, "--modals", "2",
-              "--out", str(tmp_path / "out.json")]
+    out = ["--out", str(tmp_path / "out.json")]
+    common = ["--pes", coupled_pes_file, "--modals", "2", *out]
+    runs = {"import vibriq": ["vibriq"],
+            "import vibriq.cli": ["vibriq.cli"],
+            "resources": ["vibriq.cli", "resources", "--modes", "2", *out],
+            "noise-fidelity": ["vibriq.cli", "noise-fidelity", "--trials",
+                               "1", "--shots", "100", *out]}
+    for command in ("vqe", "qeom", "exact"):
+        runs[command] = ["vibriq.cli", command, *common]
     loaded = {}
-    for argv in ([], ["vqe", *common], ["qeom", *common], ["exact", *common]):
-        out = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
-                             check=True, capture_output=True, text=True)
-        loaded[argv[0] if argv else "import"] = out.stdout.split()
+    for name, argv in runs.items():
+        done = subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                              check=True, capture_output=True, text=True)
+        loaded[name] = done.stdout.split()
 
     def under(package, modules):
         return [m for m in modules
                 if m == package or m.startswith(package + ".")]
 
-    for command, modules in loaded.items():
-        assert under("scipy.optimize", modules) == [], command
-        if command != "qeom":
-            assert under("scipy.linalg", modules) == [], command
+    for name, modules in loaded.items():
+        assert under("scipy.optimize", modules) == [], name
+        if name != "qeom":
+            assert under("scipy.linalg", modules) == [], name
+        if name not in ("vqe", "qeom", "exact"):
+            assert modules == [], name
     assert "scipy.linalg" in loaded["qeom"]
 
 

@@ -15,13 +15,15 @@ from vibriq.circuits import (Circuit, Gate, PauliRotation, build_chc,
 from vibriq.exact import dense_matrix, parity_indices
 from vibriq.mapping import QubitLayout, map_to_pauli
 from vibriq.pauli import PauliSum
-from vibriq.simulator import (NoiseModel, ShotCounts, StateVector,
-                              apply_circuit, bitstring, compile_pauli_sum,
-                              distribution_fidelity, expectation,
-                              expectation_value, expectation_values,
-                              noisy_counts, noisy_distribution,
-                              run_fidelity_experiment, sample)
-from vibriq import simulator
+from vibriq.simulator import (AnsatzProgram, NoiseModel, ShotCounts,
+                              StateVector, apply_circuit, bitstring,
+                              compile_pauli_sum, distribution_fidelity,
+                              expectation, expectation_value,
+                              expectation_values, noisy_counts,
+                              noisy_distribution, run_fidelity_experiment,
+                              sample)
+from vibriq.vqe import VqeConfig
+from vibriq import simulator, vqe
 from vibriq.simulator import _conjugate_by_gate, _depolarize
 
 
@@ -182,6 +184,21 @@ def test_expectation_raises_on_non_hermitian():
     op = PauliSum.from_label("X", 1.0 + 0.5j)
     with pytest.raises(ValueError, match="Hermitian"):
         expectation(state, op)
+    with pytest.raises(ValueError, match="qubit count"):
+        expectation(StateVector.vacuum(2), op)
+
+
+def test_check_hermitian_reads_the_last_stored_term():
+    """The one imaginary coefficient is the last term stored, and the first
+    in label order; a residue within ``IMAG_TOL`` of the largest passes."""
+    terms = {(0b001, 0): 2.0, (0b110, 0b010): -1.0, (0, 0): 3.0 + 1e-3j}
+    op = PauliSum.from_masks(3, terms)
+    assert op.mask_arrays()[2][-1] == 3.0 + 1e-3j
+    with pytest.raises(ValueError, match=r"Pauli coefficient has imaginary "
+                       r"part 1\.000e-03; operator is not Hermitian"):
+        simulator.check_hermitian(op)
+    simulator.check_hermitian(
+        PauliSum.from_masks(3, {**terms, (0, 0): 3.0 + 1e-10j}))
 
 
 def test_compiled_sum_matches_per_term_loop_on_non_hermitian_sums():
@@ -196,9 +213,8 @@ def test_compiled_sum_matches_per_term_loop_on_non_hermitian_sums():
             for term in op.terms:
                 expected += term.coefficient * np.vdot(
                     amps, dense_from_label(term.label) @ amps)
-            state = StateVector(num_qubits, amps)
-            for got in (expectation_value(state, op),
-                        expectation_value(state, compile_pauli_sum(op))):
+            for got in (expectation_value(StateVector(num_qubits, amps), op),
+                        np.vdot(amps, compile_pauli_sum(op).apply(amps))):
                 assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
@@ -231,7 +247,8 @@ def test_compiled_sum_groups_terms_by_flip_mask():
                       "IXX": 0.25})
     compiled = compile_pauli_sum(op)
     assert compiled.num_masks == 3  # flips of qubit 0, none, qubits 1 and 2
-    assert compile_pauli_sum(compiled) is compiled
+    # state 0's row holds each mask, ascending
+    np.testing.assert_array_equal(compiled.perms[:, 0], [0, 0b001, 0b110])
     assert compile_pauli_sum(PauliSum(2)).num_masks == 0
     assert expectation(StateVector.vacuum(2), PauliSum(2)) == 0.0
 
@@ -278,7 +295,8 @@ def test_compiled_tables_do_not_depend_on_the_chunk_size(monkeypatch):
     _, _, h = build_qubit_hamiltonian(bench_pes(2, 0), (3, 3))
     dim = 1 << h.num_qubits
     whole = compile_pauli_sum(h)
-    most = int(np.bincount(simulator._term_groups(h)[1]).max())
+    _, counts = np.unique([x for x, _, _ in h.masks()], return_counts=True)
+    most = int(counts.max())
     assert most > 3
     for terms, exact in ((most, True), (most + 1, True), (3, False),
                          (1, False)):
@@ -296,13 +314,6 @@ def test_compile_refuses_unsorted_indices():
     for indices in ([3, 1], [1, 1, 2]):
         with pytest.raises(ValueError, match="ascending"):
             compile_pauli_sum(PauliSum.from_label("IXI"), np.array(indices))
-
-
-def test_compiled_operator_refuses_a_basis():
-    compiled = compile_pauli_sum(PauliSum.from_label("XZ"))
-    assert compile_pauli_sum(compiled) is compiled
-    with pytest.raises(ValueError, match="keeps its own basis"):
-        compile_pauli_sum(compiled, np.array([1, 2]))
 
 
 def test_compile_refuses_oversized_tables_before_allocating():
@@ -393,13 +404,76 @@ def test_odd_y_rotation_compiles_to_a_givens_step():
                 assert np.max(np.abs(got - dense)) <= 1e-12
 
 
-def test_expectation_raises_on_compiled_non_hermitian():
-    state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
-    op = compile_pauli_sum(PauliSum.from_label("X", 1.0 + 0.5j))
-    with pytest.raises(ValueError, match="Hermitian"):
-        expectation(state, op)
-    with pytest.raises(ValueError, match="qubit count"):
-        expectation(StateVector.vacuum(2), op)
+def _rotation_label(block, num_qubits):
+    """The string of a Pauli rotation block or an RX, RY or RZ gate."""
+    if isinstance(block, PauliRotation):
+        letters = dict(block.pairs)
+    else:
+        letters = {block.qubits[0]: block.kind[1].upper()}
+    return "".join(letters.get(q, "I") for q in range(num_qubits))
+
+
+def _assert_steps_match_one_string_tables(num_qubits, blocks, num_parameters,
+                                          indices):
+    """Each rotation step of the program equals the step read off row 0 of
+    its string's compiled table: the phase row as a Pauli rotation, or
+    with an odd number of Y the pairs where Re(i phase) < 0, bit for bit
+    and dtype for dtype."""
+    program = AnsatzProgram.compile(num_qubits, blocks, num_parameters,
+                                    indices)
+    rotations = [b for b in blocks if isinstance(b, PauliRotation)
+                 or (b.kind in ("rx", "ry", "rz") and b.param is not None)]
+    steps = [s for s in program.steps
+             if not isinstance(s, simulator.BitFlipStep)]
+    assert len(steps) == len(rotations) > 0
+    for block, step in zip(rotations, steps):
+        label = _rotation_label(block, num_qubits)
+        table = compile_pauli_sum(PauliSum.from_label(label), indices)
+        perm, phase = table.perms[0], table.diags[0]
+        assert (step.param, step.scale) == (block.param, -0.5 * block.scale)
+        if label.count("Y") % 2 == 0:
+            assert isinstance(step, simulator.PauliRotationStep), label
+            for got, expected in ((step.perm, perm), (step.phase, phase)):
+                assert got.dtype == expected.dtype, label
+                assert np.array_equal(got, expected), label
+        else:
+            assert isinstance(step, simulator.GivensStep), label
+            src = np.flatnonzero((1j * phase).real < 0)
+            expected = np.stack([src, perm[src]])
+            assert step.pairs.dtype == expected.dtype, label
+            assert np.array_equal(step.pairs, expected), label
+
+
+@pytest.mark.parametrize("ansatz,modals,basis", [
+    ("chc", (3, 3), "parity"),
+    ("chc", (3, 3), "full"),
+    ("chc", (2, 3, 2), "parity"),
+    ("chc", (2, 3, 2), "full"),
+    ("swaprz", (2, 2), "full"),
+    ("swaprz", (3, 3, 3), "full"),
+    ("ryrz", (2, 2), "full"),
+])
+def test_ansatz_rotation_steps_match_one_string_tables(ansatz, modals, basis):
+    layout = QubitLayout(modals)
+    blocks, num_parameters = vqe._ansatz_blocks(
+        layout, VqeConfig(ansatz=ansatz, depth=2))
+    indices = parity_indices(layout) if basis == "parity" else None
+    _assert_steps_match_one_string_tables(layout.num_qubits, blocks,
+                                          num_parameters, indices)
+
+
+def test_gate_rotation_steps_match_one_string_tables():
+    """RX, RY and RZ on all 2^N states and on the states with qubit 2
+    clear, which flips of qubits 0 and 1 keep."""
+    blocks = [Gate(kind, (q,), param=k)
+              for k, (kind, q) in enumerate(itertools.product(
+                  ("rx", "ry", "rz"), (0, 1)))]
+    blocks.append(Gate("rz", (2,), param=len(blocks), scale=0.5))
+    for indices in (None, np.array([0, 1, 2, 3, 8, 9, 10, 11])):
+        _assert_steps_match_one_string_tables(4, blocks, len(blocks), indices)
+    with pytest.raises(ValueError, match="leaves the program's basis"):
+        AnsatzProgram.compile(4, [Gate("rx", (2,), param=0)], 1,
+                              np.array([0, 1, 2, 3]))
 
 
 def test_sample_basis_state_and_determinism():

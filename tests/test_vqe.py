@@ -467,8 +467,9 @@ def test_physical_route_matches_full_space_minimization(ansatz, route,
     start = np.random.default_rng(config.seed).uniform(
         *vqe.INIT_RANGE, size=program.num_parameters)
     def full_space_energy(params):
-        state = StateVector(layout.num_qubits, program.amplitudes(params))
-        return expectation(state, compiled)
+        amps = StateVector(layout.num_qubits,
+                           program.amplitudes(params)).amplitudes
+        return np.vdot(amps, compiled.apply(amps)).real
 
     reference = minimize(full_space_energy, start, config)
     result = ground_state(h, layout, config)
