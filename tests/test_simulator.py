@@ -188,6 +188,22 @@ def test_expectation_raises_on_non_hermitian():
         expectation(StateVector.vacuum(2), op)
 
 
+def test_expectation_raises_on_compiled_non_hermitian():
+    """A sum whose compiled form has complex diagonals is refused by
+    ``expectation``, and the residue it names is the compiled form's."""
+    state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
+    op = PauliSum.from_label("X", 1.0 + 0.5j)
+    compiled = compile_pauli_sum(op)
+    assert compiled.diags.dtype == np.complex128
+    amps = state.amplitudes
+    value = np.vdot(amps, compiled.apply(amps))
+    assert expectation_value(state, op) == pytest.approx(value, abs=1e-14)
+    with pytest.raises(ValueError, match=f"imaginary part {value.imag:.3e}"):
+        expectation(state, op)
+    with pytest.raises(ValueError, match="qubit count"):
+        expectation(StateVector.vacuum(2), op)
+
+
 def test_check_hermitian_reads_the_last_stored_term():
     """The one imaginary coefficient is the last term stored, and the first
     in label order; a residue within ``IMAG_TOL`` of the largest passes."""
