@@ -17,11 +17,11 @@ from .mapping import (QubitLayout, SqTerm, build_sq_hamiltonian, map_to_pauli,
 from .circuits import (Circuit, Excitation, Gate, build_chc, build_heuristic,
                        build_uvcc, count_resources, excitation_list,
                        generator_pauli, reference_circuit)
-from .simulator import (AnsatzProgram, CompiledPauliSum, NoiseModel,
-                        ShotCounts, StateVector, apply_circuit,
-                        compile_pauli_sum, distribution_fidelity, expectation,
-                        expectation_value, expectation_values, noisy_counts,
-                        noisy_distribution, run_fidelity_experiment, sample)
+from .simulator import (AnsatzProgram, NoiseModel, ShotCounts, StateVector,
+                        apply_circuit, compile_pauli_sum,
+                        distribution_fidelity, expectation, expectation_value,
+                        expectation_values, noisy_counts, noisy_distribution,
+                        run_fidelity_experiment, sample)
 from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
                   ground_state, minimize)
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,

@@ -35,10 +35,10 @@ def _check_dimension(dim: int) -> None:
 def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
     """Block of ``op``'s matrix on the ascending basis states ``indices``.
 
-    ``None`` means all 2^N states (qubit 0 = least significant bit).  Row j
-    holds ``compile_pauli_sum(op, indices)``'s diags[g, j] at perms[g, j],
-    in the compiled dtype, written one mask at a time, so no table is held
-    whole.
+    ``None`` means all 2^N states (qubit 0 = least significant bit).  It
+    equals ``compile_pauli_sum(op, indices).toarray()``, in the compiled
+    dtype, but is written one chunk of masks at a time, so no table is
+    held whole.
     """
     _check_dimension(1 << op.num_qubits if indices is None else len(indices))
     _, dim, dtype, chunks = simulator._pauli_rows(op, indices)

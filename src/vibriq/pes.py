@@ -207,7 +207,26 @@ def modal_operator_matrices(basis: ModalBasis, pes: PesExpansion) -> ModalOperat
 
 # -- PES JSON interchange --------------------------------------------------
 
+# The keys of a PES file and of each of its terms; the first is required.
+_PES_KEYS = ("frequencies", "num_modes", "units", "v0", "terms")
+_TERM_KEYS = ("coeff", "powers")
+
+
+def _check_keys(data: Mapping, accepted, required, where: str) -> None:
+    """Refuse a key of ``data`` not ``accepted`` or a missing ``required``."""
+    for problem, keys in (("unknown", [k for k in data if k not in accepted]),
+                          ("missing", [k for k in required if k not in data])):
+        if keys:
+            raise ValueError(f"{problem} key {keys[0]!r} in {where}; the "
+                             f"accepted keys are {', '.join(accepted)}")
+
+
 def pes_from_dict(data: Mapping) -> PesExpansion:
+    """The PES of the JSON form; refuses unknown and missing keys."""
+    _check_keys(data, _PES_KEYS, _PES_KEYS[:1], "the PES")
+    for k, t in enumerate(data.get("terms", ())):
+        if t.keys() != set(_TERM_KEYS):  # a term needs both keys, no other
+            _check_keys(t, _TERM_KEYS, _TERM_KEYS, f"PES term {k}")
     units = data.get("units", "cm-1")
     if units != "cm-1":
         raise ValueError(f"unsupported units {units!r}; expected 'cm-1'")

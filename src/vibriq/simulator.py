@@ -11,11 +11,11 @@ the physical states a uvccsd ansatz never leaves or the per-register
 odd-parity states a chc ansatz never leaves; both programs have real
 amplitudes.  The reference-state X gates fold into the program's start
 state.  A Pauli rotation step is built from its string's bit masks.  A
-Hamiltonian applied again and again is compiled once into a
-``CompiledPauliSum``, which groups the terms by the qubits they flip.  A
-one-shot expectation compiles nothing: ``expectation_values`` evaluates
-each distinct string of a batch of plain sums once, on the state's
-nonzero amplitudes only.  ``check_hermitian`` is the one Hermiticity
+Hamiltonian applied again and again is compiled once into a scipy CSR
+matrix with one entry per distinct flip mask in each row.  A one-shot
+expectation compiles nothing: ``expectation_values`` evaluates each
+distinct string of a batch of plain sums once, on the state's nonzero
+amplitudes only.  ``check_hermitian`` is the one Hermiticity
 check a Hamiltonian gets.
 
 Basis convention: bit q of a basis index is the value of qubit q, and
@@ -57,9 +57,9 @@ IMAG_TOL = 1e-10
 # complex amplitudes, 268 MB at 12 qubits.
 MAX_DENSITY_QUBITS = 12
 
-# Largest masks x states table a compiled Pauli sum holds: an int64
-# permutation plus a real (complex) diagonal per entry, 268 MB (403 MB) at
-# the limit.
+# Largest masks x states table a compiled Pauli sum holds: an int32 column
+# plus a real (complex) value per entry, 201 MB (336 MB) at the limit, and
+# an int32 row pointer per state.
 MAX_COMPILED_ELEMENTS = 1 << 24
 
 
@@ -215,9 +215,7 @@ def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
 
 # -- Pauli expectation values -------------------------------------------------
 
-# Largest (rows x states) temporary built at once when compiling, applying
-# or evaluating a Pauli sum, so that memory stays bounded for long sums on
-# many qubits.
+# Largest (strings x states) temporary ``expectation_values`` builds at once.
 _CHUNK_ELEMENTS = 1 << 20
 
 # The same for the rows ``_mask_chunks`` writes: each chunk holds several
@@ -227,41 +225,6 @@ _COMPILE_CHUNK_ELEMENTS = 1 << 16
 
 # (-i)^n_Y, indexed by n_Y mod 4.
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
-
-
-@dataclass(frozen=True)
-class CompiledPauliSum:
-    """A Pauli sum grouped by X-flip mask, on an ascending set of states.
-
-    (op psi)[j] = sum over masks g of diags[g, j] * psi[perms[g, j]].
-
-    All terms that flip the same qubits share one permutation, and their
-    phases and signs add into one diagonal, so applying the sum costs one
-    gather and one multiply per distinct mask, however many terms the mask
-    holds.  The diagonals are float64 when every term weight
-    c (-i)^|x & z| is real, as for any Hamiltonian mapped from real SQ
-    terms, and complex128 otherwise; ``apply`` keeps a real state real.
-    """
-
-    num_qubits: int
-    perms: np.ndarray   # (masks, states) positions of state j ^ mask
-    diags: np.ndarray   # (masks, states) summed diagonals, 0 off the states
-
-    @property
-    def num_masks(self) -> int:
-        return self.perms.shape[0]
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        """op|psi> for the amplitude vector ``amps``."""
-        block = max(1, _CHUNK_ELEMENTS // max(self.perms.shape[1], 1))
-        if self.num_masks <= block:  # one chunk: no accumulator
-            return np.sum(self.diags * amps[self.perms], axis=0)
-        out = np.zeros(self.perms.shape[1],
-                       dtype=np.result_type(self.diags, amps))
-        for lo in range(0, self.num_masks, block):
-            sl = slice(lo, lo + block)
-            out += np.sum(self.diags[sl] * amps[self.perms[sl]], axis=0)
-        return out
 
 
 def _basis(num_qubits: int, indices) -> np.ndarray:
@@ -359,31 +322,48 @@ def check_compiled_size(op: PauliSum, dim: int) -> None:
     if num_masks * dim > MAX_COMPILED_ELEMENTS:
         weights = c * _MINUS_I_POWERS[np.bitwise_count(x & z) % 4]
         real = not weights.imag.any()
-        # an int64 position and a float64 or complex128 diagonal per entry
+        # an int32 column and a float64 or complex128 value per entry, and
+        # an int32 row pointer per state
+        size = num_masks * dim * (12 if real else 20) + (dim + 1) * 4
         raise ValueError(
             f"compiling {num_masks} flip masks on {op.num_qubits} qubits "
-            f"needs {num_masks * dim * (16 if real else 24) / 1e6:.0f} MB; "
-            f"the limit is {MAX_COMPILED_ELEMENTS} mask-by-state entries")
+            f"needs {size / 1e6:.0f} MB; the limit is "
+            f"{MAX_COMPILED_ELEMENTS} mask-by-state entries")
 
 
-def compile_pauli_sum(op: PauliSum,
-                      indices: np.ndarray | None = None) -> CompiledPauliSum:
-    """The mask-grouped form of ``op`` on the ascending basis states
-    ``indices`` (all 2^N when ``None``).
+def compile_pauli_sum(op: PauliSum, indices: np.ndarray | None = None
+                      ) -> "scipy.sparse.csr_array":
+    """``op``'s matrix on the ascending basis states ``indices`` (all 2^N
+    when ``None``), as a CSR array.
 
     A term c P(x, z) sends state j to j ^ x with phase c (-i)^|x & z|
-    (-1)^|j & z|; the diagonals are real when every c (-i)^|x & z| is.
-    Raises ``ValueError`` before allocating tables above
-    ``MAX_COMPILED_ELEMENTS`` entries.
-    """
+    (-1)^|j & z|.  Row j holds, per flip mask in ascending order, the
+    position of j ^ mask and the mask's terms summed, zero where j ^ mask
+    leaves the basis, so ``@`` adds each row in mask order.  The values are
+    float64 when every c (-i)^|x & z| is real.  Refused, before allocating,
+    above ``MAX_COMPILED_ELEMENTS`` entries."""
+    from scipy import sparse
+
     check_compiled_size(op, 1 << op.num_qubits if indices is None
                         else len(indices))
     num_masks, dim, dtype, chunks = _pauli_rows(op, indices)
-    perms = np.empty((num_masks, dim), dtype=np.int64)
-    diags = np.empty((num_masks, dim), dtype=dtype)
-    for sl, *chunk in chunks:
-        perms[sl], diags[sl] = chunk
-    return CompiledPauliSum(op.num_qubits, perms, diags)
+    # int32 indices, which scipy takes without a copy
+    columns, values = (np.empty((dim, num_masks), t) for t in (np.int32, dtype))
+    # a chunk holds few masks on a large basis, so sixteen chunks are
+    # gathered into a run, and each row is written a run of masks at a time
+    run = min(num_masks, 16 * max(1, _COMPILE_CHUNK_ELEMENTS // max(dim, 1)))
+    run_perms, run_diags = (np.empty((run, dim), t) for t in (np.int32, dtype))
+    lo = 0
+    for sl, perms, diags in chunks:
+        part = slice(sl.start - lo, sl.stop - lo)
+        run_perms[part], run_diags[part] = perms, diags
+        if part.stop == run or sl.stop == num_masks:
+            columns[:, lo:sl.stop] = run_perms[:part.stop].T
+            values[:, lo:sl.stop] = run_diags[:part.stop].T
+            lo = sl.stop
+    indptr = np.arange(dim + 1, dtype=np.int32) * num_masks
+    return sparse.csr_array((values.ravel(), columns.ravel(), indptr),
+                            shape=(dim, dim))
 
 
 def expectation_values(state: StateVector,

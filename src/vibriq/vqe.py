@@ -22,9 +22,9 @@ chc leaks out of that basis, but each of its blocks exp(i theta Y X..X)
 is a real rotation that flips two or four bits, an even number per
 register: the ``"parity"`` route runs it on the 2^(N-M) real amplitudes
 of ``exact.parity_indices``, the states with odd weight in every
-register, against the ``CompiledPauliSum`` on those states.  swaprz and
-ryrz leave even that set, so the ``"full"`` route runs them on all 2^N
-complex amplitudes against the ``CompiledPauliSum``.  The parity and
+register, against H compiled on those states as a scipy CSR matrix.
+swaprz and ryrz leave even that set, so the ``"full"`` route runs them on
+all 2^N complex amplitudes against H compiled on all 2^N.  The parity and
 full routes share one objective, Re<a|H a> plus the occupation penalty,
 and H is checked Hermitian once per run.
 The result keeps its state on the program's basis and embeds it into
@@ -385,7 +385,7 @@ def _objective(hamiltonian: PauliSum, layout: QubitLayout, config: VqeConfig
         amps = program.amplitudes(params)
         if route == "physical":
             return float(amps @ block @ amps)
-        energy = float(np.vdot(amps, compiled.apply(amps)).real)
+        energy = float(np.vdot(amps, compiled @ amps).real)
         if mu > 0:
             return penalty_objective(energy, occupations(
                 layout, amps, program.indices), mu)

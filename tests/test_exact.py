@@ -107,11 +107,14 @@ def test_hamiltonian_and_pool_keep_every_register_parity(num_modes, modals):
                 (op, x)
     indices = parity_indices(layout)
     compiled = compile_pauli_sum(h, indices)
+    whole = compile_pauli_sum(h)
     masks = np.unique([x for x, _, _ in h.masks()])
-    np.testing.assert_array_equal(indices[compiled.perms],
-                                  masks[:, None] ^ indices)
-    np.testing.assert_array_equal(compiled.diags,
-                                  compile_pauli_sum(h).diags[:, indices])
+    shape = (indices.size, masks.size)
+    np.testing.assert_array_equal(
+        indices[compiled.indices.reshape(shape).T], masks[:, None] ^ indices)
+    np.testing.assert_array_equal(
+        compiled.data.reshape(shape),
+        whole.data.reshape(whole.shape[0], masks.size)[indices])
 
 
 def test_projector_dimension_is_product_of_counts():

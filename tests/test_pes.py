@@ -192,6 +192,43 @@ def test_pes_json_rejects_wrong_units():
         pes_from_dict({"units": "hartree", "frequencies": [100.0]})
 
 
+_TERM = {"coeff": 1.5, "powers": {"0": 4}}
+_ACCEPTED = "the accepted keys are frequencies, num_modes, units, v0, terms"
+_TERM_ACCEPTED = "the accepted keys are coeff, powers"
+
+
+def test_pes_json_refuses_an_unknown_key():
+    """A misspelled v0 is refused, not read as a PES with v0 = 0."""
+    with pytest.raises(ValueError, match=f"unknown key 'V0' in the PES; "
+                                         f"{_ACCEPTED}"):
+        pes_from_dict({"frequencies": [100.0], "terms": [_TERM], "V0": 3.0})
+
+
+def test_pes_json_refuses_missing_frequencies():
+    with pytest.raises(ValueError, match=f"missing key 'frequencies' in the "
+                                         f"PES; {_ACCEPTED}"):
+        pes_from_dict({"terms": [_TERM]})
+
+
+def test_pes_json_refuses_an_unknown_term_key():
+    term = {"coef": 1.5, "coeff": 1.5, "powers": {"0": 4}}
+    with pytest.raises(ValueError, match=f"unknown key 'coef' in PES term 1; "
+                                         f"{_TERM_ACCEPTED}"):
+        pes_from_dict({"frequencies": [100.0], "terms": [_TERM, term]})
+
+
+def test_pes_json_refuses_a_term_without_coeff():
+    with pytest.raises(ValueError, match=f"missing key 'coeff' in PES term 0; "
+                                         f"{_TERM_ACCEPTED}"):
+        pes_from_dict({"frequencies": [100.0], "terms": [{"powers": {"0": 4}}]})
+
+
+def test_pes_json_refuses_a_term_without_powers():
+    with pytest.raises(ValueError, match=f"missing key 'powers' in PES term 0; "
+                                         f"{_TERM_ACCEPTED}"):
+        pes_from_dict({"frequencies": [100.0], "terms": [{"coeff": 1.5}]})
+
+
 def test_pes_dict_shape_follows_interchange_format(harmonic_pes):
     data = pes_to_dict(harmonic_pes)
     assert set(data) == {"num_modes", "units", "frequencies", "v0", "terms"}

@@ -125,12 +125,12 @@ def _random_state(rng, num_qubits, zeros=0):
 
 
 def _assert_matches_compiled_apply(state, sums, got):
-    """Each value against vdot(psi, compile_pauli_sum(op).apply(psi)), to
+    """Each value against vdot(psi, compile_pauli_sum(op) @ psi), to
     1e-12 of the sum's coefficient 1-norm, which bounds |<op>|."""
     amps = state.amplitudes
     assert got.shape == (len(sums),)
     for op, value in zip(sums, got):
-        expected = np.vdot(amps, compile_pauli_sum(op).apply(amps))
+        expected = np.vdot(amps, compile_pauli_sum(op) @ amps)
         scale = sum(abs(c) for _, c in op.items())
         assert abs(value - expected) <= 1e-12 * scale
 
@@ -194,9 +194,9 @@ def test_expectation_raises_on_compiled_non_hermitian():
     state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     op = PauliSum.from_label("X", 1.0 + 0.5j)
     compiled = compile_pauli_sum(op)
-    assert compiled.diags.dtype == np.complex128
+    assert compiled.dtype == np.complex128
     amps = state.amplitudes
-    value = np.vdot(amps, compiled.apply(amps))
+    value = np.vdot(amps, compiled @ amps)
     assert expectation_value(state, op) == pytest.approx(value, abs=1e-14)
     with pytest.raises(ValueError, match=f"imaginary part {value.imag:.3e}"):
         expectation(state, op)
@@ -230,7 +230,7 @@ def test_compiled_sum_matches_per_term_loop_on_non_hermitian_sums():
                 expected += term.coefficient * np.vdot(
                     amps, dense_from_label(term.label) @ amps)
             for got in (expectation_value(StateVector(num_qubits, amps), op),
-                        np.vdot(amps, compile_pauli_sum(op).apply(amps))):
+                        np.vdot(amps, compile_pauli_sum(op) @ amps)):
                 assert abs(got - expected) <= 1e-12 * abs(expected)
 
 
@@ -250,23 +250,40 @@ def test_term_masks_rebuild_dense_matrix_on_non_hermitian_sums():
 
 def test_compiled_y_maps_zero_to_i_one():
     compiled = compile_pauli_sum(PauliSum.from_label("Y"))
-    np.testing.assert_array_equal(compiled.apply(np.array([1.0, 0.0])),
+    np.testing.assert_array_equal(compiled @ np.array([1.0, 0.0]),
                                   [0.0, 1.0j])
     compiled = compile_pauli_sum(PauliSum.from_label("IYZ"))
     basis = np.eye(8)
-    np.testing.assert_array_equal(compiled.apply(basis[0b100]),
+    np.testing.assert_array_equal(compiled @ basis[0b100],
                                   -1.0j * basis[0b110])
+
+
+def _tables(compiled):
+    """A compiled sum's (masks, states) positions and values: row j of the
+    CSR matrix holds one entry per mask, in mask order."""
+    dim = compiled.shape[0]
+    return (compiled.indices.reshape(dim, -1).T,
+            compiled.data.reshape(dim, -1).T)
 
 
 def test_compiled_sum_groups_terms_by_flip_mask():
     op = PauliSum(3, {"XZI": 1.0, "YII": 0.5, "IZZ": 2.0, "ZII": -1.0,
                       "IXX": 0.25})
-    compiled = compile_pauli_sum(op)
-    assert compiled.num_masks == 3  # flips of qubit 0, none, qubits 1 and 2
+    perms, _ = _tables(compile_pauli_sum(op))
+    assert perms.shape == (3, 8)  # flips of qubit 0, none, qubits 1 and 2
     # state 0's row holds each mask, ascending
-    np.testing.assert_array_equal(compiled.perms[:, 0], [0, 0b001, 0b110])
-    assert compile_pauli_sum(PauliSum(2)).num_masks == 0
+    np.testing.assert_array_equal(perms[:, 0], [0, 0b001, 0b110])
     assert expectation(StateVector.vacuum(2), PauliSum(2)) == 0.0
+
+
+def test_empty_sum_compiles_to_a_zero_matrix():
+    """No masks: every row is empty, and the product is zero."""
+    for indices in (None, np.array([1, 2, 3])):
+        compiled = compile_pauli_sum(PauliSum(2), indices)
+        dim = 4 if indices is None else 3
+        assert compiled.shape == (dim, dim) and compiled.nnz == 0
+        np.testing.assert_array_equal(compiled.indptr, np.zeros(dim + 1))
+        np.testing.assert_array_equal(compiled @ np.ones(dim), np.zeros(dim))
 
 
 def test_compiled_basis_form_matches_slice_of_kron_oracle():
@@ -281,7 +298,7 @@ def test_compiled_basis_form_matches_slice_of_kron_oracle():
                 amps = rng.normal(size=size) + 1j * rng.normal(size=size)
                 amps /= np.linalg.norm(amps)
                 np.testing.assert_allclose(
-                    compile_pauli_sum(op, idx).apply(amps),
+                    compile_pauli_sum(op, idx) @ amps,
                     full[np.ix_(idx, idx)] @ amps, rtol=0, atol=1e-12)
 
 
@@ -297,11 +314,9 @@ def test_full_space_tables_sum_terms_in_items_order_bit_for_bit():
         weight = c * (-1j) ** (bin(x & z).count("1") % 4)
         diags[x] = diags.get(x, np.zeros(dim, dtype=complex)) + weight * sign
     masks = sorted(diags)
-    compiled = compile_pauli_sum(h)
-    np.testing.assert_array_equal(compiled.perms,
-                                  np.array(masks)[:, None] ^ states)
-    np.testing.assert_array_equal(compiled.diags,
-                                  np.array([diags[x] for x in masks]))
+    perms, values = _tables(compile_pauli_sum(h))
+    np.testing.assert_array_equal(perms, np.array(masks)[:, None] ^ states)
+    np.testing.assert_array_equal(values, np.array([diags[x] for x in masks]))
 
 
 def test_compiled_tables_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -310,20 +325,36 @@ def test_compiled_tables_do_not_depend_on_the_chunk_size(monkeypatch):
     largest masks and differs only by rounding."""
     _, _, h = build_qubit_hamiltonian(bench_pes(2, 0), (3, 3))
     dim = 1 << h.num_qubits
-    whole = compile_pauli_sum(h)
+    whole_perms, whole = _tables(compile_pauli_sum(h))
     _, counts = np.unique([x for x, _, _ in h.masks()], return_counts=True)
     most = int(counts.max())
     assert most > 3
     for terms, exact in ((most, True), (most + 1, True), (3, False),
                          (1, False)):
         monkeypatch.setattr(simulator, "_COMPILE_CHUNK_ELEMENTS", terms * dim)
-        chunked = compile_pauli_sum(h)
-        np.testing.assert_array_equal(chunked.perms, whole.perms)
+        perms, chunked = _tables(compile_pauli_sum(h))
+        np.testing.assert_array_equal(perms, whole_perms)
         if exact:
-            np.testing.assert_array_equal(chunked.diags, whole.diags)
+            np.testing.assert_array_equal(chunked, whole)
         else:
-            np.testing.assert_allclose(chunked.diags, whole.diags, rtol=0,
-                                       atol=1e-12 * np.abs(whole.diags).max())
+            np.testing.assert_allclose(chunked, whole, rtol=0,
+                                       atol=1e-12 * np.abs(whole).max())
+
+
+def test_compiled_rows_gathered_in_runs_match_the_dense_oracle(monkeypatch):
+    """With one mask per chunk, chunks are gathered sixteen masks at a
+    time, so a sum with more masks is written in several runs; each run
+    lands at its masks' entries, on all states and on a subset."""
+    rng = np.random.default_rng(67)
+    op = random_pauli_sum(rng, 6, 80)
+    assert np.unique([x for x, _, _ in op.masks()]).size > 32
+    full = dense_from_sum(op)
+    for indices in (np.arange(64), np.sort(rng.choice(64, 40, replace=False))):
+        monkeypatch.setattr(simulator, "_COMPILE_CHUNK_ELEMENTS", indices.size)
+        compiled = compile_pauli_sum(op, indices)
+        np.testing.assert_allclose(compiled.toarray(),
+                                   full[np.ix_(indices, indices)], rtol=0,
+                                   atol=1e-12)
 
 
 def test_compile_refuses_unsorted_indices():
@@ -338,19 +369,19 @@ def test_compile_refuses_oversized_tables_before_allocating():
               for k in range(1, 33)]
     op = PauliSum(n, [(label, 1.0) for label in labels])
     subset = np.arange((1 << 19) + 1)
-    # a Y makes the weights, and so the diagonals, complex: 24 B an entry
-    # instead of 16
+    # a Y makes the weights, and so the values, complex: 20 B an entry
+    # instead of 12, beside 4 B of row pointer per state
     complex_op = op + PauliSum.from_label("Y" + "I" * (n - 1))
     tracemalloc.start()
     try:
         with pytest.raises(ValueError,
-                           match=r"32 flip masks on 20 qubits needs 537 MB"):
+                           match=r"32 flip masks on 20 qubits needs 407 MB"):
             compile_pauli_sum(op)
         with pytest.raises(ValueError,
-                           match=r"32 flip masks on 20 qubits needs 268 MB"):
+                           match=r"32 flip masks on 20 qubits needs 203 MB"):
             compile_pauli_sum(op, subset)
         with pytest.raises(ValueError,
-                           match=r"32 flip masks on 20 qubits needs 805 MB"):
+                           match=r"32 flip masks on 20 qubits needs 675 MB"):
             compile_pauli_sum(complex_op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -370,18 +401,18 @@ def test_real_diagonal_tables_match_the_dense_oracle(modals):
     dim = 1 << layout.num_qubits
     for indices in (np.arange(dim), parity_indices(layout)):
         compiled = compile_pauli_sum(op, indices)
-        assert compiled.diags.dtype == np.float64
+        assert compiled.dtype == np.float64
         block = full[np.ix_(indices, indices)]
         real = rng.normal(size=indices.size)
         complex_ = real + 1j * rng.normal(size=indices.size)
         for amps in (real, complex_):
-            got = compiled.apply(amps)
+            got = compiled @ amps
             assert got.dtype == amps.dtype
             np.testing.assert_allclose(got, block @ amps, rtol=0,
                                        atol=1e-12 * np.abs(full).max())
     # one imaginary weight keeps the table complex
     assert compile_pauli_sum(op + PauliSum.from_label(
-        "XY" + "I" * (layout.num_qubits - 2), 0.5)).diags.dtype \
+        "XY" + "I" * (layout.num_qubits - 2), 0.5)).dtype \
         == np.complex128
 
 
@@ -406,7 +437,7 @@ def test_odd_y_rotation_compiles_to_a_givens_step():
             assert isinstance(step, simulator.GivensStep)
             table = compile_pauli_sum(PauliSum.from_label(label))
             rotation = simulator.PauliRotationStep(
-                table.perms[0], table.diags[0], 0, -0.5 * scale)
+                table.indices, table.data, 0, -0.5 * scale)
             for _ in range(3):
                 params = rng.uniform(-np.pi, np.pi, 1)
                 amps = (rng.normal(size=indices.size)
@@ -431,10 +462,11 @@ def _rotation_label(block, num_qubits):
 
 def _assert_steps_match_one_string_tables(num_qubits, blocks, num_parameters,
                                           indices):
-    """Each rotation step of the program equals the step read off row 0 of
-    its string's compiled table: the phase row as a Pauli rotation, or
-    with an odd number of Y the pairs where Re(i phase) < 0, bit for bit
-    and dtype for dtype."""
+    """Each rotation step of the program equals the step read off its
+    string's compiled matrix, one entry a row: its columns and values as a
+    Pauli rotation, or with an odd number of Y the pairs where
+    Re(i phase) < 0, bit for bit.  The phases and pairs match dtype for
+    dtype; the matrix's columns are int32 where a step's are int64."""
     program = AnsatzProgram.compile(num_qubits, blocks, num_parameters,
                                     indices)
     rotations = [b for b in blocks if isinstance(b, PauliRotation)
@@ -445,13 +477,13 @@ def _assert_steps_match_one_string_tables(num_qubits, blocks, num_parameters,
     for block, step in zip(rotations, steps):
         label = _rotation_label(block, num_qubits)
         table = compile_pauli_sum(PauliSum.from_label(label), indices)
-        perm, phase = table.perms[0], table.diags[0]
+        perm, phase = table.indices, table.data
         assert (step.param, step.scale) == (block.param, -0.5 * block.scale)
         if label.count("Y") % 2 == 0:
             assert isinstance(step, simulator.PauliRotationStep), label
-            for got, expected in ((step.perm, perm), (step.phase, phase)):
-                assert got.dtype == expected.dtype, label
-                assert np.array_equal(got, expected), label
+            assert step.phase.dtype == phase.dtype, label
+            assert np.array_equal(step.perm, perm), label
+            assert np.array_equal(step.phase, phase), label
         else:
             assert isinstance(step, simulator.GivensStep), label
             src = np.flatnonzero((1j * phase).real < 0)

@@ -337,7 +337,7 @@ def test_oversized_parity_table_refused_before_the_basis_is_built(
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="compiling 2 flip masks on 30 "
-                                             "qubits needs 537 MB"):
+                                             "qubits needs 470 MB"):
             vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="chc"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -469,7 +469,7 @@ def test_physical_route_matches_full_space_minimization(ansatz, route,
     def full_space_energy(params):
         amps = StateVector(layout.num_qubits,
                            program.amplitudes(params)).amplitudes
-        return np.vdot(amps, compiled.apply(amps)).real
+        return np.vdot(amps, compiled @ amps).real
 
     reference = minimize(full_space_energy, start, config)
     result = ground_state(h, layout, config)
