@@ -8,28 +8,21 @@ The block is real symmetric for a Hamiltonian mapped from real n-mode SQ
 terms (Christiansen, PCCP 9, 2942 (2007)); ``physical_block`` refuses any
 other block, so the spectrum and the ground state come from real LAPACK.
 ``parity_indices`` gives the larger basis, odd weight in every register,
-that the chc VQE runs on.
+that the chc VQE runs on.  Sizes are refused against ``MAX_BYTES``
+first: a block at D^2 entries, twice that with LAPACK's copy of it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .mapping import QubitLayout
 from .pauli import PauliSum
 from . import simulator
-from .simulator import (IMAG_TOL, MAX_COMPILED_ELEMENTS, StateVector,
-                        check_hermitian, embed)
-
-# Largest dimension of a matrix built here: 268 MB of complex entries.
-MAX_DENSE_DIM = 4096
-
-
-def _check_dimension(dim: int) -> None:
-    if dim > MAX_DENSE_DIM:
-        raise ValueError(
-            f"dense matrix of dimension {dim} needs {16 * dim * dim / 1e6:.0f} "
-            f"MB; the limit is dimension {MAX_DENSE_DIM}")
+from .simulator import (IMAG_TOL, StateVector, check_bytes, check_hermitian,
+                        embed)
 
 
 def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
@@ -38,10 +31,11 @@ def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
     ``None`` means all 2^N states (qubit 0 = least significant bit).  It
     equals ``compile_pauli_sum(op, indices).toarray()``, in the compiled
     dtype, but is written one chunk of masks at a time, so no table is
-    held whole.
+    held whole.  Refused above ``MAX_BYTES`` before anything is built.
     """
-    _check_dimension(1 << op.num_qubits if indices is None else len(indices))
     _, dim, dtype, chunks = simulator._pauli_rows(op, indices)
+    check_bytes(f"a dense matrix of dimension {dim}",
+                dim * dim * np.dtype(dtype).itemsize)
     out = np.zeros((dim, dim), dtype=dtype)
     for _, perms, diags in chunks:
         # distinct masks never share an entry, and a flip that leaves the
@@ -68,28 +62,17 @@ def physical_indices(layout: QubitLayout) -> np.ndarray:
         layout, lambda n: np.left_shift(1, np.arange(n, dtype=np.int64)))
 
 
-def parity_dimension(layout: QubitLayout) -> int:
-    """The size 2^(N - M) of ``parity_indices(layout)``, refused above
-    ``MAX_COMPILED_ELEMENTS``, on which no compiled table fits."""
-    size_log2 = layout.num_qubits - layout.num_modes
-    if 1 << size_log2 > MAX_COMPILED_ELEMENTS:
-        raise ValueError(
-            f"the parity basis of {layout.num_qubits} qubits in "
-            f"{layout.num_modes} registers has 2^{size_log2} states; the "
-            f"limit is {MAX_COMPILED_ELEMENTS}")
-    return 1 << size_log2
-
-
 def parity_indices(layout: QubitLayout) -> np.ndarray:
     """The states with an odd number of set bits in every mode register,
     ascending: Π 2^(N_l - 1) = 2^(N - M) of them.
 
     Every transfer operator flips 0 or 2 bits of one register, so a
     mapped Hamiltonian keeps this set, and so does a chc ansatz from the
-    reference state.  A set larger than ``parity_dimension`` allows is
-    refused before it is built.
+    reference state.  Refused above ``MAX_BYTES``, 8 B a state, before it
+    is built.
     """
-    parity_dimension(layout)
+    size_log2 = layout.num_qubits - layout.num_modes
+    check_bytes(f"a parity basis of 2^{size_log2} states", 8 << size_log2)
 
     def odd(n):
         values = np.arange(1 << n, dtype=np.int64)
@@ -102,11 +85,12 @@ def physical_block(h: PauliSum, layout: QubitLayout
                    ) -> tuple[np.ndarray, np.ndarray]:
     """The physical basis and ``h``'s real symmetric matrix on it.
 
-    Refuses a block above ``MAX_DENSE_DIM`` before building anything, a
+    Refuses a block above ``MAX_BYTES`` before building anything, a
     non-Hermitian ``h``, and an imaginary block, which only strings with
     an odd number of Y give: c P(x, z) enters as c (-i)^|x & z| (-1)^|j & z|.
     """
-    _check_dimension(int(np.prod(layout.modal_counts)))
+    dim = math.prod(layout.modal_counts)
+    check_bytes(f"a physical block of dimension {dim}", 8 * dim * dim)
     if h.num_qubits != layout.num_qubits:
         raise ValueError("operator and layout disagree on the qubit count")
     check_hermitian(h)
@@ -122,15 +106,23 @@ def physical_block(h: PauliSum, layout: QubitLayout
     return indices, np.ascontiguousarray(block.real)
 
 
+def _lapack_block(h: PauliSum, layout: QubitLayout):
+    """``physical_block`` with room for LAPACK's D x D copy of the block."""
+    dim = math.prod(layout.modal_counts)
+    check_bytes(f"diagonalizing a physical block of dimension {dim}",
+                16 * dim * dim)
+    return physical_block(h, layout)
+
+
 def physical_spectrum(h: PauliSum, layout: QubitLayout) -> np.ndarray:
     """Ascending eigenvalues of the Hamiltonian within the physical subspace."""
-    return np.linalg.eigvalsh(physical_block(h, layout)[1])
+    return np.linalg.eigvalsh(_lapack_block(h, layout)[1])
 
 
 def ground_state_vector(h: PauliSum, layout: QubitLayout
                         ) -> tuple[float, StateVector]:
     """Lowest physical eigenpair, embedded back into the full qubit space."""
-    indices, sub = physical_block(h, layout)
+    indices, sub = _lapack_block(h, layout)
     vals, vecs = np.linalg.eigh(sub)
     vec = vecs[:, 0]
     # deterministic gauge: largest-magnitude component positive

@@ -15,18 +15,19 @@ Hamiltonian applied again and again is compiled once into a scipy CSR
 matrix with one entry per distinct flip mask in each row.  A one-shot
 expectation compiles nothing: ``expectation_values`` evaluates each
 distinct string of a batch of plain sums once, on the state's nonzero
-amplitudes only.  ``check_hermitian`` is the one Hermiticity
-check a Hamiltonian gets.
+amplitudes only.  ``check_hermitian`` is the one Hermiticity check a
+Hamiltonian gets, and ``check_bytes`` the one size check: an array that
+grows with the register is counted against ``MAX_BYTES`` before it exists.
 
 Basis convention: bit q of a basis index is the value of qubit q, and
 bitstrings render qubit 0 as the leftmost character.  The noise model is
 depolarization: after each gate, with the gate-class probability, one
 uniformly random non-identity Pauli acts on the gate's qubits (15 choices
 for a CNOT).  ``noisy_counts`` draws multinomial shots from the diagonal
-of the density matrix evolved through that exact channel (4^N amplitudes,
-so at most ``MAX_DENSITY_QUBITS``).  The channel's Monte-Carlo
-unraveling, one pure state per run, lives in ``tests/helpers.py`` as a
-test oracle, built on dense matrices apart from these kernels.
+of the density matrix evolved through that exact channel.  The
+channel's Monte-Carlo unraveling, one pure state per run, lives in
+``tests/helpers.py`` as a test oracle, built on dense matrices apart
+from these kernels.
 
 Gate classes follow the published rates: H, RX(+-pi/2) and PHASE are
 U2-like, every other single-qubit rotation (including X) is U3-like, and
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import groupby
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,14 +54,17 @@ NORM_TOL = 1e-10
 # Largest relative imaginary part of a coefficient, block entry or <op>.
 IMAG_TOL = 1e-10
 
-# Largest register the noisy path simulates: its density matrix holds 4^N
-# complex amplitudes, 268 MB at 12 qubits.
-MAX_DENSITY_QUBITS = 12
+# The library's one memory budget: the arrays a call would hold at once,
+# counted in bytes before any of them is allocated.
+MAX_BYTES = 1 << 28
 
-# Largest masks x states table a compiled Pauli sum holds: an int32 column
-# plus a real (complex) value per entry, 201 MB (336 MB) at the limit, and
-# an int32 row pointer per state.
-MAX_COMPILED_ELEMENTS = 1 << 24
+
+def check_bytes(what: str, nbytes: int) -> None:
+    """Raise ``ValueError`` if ``what`` needs more than ``MAX_BYTES``; the
+    message rounds the need up and the limit down."""
+    if nbytes > MAX_BYTES:
+        raise ValueError(f"{what} needs {-(-nbytes // 10**6)} MB; the limit "
+                         f"is {MAX_BYTES // 10**6} MB")
 
 
 def check_hermitian(op: PauliSum) -> None:
@@ -96,9 +100,7 @@ class StateVector:
 
     @classmethod
     def vacuum(cls, num_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
+        return embed(num_qubits, np.zeros(1, dtype=np.int64), np.ones(1))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -108,6 +110,7 @@ def embed(num_qubits: int, indices: np.ndarray,
           amplitudes: np.ndarray) -> StateVector:
     """The state with ``amplitudes`` on the basis states ``indices``, in the
     full 2^N space (taken as is when ``indices`` are all 2^N)."""
+    check_bytes(f"a state of {num_qubits} qubits", 16 << num_qubits)
     if len(indices) == 1 << num_qubits:
         return StateVector(num_qubits, amplitudes)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -162,19 +165,17 @@ def _apply_1q_matrix(amps: np.ndarray, mat: np.ndarray,
     return out.reshape(amps.shape)
 
 
-@lru_cache(maxsize=4096)
-def _cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits)
-    return idx ^ (((idx >> control) & 1) << target)
-
-
-def _apply_gate(amps: np.ndarray, gate: Gate, angle: float | None,
-                num_qubits: int) -> np.ndarray:
-    if gate.kind == "cnot":
-        perm = _cnot_permutation(num_qubits, gate.qubits[0], gate.qubits[1])
-        return amps[..., perm]
-    return _apply_1q_matrix(amps, _gate_matrix(gate.kind, angle),
-                            gate.qubits[0])
+def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Apply a CNOT to a vector of 2^N amplitudes: a copy whose two
+    control-1 slices, target at 0 and at 1, are swapped."""
+    view = amps.reshape(-1, 2, 1 << (abs(control - target) - 1), 2,
+                        1 << min(control, target))
+    # (higher qubit's bit, lower qubit's bit) of each slice
+    bits = [(1, t) if control > target else (t, 1) for t in (0, 1)]
+    t0, t1 = [(slice(None), hi, slice(None), lo) for hi, lo in bits]
+    out = view.copy()
+    out[t0], out[t1] = view[t1], view[t0]
+    return out.reshape(amps.shape)
 
 
 def _conjugate_by_gate(rho: np.ndarray, gate: Gate, angle: float | None,
@@ -182,20 +183,12 @@ def _conjugate_by_gate(rho: np.ndarray, gate: Gate, angle: float | None,
     """U rho U^+: U on the row index (qubit q + N of the flattened rho),
     its complex conjugate on the column index."""
     if gate.kind == "cnot":
-        perm = _cnot_permutation(num_qubits, gate.qubits[0], gate.qubits[1])
-        return rho[perm[:, None], perm]
+        rows = _apply_cnot(rho.reshape(-1), *(q + num_qubits for q in gate.qubits))
+        return _apply_cnot(rows, *gate.qubits).reshape(rho.shape)
     mat = _gate_matrix(gate.kind, angle)
     q = gate.qubits[0]
     rows = _apply_1q_matrix(rho.reshape(-1), mat, q + num_qubits)
     return _apply_1q_matrix(rows.reshape(rho.shape), mat.conj(), q)
-
-
-def _run_circuit(amps: np.ndarray, circuit: Circuit,
-                 params: Sequence[float]) -> np.ndarray:
-    n = circuit.num_qubits
-    for gate in circuit.gates:
-        amps = _apply_gate(amps, gate, gate.resolved_angle(params), n)
-    return amps
 
 
 def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
@@ -209,7 +202,13 @@ def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
         state = StateVector.vacuum(circuit.num_qubits)
     elif state.num_qubits != circuit.num_qubits:
         raise ValueError("state and circuit disagree on the qubit count")
-    amps = _run_circuit(state.amplitudes.copy(), circuit, params)
+    amps = state.amplitudes  # each gate writes a new array
+    for gate in circuit.gates:
+        if gate.kind == "cnot":
+            amps = _apply_cnot(amps, *gate.qubits)
+        else:
+            mat = _gate_matrix(gate.kind, gate.resolved_angle(params))
+            amps = _apply_1q_matrix(amps, mat, gate.qubits[0])
     return StateVector(circuit.num_qubits, amps)
 
 
@@ -248,14 +247,17 @@ def _sign_rows(z, states: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(z & states) & 1)
 
 
-def _mask_chunks(groups, indices: np.ndarray, full: bool, real: bool):
+def _mask_chunks(groups, num_qubits: int, indices, real: bool):
     """Yield the rows of ``_pauli_rows``' ``groups`` one chunk of masks at
-    a time, as (slice of masks, perms, diags); ``full`` says ``indices``
-    is all 2^N, ``real`` that every weight is.  Every chunk is written
-    into the same two arrays: read it before the next.
+    a time, as (slice of masks, perms, diags), on ``indices`` or, for
+    ``None``, on all 2^N states, built at the first chunk; ``real`` says
+    every weight is.  Every chunk is written into the same two arrays:
+    read it before the next.
     """
     from scipy import sparse  # a sum's rows are its one use
 
+    full = indices is None
+    indices = _basis(num_qubits, None) if full else indices
     masks, group, signs, weights = groups
     block = max(1, _COMPILE_CHUNK_ELEMENTS // max(indices.size, 1))
     size = (min(block, masks.size), indices.size)
@@ -308,27 +310,24 @@ def _pauli_rows(op: PauliSum, indices):
     weights = (np.array([c for _, _, c in terms], dtype=np.complex128)[order]
                * _MINUS_I_POWERS[np.bitwise_count(flips & signs) % 4])
     groups = (*np.unique(flips, return_inverse=True), signs, weights)
-    basis, real = _basis(op.num_qubits, indices), not weights.imag.any()
-    return (groups[0].size, basis.size, np.float64 if real else np.complex128,
-            _mask_chunks(groups, basis, indices is None, real))
+    if indices is not None:  # checked now; all 2^N are built when read
+        indices = _basis(op.num_qubits, indices)
+    dim = 1 << op.num_qubits if indices is None else indices.size
+    real = not weights.imag.any()
+    return (groups[0].size, dim, np.float64 if real else np.complex128,
+            _mask_chunks(groups, op.num_qubits, indices, real))
 
 
 def check_compiled_size(op: PauliSum, dim: int) -> None:
     """Raise ``ValueError`` if ``compile_pauli_sum`` of ``op`` on ``dim``
-    basis states would exceed ``MAX_COMPILED_ELEMENTS`` mask-by-state
-    entries; needs only the terms, so it can run before the basis exists."""
+    basis states would exceed ``MAX_BYTES``; needs only the terms, so it
+    can run before the basis exists."""
     x, z, c = op.mask_arrays()
     num_masks = np.unique(x).size
-    if num_masks * dim > MAX_COMPILED_ELEMENTS:
-        weights = c * _MINUS_I_POWERS[np.bitwise_count(x & z) % 4]
-        real = not weights.imag.any()
-        # an int32 column and a float64 or complex128 value per entry, and
-        # an int32 row pointer per state
-        size = num_masks * dim * (12 if real else 20) + (dim + 1) * 4
-        raise ValueError(
-            f"compiling {num_masks} flip masks on {op.num_qubits} qubits "
-            f"needs {size / 1e6:.0f} MB; the limit is "
-            f"{MAX_COMPILED_ELEMENTS} mask-by-state entries")
+    real = not (c * _MINUS_I_POWERS[np.bitwise_count(x & z) % 4]).imag.any()
+    # an int32 column and a value per entry, an int32 row pointer per state
+    check_bytes(f"compiling {num_masks} flip masks on {op.num_qubits} qubits",
+                num_masks * dim * (12 if real else 20) + 4 * (dim + 1))
 
 
 def compile_pauli_sum(op: PauliSum, indices: np.ndarray | None = None
@@ -341,11 +340,10 @@ def compile_pauli_sum(op: PauliSum, indices: np.ndarray | None = None
     position of j ^ mask and the mask's terms summed, zero where j ^ mask
     leaves the basis, so ``@`` adds each row in mask order.  The values are
     float64 when every c (-i)^|x & z| is real.  Refused, before allocating,
-    above ``MAX_COMPILED_ELEMENTS`` entries."""
-    from scipy import sparse
-
+    above ``MAX_BYTES``."""
     check_compiled_size(op, 1 << op.num_qubits if indices is None
                         else len(indices))
+    from scipy import sparse
     num_masks, dim, dtype, chunks = _pauli_rows(op, indices)
     # int32 indices, which scipy takes without a copy
     columns, values = (np.empty((dim, num_masks), t) for t in (np.int32, dtype))
@@ -552,6 +550,24 @@ def _program_step(num_qubits: int, indices: np.ndarray, block):
     raise ValueError(f"no program step for block {block}")
 
 
+def _step_runs(blocks: Sequence[Block]) -> list:
+    """The leading run of X and CNOT gates (maybe empty), then one entry
+    per program step: a block, or a later run of those gates."""
+    runs: list = []
+    for flips, group in groupby(blocks, lambda block: isinstance(block, Gate)
+                                and block.kind in ("x", "cnot")):
+        runs.extend([list(group)] if flips else group)
+    return runs if runs and isinstance(runs[0], list) else [[], *runs]
+
+
+def check_program_size(blocks: Sequence[Block], dim: int) -> None:
+    """Raise ``ValueError`` if a program of ``blocks`` on ``dim`` states
+    exceeds ``MAX_BYTES`` at 16 B a state per step (a permutation, a phase)."""
+    steps = len(_step_runs(blocks)) - 1
+    check_bytes(f"an ansatz program of {steps} steps on {dim} states",
+                16 * dim * steps)
+
+
 @dataclass(frozen=True)
 class AnsatzProgram:
     """Noise-free state preparation as a short list of vectorized steps.
@@ -585,18 +601,9 @@ class AnsatzProgram:
         """``None`` for ``indices`` means the full space; a step that maps
         a state of ``indices`` outside them raises ``ValueError``."""
         indices = _basis(num_qubits, indices)
-        runs: list = []
-        for block in blocks:
-            if isinstance(block, Gate) and block.kind in ("x", "cnot"):
-                if not runs or not isinstance(runs[-1], list):
-                    runs.append([])
-                runs[-1].append(block)
-            else:
-                runs.append(block)
-        state = 0
-        if runs and isinstance(runs[0], list):
-            for gate in runs.pop(0):
-                state = _flip_states(state, gate)
+        state, runs = 0, _step_runs(blocks)
+        for gate in runs.pop(0):
+            state = _flip_states(state, gate)
         start = int(_positions(indices, np.array([state]))[0])
         steps = tuple(_program_step(num_qubits, indices, run) for run in runs)
         real = not any(isinstance(s, PauliRotationStep) for s in steps)
@@ -726,6 +733,11 @@ def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], num_qubits: int,
         block += traced
 
 
+def _check_density_matrix(num_qubits: int) -> None:
+    check_bytes(f"the density matrix of {num_qubits} qubits",
+                16 << 2 * num_qubits)
+
+
 def noisy_distribution(circuit: Circuit, params: Sequence[float],
                        noise: NoiseModel) -> np.ndarray:
     """Outcome probabilities diag(rho) of the exact depolarizing channel.
@@ -734,10 +746,7 @@ def noisy_distribution(circuit: Circuit, params: Sequence[float],
     in p / (4^k - 1) of every non-identity Pauli conjugation P rho P.
     """
     n = circuit.num_qubits
-    if n > MAX_DENSITY_QUBITS:
-        raise ValueError(
-            f"noisy simulation of {n} qubits needs a {16 * 4 ** n / 1e6:.0f} MB "
-            f"density matrix; the limit is {MAX_DENSITY_QUBITS} qubits")
+    _check_density_matrix(n)
     params = np.asarray(params, dtype=float)
     if params.shape != (circuit.num_parameters,):
         raise ValueError(f"expected {circuit.num_parameters} parameters")
@@ -781,6 +790,7 @@ def run_fidelity_experiment(modal_counts: Sequence[int], trials: int = 10,
         raise ValueError("trials must be positive")
     noise = noise or NoiseModel()
     layout = QubitLayout(tuple(modal_counts))
+    _check_density_matrix(layout.num_qubits)
     excitations = excitation_list(layout, 2)
     circuits = {"uvccsd": build_uvcc(layout, excitations),
                 "chc": build_chc(layout, excitations)}

@@ -44,11 +44,12 @@ import numpy as np
 from .circuits import (Block, Circuit, chc_blocks, circuit_from_blocks,
                        excitation_list, heuristic_blocks, reference_circuit,
                        uvcc_blocks)
-from .exact import parity_dimension, parity_indices, physical_block
+from .exact import parity_indices, physical_block
 from .mapping import QubitLayout, occupations, penalty_objective
 from .pauli import PauliSum
 from .simulator import (AnsatzProgram, StateVector, check_compiled_size,
-                        check_hermitian, compile_pauli_sum, embed)
+                        check_hermitian, check_program_size,
+                        compile_pauli_sum, embed)
 
 ANSATZ_KINDS = ("uvccsd", "chc", "swaprz", "ryrz")
 OPTIMIZERS = ("nelder-mead", "spsa")
@@ -363,23 +364,26 @@ def ansatz_program(layout: QubitLayout, config: VqeConfig,
 def _objective(hamiltonian: PauliSum, layout: QubitLayout, config: VqeConfig
                ) -> tuple[str, Callable, AnsatzProgram]:
     """The route, the objective on the program's basis, and the program;
-    H is checked before the program builds its index arrays."""
+    H's size is checked, then the program's, before a parity or full basis."""
+    blocks, num_parameters = _ansatz_blocks(layout, config)
     # uvccsd is the one ansatz whose states cannot leave the physical
     # basis, and chc the one that keeps every register's parity
     if config.ansatz == "uvccsd":
         route = "physical"
         indices, block = physical_block(hamiltonian, layout)
+        check_program_size(blocks, indices.size)
     else:
         mu = config.effective_mu()
         check_hermitian(hamiltonian)
-        if config.ansatz == "chc":
-            # the table's size is refused before its basis is built
-            check_compiled_size(hamiltonian, parity_dimension(layout))
-            route, indices = "parity", parity_indices(layout)
-        else:
-            route, indices = "full", None
+        route = "parity" if config.ansatz == "chc" else "full"
+        dim = 1 << (layout.num_qubits
+                    - (layout.num_modes if route == "parity" else 0))
+        check_compiled_size(hamiltonian, dim)
+        check_program_size(blocks, dim)
+        indices = parity_indices(layout) if route == "parity" else None
         compiled = compile_pauli_sum(hamiltonian, indices)
-    program = ansatz_program(layout, config, indices)
+    program = AnsatzProgram.compile(layout.num_qubits, blocks, num_parameters,
+                                    indices)
 
     def objective(params: np.ndarray) -> float:
         amps = program.amplitudes(params)

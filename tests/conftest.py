@@ -2,11 +2,17 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import numpy.ma  # noqa: F401
 import pytest
+import scipy.sparse  # noqa: F401
 
 from vibriq.mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli
 from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
                         pes_from_dict, solve_modals)
+
+# numpy.ma (loaded by the first np.unique) and scipy.sparse (by the first
+# compile) are imported above, before any test, so that a tracemalloc bound
+# counts what the code under test allocates, not a first import.
 
 PESGEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "pesgen.py"
 

@@ -10,8 +10,7 @@ from vibriq.exact import (dense_matrix, ground_state_vector, parity_indices,
 from vibriq.mapping import (QubitLayout, SqTerm, map_to_pauli, number_operator)
 from vibriq.pauli import PauliSum
 from vibriq.qeom import build_eom_operators
-from vibriq.simulator import (MAX_COMPILED_ELEMENTS, compile_pauli_sum,
-                              expectation)
+from vibriq.simulator import MAX_BYTES, compile_pauli_sum, expectation
 
 from conftest import bench_pes, build_qubit_hamiltonian
 
@@ -34,10 +33,10 @@ def test_dense_matches_independent_kron_oracle():
 
 
 def test_dense_block_is_not_bounded_by_the_compiled_table_limit():
-    """``dense_matrix`` writes the compiled rows chunk by chunk, so a block
-    inside ``MAX_DENSE_DIM`` is built even when its whole mask-by-state
-    table would exceed ``MAX_COMPILED_ELEMENTS`` (16 384 masks on 1 100
-    states here); the reference adds the terms one by one."""
+    """``dense_matrix`` writes the compiled rows chunk by chunk, so a 19 MB
+    block is built even when its whole compiled table, 16 384 masks on
+    1 100 states at 20 B an entry, would exceed ``MAX_BYTES``; the
+    reference adds the terms one by one."""
     rng = np.random.default_rng(71)
     n = 14
     masks = np.arange(1 << n)
@@ -46,7 +45,7 @@ def test_dense_block_is_not_bounded_by_the_compiled_table_limit():
     op = PauliSum.from_masks(n, {(int(x), int(z)): complex(c)
                                  for x, z, c in zip(masks, signs, coeffs)})
     idx = np.sort(rng.choice(1 << n, size=1100, replace=False))
-    assert masks.size * idx.size > MAX_COMPILED_ELEMENTS
+    assert masks.size * idx.size * 20 + 4 * (idx.size + 1) > MAX_BYTES
     expected = np.zeros((idx.size, idx.size), dtype=complex)
     for x, z, c in zip(masks, signs, coeffs):
         cols = idx ^ x
@@ -312,9 +311,11 @@ def test_dimension_cap_refuses_before_allocating():
     layout = QubitLayout((2,) * 13)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="dimension 8192"):
+        with pytest.raises(ValueError, match="dense matrix of dimension 8192 "
+                                             "needs 537 MB; the limit is 268 MB"):
             dense_matrix(op)
-        with pytest.raises(ValueError, match="dimension 8192"):
+        with pytest.raises(ValueError, match="block of dimension 8192 needs "
+                                             "1074 MB; the limit is 268 MB"):
             physical_spectrum(op, layout)
         _, peak = tracemalloc.get_traced_memory()
     finally:

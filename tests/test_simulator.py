@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,18 +14,19 @@ from helpers import (dense_circuit_unitary, dense_expectations,
                      random_pauli_sum, random_sq_hamiltonian)
 from vibriq.circuits import (Circuit, Gate, PauliRotation, build_chc,
                              build_uvcc, excitation_list, reference_circuit)
-from vibriq.exact import dense_matrix, parity_indices
+from vibriq.exact import (dense_matrix, parity_indices, physical_block,
+                          physical_spectrum)
 from vibriq.mapping import QubitLayout, map_to_pauli
 from vibriq.pauli import PauliSum
-from vibriq.simulator import (AnsatzProgram, NoiseModel, ShotCounts,
-                              StateVector, apply_circuit, bitstring,
-                              compile_pauli_sum, distribution_fidelity,
+from vibriq.simulator import (MAX_BYTES, AnsatzProgram, NoiseModel,
+                              ShotCounts, StateVector, apply_circuit,
+                              bitstring, check_bytes, compile_pauli_sum, distribution_fidelity,
                               expectation, expectation_value,
                               expectation_values, noisy_counts,
                               noisy_distribution, run_fidelity_experiment,
                               sample)
 from vibriq.vqe import VqeConfig
-from vibriq import simulator, vqe
+from vibriq import exact, simulator, vqe
 from vibriq.simulator import _conjugate_by_gate, _depolarize
 
 
@@ -368,7 +371,7 @@ def test_compile_refuses_oversized_tables_before_allocating():
     labels = ["".join("X" if (k >> q) & 1 else "I" for q in range(n))
               for k in range(1, 33)]
     op = PauliSum(n, [(label, 1.0) for label in labels])
-    subset = np.arange((1 << 19) + 1)
+    subset = np.arange(3 << 18)
     # a Y makes the weights, and so the values, complex: 20 B an entry
     # instead of 12, beside 4 B of row pointer per state
     complex_op = op + PauliSum.from_label("Y" + "I" * (n - 1))
@@ -378,10 +381,10 @@ def test_compile_refuses_oversized_tables_before_allocating():
                            match=r"32 flip masks on 20 qubits needs 407 MB"):
             compile_pauli_sum(op)
         with pytest.raises(ValueError,
-                           match=r"32 flip masks on 20 qubits needs 203 MB"):
+                           match=r"32 flip masks on 20 qubits needs 306 MB"):
             compile_pauli_sum(op, subset)
         with pytest.raises(ValueError,
-                           match=r"32 flip masks on 20 qubits needs 675 MB"):
+                           match=r"32 flip masks on 20 qubits needs 676 MB"):
             compile_pauli_sum(complex_op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -719,6 +722,77 @@ def test_noisy_counts_follow_oracle_diagonal():
         observed = counts.get(bitstring(index, 4), 0)
         sigma = math.sqrt(shots * p * (1.0 - p))
         assert abs(observed - shots * p) <= 5.0 * sigma + 1e-9, index
+
+
+_LAYOUT_13x2 = QubitLayout((2,) * 13)
+
+
+@pytest.mark.parametrize("refused, message", [
+    pytest.param(lambda: dense_matrix(PauliSum.from_label("I" * 24)),
+                 "a dense matrix of dimension 16777216 needs 2251799814 MB",
+                 id="dense block"),
+    pytest.param(lambda: physical_block(PauliSum.from_label("I" * 26),
+                                        _LAYOUT_13x2),
+                 "a physical block of dimension 8192 needs 537 MB",
+                 id="physical block"),
+    pytest.param(lambda: physical_spectrum(PauliSum.from_label("I" * 26),
+                                           _LAYOUT_13x2),
+                 "diagonalizing a physical block of dimension 8192 needs "
+                 "1074 MB", id="spectrum"),
+    pytest.param(lambda: compile_pauli_sum(PauliSum.from_label("X" * 25)),
+                 "compiling 1 flip masks on 25 qubits needs 537 MB",
+                 id="compile"),
+    pytest.param(lambda: parity_indices(QubitLayout((5,) * 7)),
+                 "a parity basis of 2^28 states needs 2148 MB",
+                 id="parity basis"),
+    pytest.param(lambda: run_fidelity_experiment((10, 10), trials=1,
+                                                 shots=10),
+                 "the density matrix of 20 qubits needs 17592187 MB",
+                 id="density matrix"),
+    pytest.param(lambda: simulator.embed(25, np.array([0]), np.ones(1)),
+                 "a state of 25 qubits needs 537 MB", id="embedded state"),
+    pytest.param(lambda: StateVector.vacuum(25),
+                 "a state of 25 qubits needs 537 MB", id="vacuum"),
+    pytest.param(lambda: vqe.ground_state(
+                     PauliSum.from_label("Z" + "I" * 24),
+                     QubitLayout((5,) * 5), VqeConfig(ansatz="chc")),
+                 "an ansatz program of 180 steps on 1048576 states needs "
+                 "3020 MB", id="ansatz program"),
+])
+def test_every_size_refusal_reads_the_same(refused, message):
+    """Each site counts its arrays in bytes and refuses them against the
+    one budget, in one wording, within a second and 1 MB."""
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}; the "
+                                             "limit is 268 MB$"):
+            refused()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert time.perf_counter() - start < 1.0
+
+
+def test_budget_keeps_the_spectrum_and_noise_boundaries(monkeypatch):
+    """A 4096-state spectrum and a 12-qubit density matrix fill the budget
+    exactly and pass; one state or qubit more is refused."""
+    class Passed(Exception):
+        pass
+
+    def passed(*args):
+        raise Passed
+
+    monkeypatch.setattr(exact, "physical_block", passed)
+    with pytest.raises(Passed):
+        physical_spectrum(PauliSum.from_label("I"), QubitLayout((64, 64)))
+    with pytest.raises(ValueError, match="dimension 4097 needs 269 MB"):
+        physical_spectrum(PauliSum.from_label("I"), QubitLayout((17, 241)))
+    simulator._check_density_matrix(12)
+    with pytest.raises(ValueError, match="of 13 qubits needs 1074 MB"):
+        simulator._check_density_matrix(13)
+    check_bytes("a full budget", MAX_BYTES)
 
 
 def test_noisy_distribution_refuses_large_registers_before_allocating():

@@ -8,8 +8,8 @@ from vibriq.exact import parity_indices, physical_indices, physical_spectrum
 from vibriq.mapping import (QubitLayout, number_operator, occupations,
                             penalty_objective)
 from vibriq.pauli import PauliSum
-from vibriq.simulator import (StateVector, apply_circuit, compile_pauli_sum,
-                              embed, expectation)
+from vibriq.simulator import (AnsatzProgram, StateVector, apply_circuit,
+                              compile_pauli_sum, embed, expectation)
 from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
                         minimize)
 
@@ -293,15 +293,15 @@ def test_oversized_register_refused_before_the_ansatz_is_built(monkeypatch):
     def no_program(*args, **kwargs):
         raise AssertionError("ansatz program built before the size check")
 
-    monkeypatch.setattr(vqe, "ansatz_program", no_program)
+    monkeypatch.setattr(AnsatzProgram, "compile", no_program)
     with pytest.raises(ValueError, match="32 flip masks on 20 qubits"):
         vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="ryrz"))
 
 
 def test_oversized_parity_basis_refused_before_any_index_array(monkeypatch):
-    """chc on (5,)*7 runs on 2^(35 - 7) = 2^28 parity states, above the
-    compiled limit: refused before the basis, a table or the program is
-    built."""
+    """chc on (5,)*7 runs on 2^(35 - 7) = 2^28 parity states: the table on
+    them is refused before the basis, the table or the program is built,
+    and ``parity_indices`` refuses the basis itself."""
     layout = QubitLayout((5,) * 7)
     hamiltonian = PauliSum(layout.num_qubits,
                            [("Z" + "I" * (layout.num_qubits - 1), 1.0)])
@@ -309,11 +309,15 @@ def test_oversized_parity_basis_refused_before_any_index_array(monkeypatch):
     def no_program(*args, **kwargs):
         raise AssertionError("ansatz program built before the size check")
 
-    monkeypatch.setattr(vqe, "ansatz_program", no_program)
+    monkeypatch.setattr(AnsatzProgram, "compile", no_program)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"has 2\^28 states"):
+        with pytest.raises(ValueError, match="compiling 1 flip masks on 35 "
+                                             "qubits needs 4295 MB"):
             vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="chc"))
+        with pytest.raises(ValueError, match=r"parity basis of 2\^28 states "
+                                             "needs 2148 MB"):
+            parity_indices(layout)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -345,6 +349,31 @@ def test_oversized_parity_table_refused_before_the_basis_is_built(
     assert peak < 4 << 20
 
 
+def test_oversized_ansatz_program_refused_before_the_basis_is_built(
+        monkeypatch):
+    """chc on (5,)*5 runs on 2^20 parity states, and a one-mask table on
+    them fits, but its 180 rotations at 16 B a state do not: refused after
+    H's check and before the 8 MB index array."""
+    layout = QubitLayout((5,) * 5)
+    n = layout.num_qubits
+    hamiltonian = PauliSum(n, [("Z" + "I" * (n - 1), 1.0),
+                               ("IZ" + "I" * (n - 2), 0.5)])
+
+    def no_basis(*args, **kwargs):
+        raise AssertionError("parity basis built before the size check")
+
+    monkeypatch.setattr(vqe, "parity_indices", no_basis)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="ansatz program of 180 steps on "
+                                             "1048576 states needs 3020 MB"):
+            vqe.ground_state(hamiltonian, layout, VqeConfig(ansatz="chc"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_oversized_physical_block_refused_before_the_ansatz_is_built(
         monkeypatch):
     """uvccsd on (5,)*6 needs a 15 625-state block: refused by the exact
@@ -356,10 +385,11 @@ def test_oversized_physical_block_refused_before_the_ansatz_is_built(
     def no_program(*args, **kwargs):
         raise AssertionError("ansatz program built before the size check")
 
-    monkeypatch.setattr(vqe, "ansatz_program", no_program)
+    monkeypatch.setattr(AnsatzProgram, "compile", no_program)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="dimension 15625"):
+        with pytest.raises(ValueError, match="physical block of dimension "
+                                             "15625 needs 1954 MB"):
             vqe.ground_state(hamiltonian, layout)
         _, peak = tracemalloc.get_traced_memory()
     finally:
