@@ -456,7 +456,8 @@ class BitFlipStep:
             source = _flip_states(source, gate)
         return cls(_positions(indices, source))
 
-    def apply(self, amps: np.ndarray, params: Sequence[float]) -> np.ndarray:
+    def apply(self, amps: np.ndarray, params: Sequence[float],
+              work: np.ndarray) -> np.ndarray:
         return amps[self.perm]
 
 
@@ -469,7 +470,8 @@ class PauliRotationStep:
     param: int
     scale: float
 
-    def apply(self, amps: np.ndarray, params: Sequence[float]) -> np.ndarray:
+    def apply(self, amps: np.ndarray, params: Sequence[float],
+              work: np.ndarray) -> np.ndarray:
         angle = self.scale * params[self.param]
         return (math.cos(angle) * amps
                 + (1j * math.sin(angle)) * (self.phase * amps[self.perm]))
@@ -487,7 +489,10 @@ class GivensStep:
     (2022)), or the real half of a Pauli string with an odd number of Y:
     then i P = T - T+.  ``pairs`` holds the positions of src (row 0) and
     dst (row 1) in the program's basis; one gather and one 2x2 rotation
-    update them in place, on the array ``AnsatzProgram`` owns.
+    update them in place, on the array ``AnsatzProgram`` owns.  The
+    rotation is written into the caller's 2x2 work array and applied by
+    ``dot``: an elementwise c*a - s*b rounds differently where BLAS fuses
+    the multiply and add.
     """
 
     pairs: np.ndarray
@@ -503,10 +508,12 @@ class GivensStep:
         dst = _positions(indices, indices[src] ^ occ ^ virt)
         return cls(np.stack([src, dst]), param, scale)
 
-    def apply(self, amps: np.ndarray, params: Sequence[float]) -> np.ndarray:
+    def apply(self, amps: np.ndarray, params: Sequence[float],
+              work: np.ndarray) -> np.ndarray:
         angle = self.scale * params[self.param]
         c, s = math.cos(angle), math.sin(angle)
-        amps[self.pairs] = np.array(((c, -s), (s, c))).dot(amps[self.pairs])
+        work[0, 0], work[0, 1], work[1, 0], work[1, 1] = c, -s, s, c
+        amps[self.pairs] = work.dot(amps[self.pairs])
         return amps
 
 
@@ -619,8 +626,9 @@ class AnsatzProgram:
                         dtype=np.float64 if self.real else np.complex128)
         amps[self.start] = 1.0
         angles = params.tolist()  # Python floats for the steps' scalar math
+        work = np.empty((2, 2))  # each Givens step's rotation, in turn
         for step in self.steps:
-            amps = step.apply(amps, angles)
+            amps = step.apply(amps, angles, work)
         _check_norm(amps)
         return amps
 
@@ -734,8 +742,10 @@ def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], num_qubits: int,
 
 
 def _check_density_matrix(num_qubits: int) -> None:
-    check_bytes(f"the density matrix of {num_qubits} qubits",
-                16 << 2 * num_qubits)
+    # a gate step holds up to four rho at once: rho, the row and column
+    # passes of ``_conjugate_by_gate`` and ``_depolarize``'s traced blocks
+    check_bytes(f"a noisy simulation of {num_qubits} qubits "
+                "(4 density matrices)", 64 << 2 * num_qubits)
 
 
 def noisy_distribution(circuit: Circuit, params: Sequence[float],

@@ -17,7 +17,8 @@ or Pauli rotation), once, outside the objective, on one of three routes.
 uvccsd keeps one occupied modal per mode, so its state never leaves the
 Π N_l physical (VCI) basis: the ``"physical"`` route runs it there, as
 a^T H a on real amplitudes against the real symmetric block of
-``exact.physical_block``, where the occupation penalty is exactly zero.
+``exact.physical_block`` (``a.dot(H).dot(a)``, the same products as ``@``
+with less dispatch), where the occupation penalty is exactly zero.
 chc leaks out of that basis, but each of its blocks exp(i theta Y X..X)
 is a real rotation that flips two or four bits, an even number per
 register: the ``"parity"`` route runs it on the 2^(N-M) real amplitudes
@@ -26,7 +27,10 @@ register, against H compiled on those states as a scipy CSR matrix.
 swaprz and ryrz leave even that set, so the ``"full"`` route runs them on
 all 2^N complex amplitudes against H compiled on all 2^N.  The parity and
 full routes share one objective, Re<a|H a> plus the occupation penalty,
-and H is checked Hermitian once per run.
+and H is checked Hermitian once per run.  A real H on the complex
+amplitudes of swaprz and ryrz multiplies their real and imaginary parts
+in turn, the sums scipy forms after casting H to complex, without the
+cast.
 The result keeps its state on the program's basis and embeds it into
 2^N only when ``VqeResult.state`` is read.  ``build_ansatz``
 still gives the ``Circuit`` used for resource counts, noise and as the
@@ -201,6 +205,16 @@ def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
     Appl. 51, 259 (2012).  The reflection coefficient is 1 and is left
     out of the steps' expressions; multiplying by it is exact.  ``f`` may
     keep its argument but must not modify it.
+
+    The bookkeeping differs from scipy's where the result cannot: the
+    sorts index with ``fsim.argsort()``, the kernel ``np.argsort`` calls,
+    and the convergence test checks f before x (both are pure, and the
+    f-test fails on almost every iteration).  scipy's f-test is
+    max |fsim[0] - fsim[1:]| <= fatol.  ``fsim`` is sorted ascending
+    before every test, so each |fsim[0] - fsim[j]| is the rounded
+    fsim[j] - fsim[0], and rounding is monotone: the largest is
+    fsim[-1] - fsim[0], the same float, so the test is that one
+    subtraction.
     """
     n = len(x0)
     if adaptive:
@@ -216,10 +230,11 @@ def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
     # sorted twice, as scipy does: argsort is not stable, and ties in f
     # occur near convergence
     for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    while not (np.max(np.abs(sim[1:] - sim[0])) <= SIMPLEX_XATOL
-               and np.max(np.abs(fsim[0] - fsim[1:])) <= SIMPLEX_FATOL):
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
+    # scipy's tests, f first; fsim is sorted (see the docstring)
+    while not (fsim[-1] - fsim[0] <= SIMPLEX_FATOL
+               and abs(sim[1:] - sim[0]).max() <= SIMPLEX_XATOL):
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
         fxr = f(xr)
@@ -250,8 +265,8 @@ def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
                 for j in range(1, n + 1):
                     sim[j] = sim[0] + sigma * (sim[j] - sim[0])
                     fsim[j] = f(sim[j].copy())
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim[ind], fsim[ind]
     return sim[0]
 
 
@@ -384,12 +399,23 @@ def _objective(hamiltonian: PauliSum, layout: QubitLayout, config: VqeConfig
         compiled = compile_pauli_sum(hamiltonian, indices)
     program = AnsatzProgram.compile(layout.num_qubits, blocks, num_parameters,
                                     indices)
+    # scipy multiplies a real H by complex amplitudes by casting H's values
+    # to complex on every product; the real and imaginary parts in turn
+    # give the same sums without the copy
+    split = route != "physical" and not (program.real
+                                         or np.iscomplexobj(compiled))
 
     def objective(params: np.ndarray) -> float:
         amps = program.amplitudes(params)
         if route == "physical":
-            return float(amps @ block @ amps)
-        energy = float(np.vdot(amps, compiled @ amps).real)
+            return float(amps.dot(block).dot(amps))
+        if split:
+            h_amps = np.empty_like(amps)
+            h_amps.real = compiled @ amps.real
+            h_amps.imag = compiled @ amps.imag
+        else:
+            h_amps = compiled @ amps
+        energy = float(np.vdot(amps, h_amps).real)
         if mu > 0:
             return penalty_objective(energy, occupations(
                 layout, amps, program.indices), mu)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from functools import reduce
 from itertools import product
 
@@ -297,6 +298,23 @@ def dense_expectations(states: np.ndarray, op: PauliSum) -> np.ndarray:
     """<psi|op|psi> per row of ``states``, from the dense matrix of ``op``."""
     return np.einsum("ri,ij,rj->r", states.conj(), dense_from_sum(op),
                      states).real
+
+
+# -- objective oracles --------------------------------------------------------
+
+def givens_rotation(amps: np.ndarray, pairs: np.ndarray,
+                    angle: float) -> np.ndarray:
+    """A copy of ``amps`` with each (src, dst) column of ``pairs`` rotated
+    by ``angle``: a fresh 2x2 matrix and one ``dot`` on the gathered pairs."""
+    c, s = math.cos(angle), math.sin(angle)
+    out = amps.copy()
+    out[pairs] = np.array(((c, -s), (s, c))).dot(amps[pairs])
+    return out
+
+
+def quadratic_form(amps: np.ndarray, block: np.ndarray) -> float:
+    """a^T B a by the ``@`` operator, left to right."""
+    return float(amps @ block @ amps)
 
 
 # -- optimizer oracle ---------------------------------------------------------

@@ -10,12 +10,13 @@ import pytest
 from conftest import bench_pes, build_qubit_hamiltonian
 from helpers import (dense_circuit_unitary, dense_expectations,
                      dense_from_label, dense_from_sum, dense_gate_matrix,
-                     density_matrix_simulation, noisy_trajectories,
+                     density_matrix_simulation, givens_rotation,
+                     noisy_trajectories,
                      random_pauli_sum, random_sq_hamiltonian)
 from vibriq.circuits import (Circuit, Gate, PauliRotation, build_chc,
                              build_uvcc, excitation_list, reference_circuit)
 from vibriq.exact import (dense_matrix, parity_indices, physical_block,
-                          physical_spectrum)
+                          physical_indices, physical_spectrum)
 from vibriq.mapping import QubitLayout, map_to_pauli
 from vibriq.pauli import PauliSum
 from vibriq.simulator import (MAX_BYTES, AnsatzProgram, NoiseModel,
@@ -448,8 +449,8 @@ def test_odd_y_rotation_compiles_to_a_givens_step():
                 angle = -0.5 * scale * params[0]
                 dense = (math.cos(angle) * amps + 1j * math.sin(angle)
                          * (dense_from_label(label) @ amps))
-                expected = rotation.apply(amps, params)
-                got = step.apply(amps.copy(), params)
+                expected = rotation.apply(amps, params, None)
+                got = step.apply(amps.copy(), params, np.empty((2, 2)))
                 assert np.max(np.abs(got - expected)) <= 1e-12
                 assert np.max(np.abs(got - dense)) <= 1e-12
 
@@ -511,6 +512,59 @@ def test_ansatz_rotation_steps_match_one_string_tables(ansatz, modals, basis):
     indices = parity_indices(layout) if basis == "parity" else None
     _assert_steps_match_one_string_tables(layout.num_qubits, blocks,
                                           num_parameters, indices)
+
+
+@pytest.mark.parametrize("ansatz,modals,basis", [
+    ("uvccsd", (2, 3), "physical"),
+    ("uvccsd", (2, 2, 2), "physical"),
+    ("chc", (3, 3), "parity"),
+    ("chc", (2, 3, 2), "parity"),
+    ("uvccsd", (2, 3), "full"),
+    ("ryrz", (2, 2), "full"),
+])
+def test_givens_steps_match_a_fresh_rotation_bit_for_bit(ansatz, modals,
+                                                         basis):
+    """Each Givens step, given a work array of garbage, against one fresh
+    2x2 rotation of the gathered pairs, at random angles, on real and (for
+    ryrz on the full basis) complex amplitudes."""
+    layout = QubitLayout(modals)
+    indices = {"physical": physical_indices, "parity": parity_indices,
+               "full": lambda _: None}[basis](layout)
+    program = vqe.ansatz_program(layout, VqeConfig(ansatz=ansatz, depth=2),
+                                 indices)
+    steps = [s for s in program.steps if isinstance(s, simulator.GivensStep)]
+    assert steps
+    rng = np.random.default_rng(sum(modals) + len(basis))
+    dim = program.indices.size
+    for step in steps:
+        for _ in range(3):
+            params = rng.uniform(-np.pi, np.pi, program.num_parameters)
+            amps = rng.normal(size=dim)
+            if not program.real:
+                amps = amps + 1j * rng.normal(size=dim)
+            work = np.full((2, 2), np.nan)
+            got = step.apply(amps.copy(), params.tolist(), work)
+            expected = givens_rotation(amps, step.pairs,
+                                       step.scale * params[step.param])
+            assert np.array_equal(got, expected)
+
+
+def test_programs_are_reentrant():
+    """A program called twice, and two programs whose calls interleave,
+    give the same arrays as each program called alone."""
+    layout = QubitLayout((2, 3))
+    chc = vqe.ansatz_program(layout, VqeConfig(ansatz="chc"),
+                             parity_indices(layout))
+    uvcc = vqe.ansatz_program(layout, VqeConfig(), physical_indices(layout))
+    rng = np.random.default_rng(71)
+    x, y = (rng.uniform(-1.0, 1.0, p.num_parameters) for p in (chc, uvcc))
+    first, alone = chc.amplitudes(x), uvcc.amplitudes(y)
+    kept = first.copy()
+    assert np.array_equal(chc.amplitudes(x), first)
+    for _ in range(2):
+        assert np.array_equal(uvcc.amplitudes(y), alone)
+        assert np.array_equal(chc.amplitudes(x), first)
+    assert np.array_equal(first, kept)  # a later call leaves it alone
 
 
 def test_gate_rotation_steps_match_one_string_tables():
@@ -747,7 +801,8 @@ _LAYOUT_13x2 = QubitLayout((2,) * 13)
                  id="parity basis"),
     pytest.param(lambda: run_fidelity_experiment((10, 10), trials=1,
                                                  shots=10),
-                 "the density matrix of 20 qubits needs 17592187 MB",
+                 "a noisy simulation of 20 qubits (4 density matrices) needs "
+                 "70368745 MB",
                  id="density matrix"),
     pytest.param(lambda: simulator.embed(25, np.array([0]), np.ones(1)),
                  "a state of 25 qubits needs 537 MB", id="embedded state"),
@@ -776,8 +831,8 @@ def test_every_size_refusal_reads_the_same(refused, message):
 
 
 def test_budget_keeps_the_spectrum_and_noise_boundaries(monkeypatch):
-    """A 4096-state spectrum and a 12-qubit density matrix fill the budget
-    exactly and pass; one state or qubit more is refused."""
+    """A 4096-state spectrum and an 11-qubit noisy simulation fill the
+    budget exactly and pass; one state or qubit more is refused."""
     class Passed(Exception):
         pass
 
@@ -789,9 +844,9 @@ def test_budget_keeps_the_spectrum_and_noise_boundaries(monkeypatch):
         physical_spectrum(PauliSum.from_label("I"), QubitLayout((64, 64)))
     with pytest.raises(ValueError, match="dimension 4097 needs 269 MB"):
         physical_spectrum(PauliSum.from_label("I"), QubitLayout((17, 241)))
-    simulator._check_density_matrix(12)
-    with pytest.raises(ValueError, match="of 13 qubits needs 1074 MB"):
-        simulator._check_density_matrix(13)
+    simulator._check_density_matrix(11)
+    with pytest.raises(ValueError, match="of 12 qubits .* needs 1074 MB"):
+        simulator._check_density_matrix(12)
     check_bytes("a full budget", MAX_BYTES)
 
 
@@ -801,13 +856,33 @@ def test_noisy_distribution_refuses_large_registers_before_allocating():
     assert circ.num_qubits == 13
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"13 qubits .* 1074 MB"):
+        with pytest.raises(ValueError, match=r"13 qubits .* 4295 MB"):
             noisy_distribution(circ, np.zeros(circ.num_parameters),
                                NoiseModel())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_density_matrix_budget_counts_the_noisy_peak(monkeypatch):
+    """At 9 qubits a gate of every kind, each noisy, peaks above three
+    density matrices and within the bytes the budget counted."""
+    gates = (Gate("x", (0,)), Gate("h", (8,)), Gate("rx", (3,), 0.4),
+             Gate("ry", (5,), -0.7), Gate("rz", (8,), 1.1),
+             Gate("phase", (2,), 0.3), Gate("cnot", (0, 8)),
+             Gate("cnot", (7, 1)))
+    counted = []
+    monkeypatch.setattr(simulator, "check_bytes",
+                        lambda what, nbytes: counted.append(nbytes))
+    tracemalloc.start()
+    try:
+        noisy_distribution(Circuit(9, gates, 0), [], NoiseModel())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 3 * (16 << 2 * 9) < peak <= counted[0]
+    assert len(counted) == 1
 
 
 def test_noisy_counts_deterministic_and_consistent():

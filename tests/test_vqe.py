@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from vibriq import vqe
-from vibriq.exact import parity_indices, physical_indices, physical_spectrum
+from vibriq.exact import (parity_indices, physical_block, physical_indices,
+                          physical_spectrum)
 from vibriq.mapping import (QubitLayout, number_operator, occupations,
                             penalty_objective)
 from vibriq.pauli import PauliSum
 from vibriq.simulator import (AnsatzProgram, StateVector, apply_circuit,
                               compile_pauli_sum, embed, expectation)
-from vibriq.vqe import (VqeConfig, ansatz_program, build_ansatz, ground_state,
-                        minimize)
+from vibriq.vqe import (SIMPLEX_FATOL, VqeConfig, ansatz_program,
+                        build_ansatz, ground_state, minimize)
 
 from conftest import bench_pes, build_qubit_hamiltonian
-from helpers import scipy_nelder_mead
+from helpers import quadratic_form, scipy_nelder_mead
 
 
 def test_quadratic_bowl():
@@ -539,6 +540,49 @@ def test_full_route_penalty_matches_number_operators(coupled_pes, ansatz,
     assert max(penalties) > 1.0
 
 
+@pytest.mark.parametrize("modals", [(2, 2, 2), (4, 4), (3, 3, 3), (4, 4, 4)])
+def test_physical_energy_is_the_quadratic_form_bit_for_bit(modals):
+    """The physical route's energy against a^T B a by ``@``, at random
+    parameters, on D = 8 to 64 states."""
+    layout, _, h = build_qubit_hamiltonian(bench_pes(len(modals), 0), modals)
+    route, objective, program = vqe._objective(h, layout, VqeConfig())
+    assert route == "physical"
+    _, block = physical_block(h, layout)
+    rng = np.random.default_rng(len(block))
+    for _ in range(20):
+        params = rng.uniform(-np.pi, np.pi, program.num_parameters)
+        assert objective(params) == quadratic_form(program.amplitudes(params),
+                                                   block)
+
+
+def test_full_route_keeps_a_real_hamiltonian_real():
+    """swaprz at (4,4,4): 4096 complex amplitudes against a real CSR H.
+    Each energy is scipy's product with the real matrix, bit for bit, and
+    one call of the penalized objective peaks below 1 MB, where casting H
+    to complex for each product takes 8.4 MB."""
+    layout, _, h = build_qubit_hamiltonian(bench_pes(3, 0), (4, 4, 4))
+    compiled = compile_pauli_sum(h)
+    assert compiled.dtype == np.float64
+    rng = np.random.default_rng(444)
+    for mu in (None, 0.0):
+        route, objective, program = vqe._objective(
+            h, layout, VqeConfig(ansatz="swaprz", mu=mu))
+        assert route == "full" and not program.real
+        params = rng.uniform(-np.pi, np.pi, program.num_parameters)
+        value = objective(params)
+        tracemalloc.start()
+        try:
+            assert objective(params) == value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    for _ in range(5):  # the last objective has mu = 0: the bare energy
+        params = rng.uniform(-np.pi, np.pi, program.num_parameters)
+        amps = program.amplitudes(params)
+        assert objective(params) == float(np.vdot(amps, compiled @ amps).real)
+
+
 @pytest.mark.parametrize("modals", [(2, 2), (3, 3)])
 def test_physical_route_keeps_its_state_on_the_block(coupled_pes, modals):
     layout, _, h = build_qubit_hamiltonian(coupled_pes, modals)
@@ -607,6 +651,14 @@ def _stairs(x):
     return float(np.floor(8.0 * np.sum((x - 0.5) ** 2)))
 
 
+def _quantized_kink(x):
+    # whole multiples of the f tolerance, with a slope that puts the final
+    # simplex's f spread at exactly one of them: the run stops on the <=
+    # edge of the f-test, and a strict < would take further steps
+    return SIMPLEX_FATOL * round(0.01 * float(np.sum(np.abs(x - 0.3)))
+                                 / SIMPLEX_FATOL)
+
+
 SIMPLEX_CASES = {
     "rosenbrock-2": (_rosenbrock, [-1.2, 1.0]),
     "rosenbrock-6-adaptive": (_rosenbrock, np.linspace(-0.5, 0.7, 6)),
@@ -616,6 +668,7 @@ SIMPLEX_CASES = {
     "stairs-3": (_stairs, [0.1, 0.2, -0.3]),
     "stairs-6-adaptive": (_stairs, [0.1, 0.2, -0.3, 0.4, 0.0, 0.1]),
     "plateau-shrinks": (_plateau, _PLATEAU_AT),
+    "quantized-edge": (_quantized_kink, [0.1, 0.2]),
 }
 
 
