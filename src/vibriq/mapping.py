@@ -16,6 +16,7 @@ Cartesian product of its factors' tables, built on the masks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -93,43 +94,45 @@ def build_sq_hamiltonian(pes: PesExpansion, operators: ModalOperators,
     The PES constant ``v0`` is the identity term (no factors); the
     one-body block carries the full T + V^(l) modal matrices; every
     coupling term contributes the tensor product of its per-mode coordinate
-    matrices.  The result is Hermitian as a whole because the underlying
-    matrices are symmetric.
+    matrices, one outer product per PES term, whose entries run in the
+    row-major order of the factor keys.  The result is Hermitian as a whole
+    because the underlying matrices are symmetric.
     """
     if n_body < 1:
         raise ValueError("n_body must be >= 1")
+    counts = operators.modal_counts
+    if len(counts) != pes.num_modes:
+        raise ValueError("operators and PES disagree on the number of modes")
     over = [t for t in pes.coupling_terms() if t.order > n_body]
     if over:
         raise ValueError(
             f"PES contains a {over[0].order}-mode coupling term but the "
             f"truncation order is {n_body}")
-    counts = operators.modal_counts
+    factor_keys = [[(m, k, h) for k in range(n) for h in range(n)]
+                   for m, n in enumerate(counts)]
     merged: dict[tuple[tuple[int, int, int], ...], float] = {}
 
-    def accumulate(factors, coeff):
-        if abs(coeff) <= DROP_TOL:
-            return
-        merged[factors] = merged.get(factors, 0.0) + coeff
+    def accumulate(keys, values):
+        for factors, coeff in zip(keys, values):
+            if abs(coeff) > DROP_TOL:
+                merged[factors] = merged.get(factors, 0.0) + coeff
 
-    accumulate((), float(pes.v0))
+    accumulate([()], [float(pes.v0)])
     for mode in range(pes.num_modes):
-        h = operators.one_body[mode]
-        for k in range(counts[mode]):
-            for hh in range(counts[mode]):
-                accumulate(((mode, k, hh),), float(h[k, hh]))
+        accumulate(((key,) for key in factor_keys[mode]),
+                   operators.one_body[mode].ravel().tolist())
 
+    key_grids: dict[tuple[int, ...], list] = {}
     for term in pes.coupling_terms():
         modes = term.modes
-        mats = [operators.q_powers[m][term.powers[m]] for m in modes]
-        index_grids = [[(k, h) for k in range(counts[m]) for h in range(counts[m])]
-                       for m in modes]
-        stack = [((), 1.0)]
-        for m, mat, grid in zip(modes, mats, index_grids):
-            stack = [(partial + ((m, k, h),), weight * float(mat[k, h]))
-                     for partial, weight in stack
-                     for k, h in grid]
-        for factors, weight in stack:
-            accumulate(factors, term.coefficient * weight)
+        keys = key_grids.get(modes)
+        if keys is None:
+            keys = key_grids[modes] = list(
+                itertools.product(*(factor_keys[m] for m in modes)))
+        weights = functools.reduce(
+            np.multiply.outer,
+            [operators.q_powers[m][term.powers[m]].ravel() for m in modes])
+        accumulate(keys, (term.coefficient * weights).ravel().tolist())
 
     return [SqTerm(c, f) for f, c in merged.items() if abs(c) > DROP_TOL]
 
@@ -162,9 +165,13 @@ def map_to_pauli(terms: Iterable[SqTerm], layout: QubitLayout) -> PauliSum:
                        for x, z, c in partial for fx, fz, fc in table]
         for x, z, c in partial:
             if abs(c) > DROP_TOL:
-                total[x, z] = total.get((x, z), 0.0) + c
-                if abs(total[x, z]) <= DROP_TOL:
-                    del total[x, z]
+                key = x, z
+                # 0.0 + c turns a first -0.0 part into +0.0
+                value = total.get(key, 0.0) + c
+                if abs(value) > DROP_TOL:
+                    total[key] = value
+                else:
+                    total.pop(key, None)
     return PauliSum.from_masks(layout.num_qubits, total)
 
 

@@ -9,7 +9,9 @@ explicitly, which keeps 1/2 w^2 Q^2 from being counted twice.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,12 +23,17 @@ DEFAULT_MAX_DEGREE = 4
 
 @dataclass(frozen=True)
 class PesTerm:
-    """One polynomial term: coefficient * prod_l Q_l^powers[l]."""
+    """One polynomial term: coefficient * prod_l Q_l^powers[l].
+
+    The coefficient is stored as a Python float, so a numpy scalar of any
+    precision gives the same float64 products as its ``float``.
+    """
 
     coefficient: float
     powers: Mapping[int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "coefficient", float(self.coefficient))
         if not self.powers:
             raise ValueError("a PES term must touch at least one mode")
         for mode, p in self.powers.items():
@@ -92,14 +99,25 @@ def ho_q_power_matrix(power: int, dim: int) -> np.ndarray:
 
     Q = (a+ + a)/sqrt(2) is banded, so taking the matrix power at an
     enlarged dimension and truncating gives the exact dim x dim block.
+    Each (power, dim) is built once per process and the same read-only
+    array is returned on every later call: a caller that writes into it
+    gets ``ValueError`` and must copy first.
     """
+    power, dim = operator.index(power), operator.index(dim)
     if power < 1 or dim < 1:
         raise ValueError("power and dim must be >= 1")
+    return _ho_q_power_matrix(power, dim)
+
+
+@functools.cache
+def _ho_q_power_matrix(power: int, dim: int) -> np.ndarray:
     big = dim + power
     root = np.sqrt(np.arange(1, big) / 2.0)
     q1 = np.diag(root, 1) + np.diag(root, -1)
     qp = np.linalg.matrix_power(q1, power)[:dim, :dim]
-    return 0.5 * (qp + qp.T)  # exactly symmetric against fp residue
+    q = 0.5 * (qp + qp.T)  # exactly symmetric against fp residue
+    q.flags.writeable = False
+    return q
 
 
 def one_body_matrix(pes: PesExpansion, mode: int,

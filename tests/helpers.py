@@ -181,6 +181,52 @@ def random_sq_hamiltonian(rng: np.random.Generator,
     return [SqTerm(c, f) for f, c in terms.items() if abs(c) > 1e-14]
 
 
+def reference_q_power_matrix(power: int, dim: int) -> np.ndarray:
+    """Q^power on the first ``dim`` oscillator states, built afresh: the
+    banded Q = (a+ + a)/sqrt(2) at dim + power, its matrix power cut to
+    dim x dim, then symmetrized as 0.5 (M + M^T)."""
+    root = np.sqrt(np.arange(1, dim + power) / 2.0)
+    q1 = np.diag(root, 1) + np.diag(root, -1)
+    qp = np.linalg.matrix_power(q1, power)[:dim, :dim]
+    return 0.5 * (qp + qp.T)
+
+
+def reference_sq_hamiltonian(pes, operators, drop_tol: float) -> list[tuple]:
+    """(coefficient, factors) per term of the n-mode SQ Hamiltonian.
+
+    The PES constant, then every one-body matrix entry, then each coupling
+    term grown one factor at a time: its partial products are extended
+    by every (k, h) entry of the next mode's matrix, row-major, weights
+    starting at 1.0, and scaled by the term's coefficient at the end.
+    Contributions of magnitude <= ``drop_tol`` are skipped, equal factor
+    tuples summed in order of first occurrence, and sums <= ``drop_tol``
+    dropped at the end.
+    """
+    merged: dict[tuple, float] = {}
+
+    def accumulate(factors, coeff):
+        if abs(coeff) > drop_tol:
+            merged[factors] = merged.get(factors, 0.0) + coeff
+
+    accumulate((), float(pes.v0))
+    for mode, h in enumerate(operators.one_body):
+        for k in range(h.shape[0]):
+            for hh in range(h.shape[1]):
+                accumulate(((mode, k, hh),), float(h[k, hh]))
+    for term in pes.terms:
+        if len(term.powers) < 2:
+            continue
+        stack = [((), 1.0)]
+        for m in sorted(term.powers):
+            mat = operators.q_powers[m][term.powers[m]]
+            stack = [(partial + ((m, k, h),), weight * float(mat[k, h]))
+                     for partial, weight in stack
+                     for k in range(mat.shape[0]) for h in range(mat.shape[1])]
+        for factors, weight in stack:
+            accumulate(factors, term.coefficient * weight)
+    return [(c, f) for f, c in merged.items() if abs(c) > drop_tol]
+
+
 # -- dense circuit / noise oracles -------------------------------------------
 
 def dense_gate_matrix(gate, angle, num_qubits: int) -> np.ndarray:

@@ -1,15 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from conftest import bench_pes
 from helpers import dense_from_sum, onv_rule_matrix, pauli_product, \
-    physical_onvs, random_sq_hamiltonian
+    physical_onvs, random_sq_hamiltonian, reference_sq_hamiltonian
 from vibriq.circuits import excitation_list, excitation_sq_terms
 from vibriq.mapping import (QubitLayout, SqTerm, build_sq_hamiltonian,
                             map_to_pauli, number_operator, occupations,
                             penalty_objective)
 from vibriq.pauli import DROP_TOL, PauliSum
-from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
-                        solve_modals)
+from vibriq.pes import (PesExpansion, PesTerm, load_pes,
+                        modal_operator_matrices, solve_modals)
 from vibriq.simulator import StateVector, expectation
 
 
@@ -206,6 +209,81 @@ def test_modal_index_out_of_layout_range():
     layout = QubitLayout((2,))
     with pytest.raises(ValueError):
         map_to_pauli([SqTerm(1.0, ((0, 2, 0),))], layout)
+
+
+def test_sq_build_refuses_operators_of_another_mode_count():
+    ops3 = _operators(bench_pes(3, 0), [2, 2, 2])
+    for pes in (bench_pes(2, 0), bench_pes(5, 0)):
+        with pytest.raises(ValueError,
+                           match="disagree on the number of modes"):
+            build_sq_hamiltonian(pes, ops3)
+
+
+@pytest.mark.parametrize("coefficient", [np.float32(10.74), np.float64(10.74),
+                                         11])
+def test_sq_coefficients_are_python_floats(coefficient):
+    def sq_terms(c):
+        pes = PesExpansion((1150.0, 1480.0),
+                           (PesTerm(c, {0: 1, 1: 1}), PesTerm(c, {0: 2, 1: 2})))
+        return build_sq_hamiltonian(pes, _operators(pes, [2, 3]))
+
+    got, ref = sq_terms(coefficient), sq_terms(float(coefficient))
+    assert [t.factors for t in got] == [t.factors for t in ref]
+    assert [repr(t.coefficient) for t in got] == \
+        [repr(t.coefficient) for t in ref]
+    assert all(type(t.coefficient) is float for t in got)
+
+
+# -- the SQ expansion against the partial-product loop ------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def _assert_same_as_reference_loop(pes, counts):
+    ops = _operators(pes, list(counts), dim=40)
+    n_body = max(2, pes.max_coupling_order())
+    got = build_sq_hamiltonian(pes, ops, n_body=n_body)
+    ref = reference_sq_hamiltonian(pes, ops, DROP_TOL)
+    assert [t.factors for t in got] == [f for _, f in ref]
+    assert [(repr(t.coefficient), type(t.coefficient)) for t in got] == \
+        [(repr(c), type(c)) for c, _ in ref]
+
+
+@pytest.mark.parametrize("num_modes", [2, 3, 5])
+def test_sq_expansion_matches_reference_loop_on_bench_pes(num_modes):
+    for seed in range(6):
+        pes = bench_pes(num_modes, seed)
+        for n in (2, 3, 4):
+            _assert_same_as_reference_loop(pes, (n,) * num_modes)
+
+
+def test_sq_expansion_matches_reference_loop_on_random_pes():
+    """1- to 3-mode terms, some cancelled exactly by their negatives, some
+    below the drop tolerance, v0 = 12.5 and 1 to 3 modals per mode."""
+    rng = np.random.default_rng(28)
+    for _ in range(40):
+        num_modes = int(rng.integers(1, 5))
+        counts = tuple(int(n) for n in rng.integers(1, 4, num_modes))
+        terms = []
+        for _ in range(int(rng.integers(1, 12))):
+            order = int(rng.integers(1, min(3, num_modes) + 1))
+            modes = rng.choice(num_modes, order, replace=False)
+            powers = {int(m): int(rng.integers(1, 4)) for m in modes}
+            scale = 1e-13 if rng.random() < 0.2 else 10.0
+            c = scale * float(rng.normal())
+            terms.append(PesTerm(c, powers))
+            if rng.random() < 0.3:
+                terms.append(PesTerm(-c, powers))
+        freqs = tuple(float(w) for w in rng.uniform(500.0, 3000.0, num_modes))
+        pes = PesExpansion(freqs, tuple(terms), v0=12.5, max_degree=9)
+        _assert_same_as_reference_loop(pes, counts)
+
+
+@pytest.mark.parametrize("name", ["pes-2.json", "pes-3.json", "pes-5.json"])
+def test_sq_expansion_matches_reference_loop_on_golden_pes(name):
+    pes = load_pes(GOLDEN_DIR / name)
+    for n in (2, 3):
+        _assert_same_as_reference_loop(pes, (n,) * pes.num_modes)
 
 
 # -- the product form: label-built factors multiplied as Pauli sums ----------

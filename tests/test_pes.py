@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from helpers import pes_to_dict, save_pes
+from helpers import pes_to_dict, reference_q_power_matrix, save_pes
 from vibriq.pes import (PesExpansion, PesTerm, ho_q_power_matrix, load_pes,
                         modal_operator_matrices, modal_q_power_matrix,
                         one_body_matrix, pes_from_dict, solve_modals)
@@ -69,6 +69,42 @@ def test_q_matrix_band_and_parity_structure(power):
         for j in range(12):
             if abs(i - j) > power or (i - j - power) % 2:
                 assert q[i, j] == 0.0
+
+
+def test_q_matrix_is_built_once_and_read_only():
+    q = ho_q_power_matrix(3, 7)
+    assert ho_q_power_matrix(3, 7) is q
+    with pytest.raises(ValueError):
+        q[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        q += 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_q_matrix_is_bit_equal_to_a_fresh_construction(dim):
+    for power in range(1, 7):
+        got = ho_q_power_matrix(power, dim)
+        ref = reference_q_power_matrix(power, dim)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_q_matrix_takes_integers_only():
+    assert ho_q_power_matrix(np.int64(3), np.int64(7)) is ho_q_power_matrix(3, 7)
+    # 17 is a size no other test builds, so the first call meets no memo
+    for dim in (8, 17):
+        with pytest.raises(TypeError):
+            ho_q_power_matrix(2.0, dim)
+        ho_q_power_matrix(2, dim)
+        with pytest.raises(TypeError):
+            ho_q_power_matrix(2.0, dim)
+        with pytest.raises(TypeError):
+            ho_q_power_matrix(2, float(dim))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ho_q_power_matrix(0, 8)
+        with pytest.raises(ValueError):
+            ho_q_power_matrix(2, 0)
 
 
 def test_one_body_matrix_harmonic_spectrum():
