@@ -30,19 +30,19 @@ def dense_matrix(op: PauliSum, indices: np.ndarray | None = None) -> np.ndarray:
 
     ``None`` means all 2^N states (qubit 0 = least significant bit).  It
     equals ``compile_pauli_sum(op, indices).toarray()``, in the compiled
-    dtype, but is written one chunk of masks at a time, so no table is
-    held whole.  Refused above ``MAX_BYTES`` before anything is built.
+    dtype, but is written one block of basis states at a time, so no
+    table is held whole.  Refused above ``MAX_BYTES`` before anything is
+    built.
     """
-    _, dim, dtype, chunks = simulator._pauli_rows(op, indices)
+    _, dim, dtype, blocks = simulator._pauli_rows(op, indices)
     check_bytes(f"a dense matrix of dimension {dim}",
                 dim * dim * np.dtype(dtype).itemsize)
     out = np.zeros((dim, dim), dtype=dtype)
-    for _, perms, diags in chunks:
+    for rows, cols, vals in blocks:
         # distinct masks never share an entry, and a flip that leaves the
-        # basis has a zero diagonal there
-        for perm, diag in zip(perms, diags):
-            nonzero = np.flatnonzero(diag)
-            out[nonzero, perm[nonzero]] = diag[nonzero]
+        # basis has a zero value there
+        row, mask = np.nonzero(vals)
+        out[row + rows.start, cols[row, mask]] = vals[row, mask]
     return out
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from .circuits import (Block, Circuit, Excitation, ExcitationRotation, Gate,
                        PauliRotation, build_chc, build_uvcc, excitation_list)
 from .mapping import QubitLayout
-from .pauli import PauliSum, _stack, unique_strings
+from .pauli import MAX_MASK_QUBITS, PauliSum, _stack, unique_strings
 
 NORM_TOL = 1e-10
 
@@ -217,9 +217,9 @@ def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
 # Largest (strings x states) temporary ``expectation_values`` builds at once.
 _CHUNK_ELEMENTS = 1 << 20
 
-# The same for the rows ``_mask_chunks`` writes: each chunk holds several
-# such tables (positions, diagonals, a sign table), so it is kept small,
-# to a few MB beside a dense block and within cache.
+# The same for the rows ``_pauli_rows`` builds: a block of basis states
+# holds several tables (sign rows, products, positions, values), so it is
+# kept small, to a few MB beside a dense block and within cache.
 _COMPILE_CHUNK_ELEMENTS = 1 << 16
 
 # (-i)^n_Y, indexed by n_Y mod 4.
@@ -247,61 +247,18 @@ def _sign_rows(z, states: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(z & states) & 1)
 
 
-def _mask_chunks(groups, num_qubits: int, indices, real: bool):
-    """Yield the rows of ``_pauli_rows``' ``groups`` one chunk of masks at
-    a time, as (slice of masks, perms, diags), on ``indices`` or, for
-    ``None``, on all 2^N states, built at the first chunk; ``real`` says
-    every weight is.  Every chunk is written into the same two arrays:
-    read it before the next.
-    """
-    from scipy import sparse  # a sum's rows are its one use
-
-    full = indices is None
-    indices = _basis(num_qubits, None) if full else indices
-    masks, group, signs, weights = groups
-    block = max(1, _COMPILE_CHUNK_ELEMENTS // max(indices.size, 1))
-    size = (min(block, masks.size), indices.size)
-    all_perms = np.empty(size, np.int64)
-    all_diags = np.empty(size, float if real else complex)
-    for g0 in range(0, masks.size, block):
-        sl = slice(g0, min(g0 + block, masks.size))
-        perms, diags = all_perms[:sl.stop - g0], all_diags[:sl.stop - g0]
-        diags[:] = 0.0
-        lo, t1 = np.searchsorted(group, [sl.start, sl.stop])
-        while lo < t1:
-            hi = min(lo + block, t1)
-            if hi < t1:
-                # end on a mask boundary, so that a mask's terms add in one
-                # product whatever the chunk size, unless they alone fill it
-                start = np.searchsorted(group, group[hi])
-                hi = start if start > lo else hi
-            ts, lo = slice(lo, hi), hi
-            table = _sign_rows(signs[ts, None], indices)
-            # a sparse row per mask these terms hold and an entry per term,
-            # so each mask's terms add one by one, in order
-            first, rows = group[ts.start] - g0, group[ts] - group[ts.start]
-            shape = (rows[-1] + 1, rows.size)
-            csr = (np.arange(rows.size),
-                   np.searchsorted(rows, np.arange(shape[0] + 1)))
-            part = diags[first:first + shape[0]]
-            part.real += sparse.csr_array((weights[ts].real, *csr), shape) @ table
-            if not real:
-                part.imag += sparse.csr_array((weights[ts].imag, *csr),
-                                              shape) @ table
-        del table  # not held while the caller reads the chunk
-        np.bitwise_xor(indices, masks[sl, None], out=perms)
-        if not full:  # on all 2^N states, a state is its own position
-            perms[:], found = _lookup(indices, perms)
-            diags[~found] = 0.0
-        yield sl, perms, diags
-
-
 def _pauli_rows(op: PauliSum, indices):
     """``op``'s rows on the ascending basis states ``indices`` (all 2^N
-    for ``None``) as (masks, states, dtype, chunks of ``_mask_chunks``);
-    the dtype is float64 when every term weight c (-i)^|x & z| is real.
-    The groups are the distinct flip masks and, per term sorted by mask
-    (each mask in ``items`` order), its mask's number, z and weight."""
+    for ``None``) as (masks, states, dtype, blocks), float64 when every
+    term weight c (-i)^|x & z| is real.  A block (rows, cols, vals) holds,
+    for the states of the slice ``rows`` and each flip mask, ascending, the
+    position of state ^ mask and the mask's terms summed in ``items``
+    order, zero where the flip leaves the basis.  Every block is written
+    into the same arrays, so read it before the next; nothing over the
+    states is built, and ``indices`` is not checked, before the first
+    block is read."""
+    if op.num_qubits > MAX_MASK_QUBITS:
+        op.mask_arrays()  # refuses masks that int64 does not hold
     terms = op.masks()
     flips = np.array([x for x, _, _ in terms], dtype=np.int64)
     order = np.argsort(flips, kind="stable")
@@ -309,13 +266,54 @@ def _pauli_rows(op: PauliSum, indices):
     signs = np.array([z for _, z, _ in terms], dtype=np.int64)[order]
     weights = (np.array([c for _, _, c in terms], dtype=np.complex128)[order]
                * _MINUS_I_POWERS[np.bitwise_count(flips & signs) % 4])
-    groups = (*np.unique(flips, return_inverse=True), signs, weights)
-    if indices is not None:  # checked now; all 2^N are built when read
-        indices = _basis(op.num_qubits, indices)
-    dim = 1 << op.num_qubits if indices is None else indices.size
     real = not weights.imag.any()
-    return (groups[0].size, dim, np.float64 if real else np.complex128,
-            _mask_chunks(groups, op.num_qubits, indices, real))
+    masks, counts = np.unique(flips, return_counts=True)
+    signs, column = np.unique(signs, return_inverse=True)
+    dim = 1 << op.num_qubits if indices is None else len(indices)
+    dtype = np.float64 if real else np.complex128
+
+    def blocks(indices):
+        from scipy import sparse  # a sum's rows are its one use
+
+        if indices is not None:  # checked after the caller's size check
+            indices = _basis(op.num_qubits, indices)
+        # a product row per mask and an entry per term, in the column of
+        # its z's sign row, so each mask's terms add one by one, in order
+        csr = (column, np.concatenate(([0], np.cumsum(counts))))
+        shape = (masks.size, signs.size)
+        re, im = (sparse.csr_array((w, *csr), shape)
+                  for w in (weights.real, weights.imag))
+        step = max(1, _COMPILE_CHUNK_ELEMENTS // max(*shape, 1))
+        # the blocks share these arrays, laid out (masks, states) because
+        # the lookups run faster mask by mask
+        size = (masks.size, min(step, dim))
+        all_cols, all_vals = np.empty(size, np.int64), np.empty(size, dtype)
+        for lo in range(0, dim, step):
+            rows = slice(lo, min(lo + step, dim))
+            states = (np.arange(lo, rows.stop) if indices is None
+                      else indices[rows])
+            cols, vals = all_cols[:, :states.size], all_vals[:, :states.size]
+            table = _sign_rows(signs[:, None], states)
+            vals[:] = 0.0
+            vals.real += re @ table
+            if not real:
+                vals.imag += im @ table
+            del table  # not held while the caller reads the block
+            np.bitwise_xor(masks[:, None], states, out=cols)
+            if indices is not None:  # on all 2^N states, j is its position
+                cols[:], found = _lookup(indices, cols)
+                vals[~found] = 0.0
+            yield rows, cols.T, vals.T
+
+    return masks.size, dim, dtype, blocks(indices)
+
+
+def _check_table_bytes(num_qubits: int, num_masks: int, dim: int, dtype):
+    """``compile_pauli_sum``'s size check, on its mask count and dtype."""
+    # an int32 column and a value per entry, an int32 row pointer per state
+    check_bytes(f"compiling {num_masks} flip masks on {num_qubits} qubits",
+                num_masks * dim * (4 + np.dtype(dtype).itemsize)
+                + 4 * (dim + 1))
 
 
 def check_compiled_size(op: PauliSum, dim: int) -> None:
@@ -323,11 +321,9 @@ def check_compiled_size(op: PauliSum, dim: int) -> None:
     basis states would exceed ``MAX_BYTES``; needs only the terms, so it
     can run before the basis exists."""
     x, z, c = op.mask_arrays()
-    num_masks = np.unique(x).size
     real = not (c * _MINUS_I_POWERS[np.bitwise_count(x & z) % 4]).imag.any()
-    # an int32 column and a value per entry, an int32 row pointer per state
-    check_bytes(f"compiling {num_masks} flip masks on {op.num_qubits} qubits",
-                num_masks * dim * (12 if real else 20) + 4 * (dim + 1))
+    _check_table_bytes(op.num_qubits, np.unique(x).size, dim,
+                       np.float64 if real else np.complex128)
 
 
 def compile_pauli_sum(op: PauliSum, indices: np.ndarray | None = None
@@ -341,24 +337,13 @@ def compile_pauli_sum(op: PauliSum, indices: np.ndarray | None = None
     leaves the basis, so ``@`` adds each row in mask order.  The values are
     float64 when every c (-i)^|x & z| is real.  Refused, before allocating,
     above ``MAX_BYTES``."""
-    check_compiled_size(op, 1 << op.num_qubits if indices is None
-                        else len(indices))
+    num_masks, dim, dtype, blocks = _pauli_rows(op, indices)
+    _check_table_bytes(op.num_qubits, num_masks, dim, dtype)
     from scipy import sparse
-    num_masks, dim, dtype, chunks = _pauli_rows(op, indices)
     # int32 indices, which scipy takes without a copy
     columns, values = (np.empty((dim, num_masks), t) for t in (np.int32, dtype))
-    # a chunk holds few masks on a large basis, so sixteen chunks are
-    # gathered into a run, and each row is written a run of masks at a time
-    run = min(num_masks, 16 * max(1, _COMPILE_CHUNK_ELEMENTS // max(dim, 1)))
-    run_perms, run_diags = (np.empty((run, dim), t) for t in (np.int32, dtype))
-    lo = 0
-    for sl, perms, diags in chunks:
-        part = slice(sl.start - lo, sl.stop - lo)
-        run_perms[part], run_diags[part] = perms, diags
-        if part.stop == run or sl.stop == num_masks:
-            columns[:, lo:sl.stop] = run_perms[:part.stop].T
-            values[:, lo:sl.stop] = run_diags[:part.stop].T
-            lo = sl.stop
+    for rows, cols, vals in blocks:
+        columns[rows], values[rows] = cols, vals
     indptr = np.arange(dim + 1, dtype=np.int32) * num_masks
     return sparse.csr_array((values.ravel(), columns.ravel(), indptr),
                             shape=(dim, dim))

@@ -91,6 +91,8 @@ class VqeConfig:
     def __post_init__(self):
         if self.ansatz not in ANSATZ_KINDS:
             raise ValueError(f"unknown ansatz {self.ansatz!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_evals < 1:
@@ -326,8 +328,6 @@ def minimize(objective: Callable[[np.ndarray], float], start: Sequence[float],
              config: VqeConfig | None = None) -> VqeResult:
     """Derivative-free minimization with accepted-value history."""
     config = config or VqeConfig()
-    if config.optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {config.optimizer!r}")
     start = np.asarray(start, dtype=float)
     # The stagnation window grows with dimension: a simplex can stall for
     # far more than 50 evaluations on larger parameter sets.

@@ -323,48 +323,92 @@ def test_full_space_tables_sum_terms_in_items_order_bit_for_bit():
     np.testing.assert_array_equal(values, np.array([diags[x] for x in masks]))
 
 
+def _blocks_of(monkeypatch, op, states):
+    """Make the row builder take ``states`` basis states a block: its
+    block is ``_COMPILE_CHUNK_ELEMENTS`` over the larger of the distinct
+    flip masks and the distinct z masks."""
+    x, z = (np.unique([term[k] for term in op.masks()]) for k in (0, 1))
+    monkeypatch.setattr(simulator, "_COMPILE_CHUNK_ELEMENTS",
+                        states * max(x.size, z.size))
+
+
 def test_compiled_tables_do_not_depend_on_the_chunk_size(monkeypatch):
-    """Term chunks end on mask boundaries, so a chunk of any size that
-    holds each mask's terms gives the same bits; a smaller one splits the
-    largest masks and differs only by rounding."""
+    """Each mask's terms add in one product whatever a block of states
+    holds, so blocks of 1, 3 and 5 states (5 divides neither 64 nor 16)
+    give the bits of one whole block, compiled and dense, on all 2^N
+    states and on the parity basis."""
+    layout = QubitLayout((3, 3))
     _, _, h = build_qubit_hamiltonian(bench_pes(2, 0), (3, 3))
-    dim = 1 << h.num_qubits
-    whole_perms, whole = _tables(compile_pauli_sum(h))
-    _, counts = np.unique([x for x, _, _ in h.masks()], return_counts=True)
-    most = int(counts.max())
-    assert most > 3
-    for terms, exact in ((most, True), (most + 1, True), (3, False),
-                         (1, False)):
-        monkeypatch.setattr(simulator, "_COMPILE_CHUNK_ELEMENTS", terms * dim)
-        perms, chunked = _tables(compile_pauli_sum(h))
-        np.testing.assert_array_equal(perms, whole_perms)
-        if exact:
-            np.testing.assert_array_equal(chunked, whole)
-        else:
-            np.testing.assert_allclose(chunked, whole, rtol=0,
-                                       atol=1e-12 * np.abs(whole).max())
+    for indices in (None, parity_indices(layout)):
+        dim = 1 << h.num_qubits if indices is None else indices.size
+        _blocks_of(monkeypatch, h, dim)
+        whole = compile_pauli_sum(h, indices)
+        whole_dense = dense_matrix(h, indices)
+        np.testing.assert_array_equal(whole_dense, whole.toarray())
+        for states in (1, 3, 5):
+            _blocks_of(monkeypatch, h, states)
+            compiled = compile_pauli_sum(h, indices)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(compiled, name),
+                                              getattr(whole, name))
+            np.testing.assert_array_equal(dense_matrix(h, indices),
+                                          whole_dense)
 
 
-def test_compiled_rows_gathered_in_runs_match_the_dense_oracle(monkeypatch):
-    """With one mask per chunk, chunks are gathered sixteen masks at a
-    time, so a sum with more masks is written in several runs; each run
-    lands at its masks' entries, on all states and on a subset."""
+def test_compiled_rows_built_in_blocks_match_the_dense_oracle(monkeypatch):
+    """Blocks of one and of five states land at their rows' entries, on
+    all states and on a subset, compiled and dense."""
     rng = np.random.default_rng(67)
     op = random_pauli_sum(rng, 6, 80)
     assert np.unique([x for x, _, _ in op.masks()]).size > 32
     full = dense_from_sum(op)
     for indices in (np.arange(64), np.sort(rng.choice(64, 40, replace=False))):
-        monkeypatch.setattr(simulator, "_COMPILE_CHUNK_ELEMENTS", indices.size)
-        compiled = compile_pauli_sum(op, indices)
-        np.testing.assert_allclose(compiled.toarray(),
-                                   full[np.ix_(indices, indices)], rtol=0,
-                                   atol=1e-12)
+        for states in (1, 5):
+            _blocks_of(monkeypatch, op, states)
+            block = full[np.ix_(indices, indices)]
+            np.testing.assert_allclose(
+                compile_pauli_sum(op, indices).toarray(), block, rtol=0,
+                atol=1e-12)
+            np.testing.assert_allclose(dense_matrix(op, indices), block,
+                                       rtol=0, atol=1e-12)
+
+
+def test_compile_holds_one_block_beside_its_output():
+    """A 64-mask complex sum on all 2^14 states: the compile's peak is its
+    output (21 MB at 20 B an entry) and a few MB of blocks, not a second
+    copy of the rows."""
+    n = 14
+    rng = np.random.default_rng(89)
+    labels = ["".join("X" if (k >> q) & 1 else rng.choice(["I", "Z"])
+                      for q in range(n)) for k in range(64)]
+    op = PauliSum(n, [(label, 1.0 + 0.5j) for label in labels])
+    tracemalloc.start()  # scipy.sparse is loaded by conftest
+    try:
+        compiled = compile_pauli_sum(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = sum(getattr(compiled, name).nbytes
+                 for name in ("data", "indices", "indptr"))
+    assert compiled.dtype == np.complex128 and compiled.nnz == 64 << n
+    assert output > 21_000_000
+    assert peak - output < 4_000_000
 
 
 def test_compile_refuses_unsorted_indices():
     for indices in ([3, 1], [1, 1, 2]):
         with pytest.raises(ValueError, match="ascending"):
             compile_pauli_sum(PauliSum.from_label("IXI"), np.array(indices))
+
+
+def test_rows_refuse_masks_wider_than_int64():
+    """Both builders refuse a sum on more qubits than an int64 mask holds,
+    in ``PauliSum.mask_arrays``' words, before any array is built."""
+    op = PauliSum.from_label("X" * 70)
+    for build in (compile_pauli_sum, dense_matrix):
+        with pytest.raises(ValueError, match="^70 qubits do not fit int64 "
+                                             "masks; the limit is 63$"):
+            build(op)
 
 
 def test_compile_refuses_oversized_tables_before_allocating():

@@ -51,6 +51,18 @@ def test_unknown_optimizer_rejected():
         minimize(lambda p: 0.0, [0.0], VqeConfig(optimizer="bfgs"))
 
 
+def test_unknown_optimizer_refused_before_anything_is_compiled(monkeypatch):
+    """The configuration refuses the optimizer when it is built, so a chc
+    run never compiles H on its parity basis for nothing."""
+    def compiled(*args, **kwargs):
+        raise AssertionError("H compiled before the optimizer was checked")
+
+    monkeypatch.setattr(vqe, "compile_pauli_sum", compiled)
+    with pytest.raises(ValueError, match="^unknown optimizer 'bfgs'$"):
+        ground_state(PauliSum.from_label("ZIII"), QubitLayout((2, 2)),
+                     VqeConfig(ansatz="chc", optimizer="bfgs"))
+
+
 def test_empty_start_is_evaluated_once_and_returned():
     for optimizer in ("nelder-mead", "spsa"):
         result = minimize(lambda p: 7.5, [], VqeConfig(optimizer=optimizer))
