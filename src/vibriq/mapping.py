@@ -69,7 +69,11 @@ class QubitLayout:
 class SqTerm:
     """coefficient * prod over factors (mode, create-modal, annihilate-modal).
 
-    At most one factor per mode, modes strictly increasing.
+    At most one factor per mode, modes strictly increasing; the factors
+    are made ints and checked whenever a term is made by calling
+    ``SqTerm``.  ``build_sq_hamiltonian`` makes its terms valid by
+    construction (int factors, increasing modes, a float coefficient) and
+    skips that check.
     """
 
     coefficient: float
@@ -97,82 +101,128 @@ def build_sq_hamiltonian(pes: PesExpansion, operators: ModalOperators,
     matrices, one outer product per PES term, whose entries run in the
     row-major order of the factor keys.  The result is Hermitian as a whole
     because the underlying matrices are symmetric.
+
+    Contributions of magnitude <= DROP_TOL are skipped, those to one
+    factor key summed in PES term order, and sums <= DROP_TOL dropped; the
+    terms come in the order their keys first took a contribution.  Only
+    coupling terms on the same modes share keys, so each such group is
+    summed as one array, one masked add per PES term.
     """
     if n_body < 1:
         raise ValueError("n_body must be >= 1")
     counts = operators.modal_counts
     if len(counts) != pes.num_modes:
         raise ValueError("operators and PES disagree on the number of modes")
-    over = [t for t in pes.coupling_terms() if t.order > n_body]
-    if over:
+    if pes.max_coupling_order() > n_body:
         raise ValueError(
-            f"PES contains a {over[0].order}-mode coupling term but the "
-            f"truncation order is {n_body}")
+            f"PES contains a {pes.max_coupling_order()}-mode coupling term "
+            f"but the truncation order is {n_body}")
     factor_keys = [[(m, k, h) for k in range(n) for h in range(n)]
                    for m, n in enumerate(counts)]
-    merged: dict[tuple[tuple[int, int, int], ...], float] = {}
-
-    def accumulate(keys, values):
-        for factors, coeff in zip(keys, values):
-            if abs(coeff) > DROP_TOL:
-                merged[factors] = merged.get(factors, 0.0) + coeff
-
-    accumulate([()], [float(pes.v0)])
+    found = [((), float(pes.v0))]
     for mode in range(pes.num_modes):
-        accumulate(((key,) for key in factor_keys[mode]),
-                   operators.one_body[mode].ravel().tolist())
+        found += zip(((key,) for key in factor_keys[mode]),
+                     operators.one_body[mode].ravel().tolist())
 
-    key_grids: dict[tuple[int, ...], list] = {}
-    for term in pes.coupling_terms():
-        modes = term.modes
-        keys = key_grids.get(modes)
-        if keys is None:
-            keys = key_grids[modes] = list(
-                itertools.product(*(factor_keys[m] for m in modes)))
+    coupling = pes.coupling_terms()
+    groups: dict[tuple[int, ...], list] = {}
+    for index, term in enumerate(coupling):
         weights = functools.reduce(
             np.multiply.outer,
-            [operators.q_powers[m][term.powers[m]].ravel() for m in modes])
-        accumulate(keys, (term.coefficient * weights).ravel().tolist())
+            [operators.q_powers[m][term.powers[m]].ravel() for m in term.modes])
+        groups.setdefault(term.modes, []).append(
+            (index, (term.coefficient * weights).ravel()))
+    keys, firsts, sums = [], [], []
+    for modes, members in groups.items():
+        keys += itertools.product(*(factor_keys[m] for m in modes))
+        indices, weights = zip(*members)
+        kept = np.abs(weights) > DROP_TOL
+        total = np.zeros(kept.shape[1])
+        for row, mask in zip(weights, kept):
+            np.add(total, row, out=total, where=mask)
+        # the term whose contribution is the first a key takes
+        firsts.append(np.array(indices)[kept.argmax(axis=0)])
+        sums.append(total)
+    if sums:
+        total = np.concatenate(sums)
+        kept = np.flatnonzero(total)
+        # by the term that added first; stable, so each term's keys keep
+        # their row-major order
+        kept = kept[np.argsort(np.concatenate(firsts)[kept], kind="stable")]
+        found += zip(map(keys.__getitem__, kept.tolist()),
+                     total[kept].tolist())
 
-    return [SqTerm(c, f) for f, c in merged.items() if abs(c) > DROP_TOL]
+    # valid by construction, so the terms are made without __post_init__
+    new, assign = object.__new__, object.__setattr__
+    terms = []
+    for factors, coeff in found:
+        if abs(coeff) > DROP_TOL:
+            term = new(SqTerm)
+            assign(term, "coefficient", coeff)
+            assign(term, "factors", factors)
+            terms.append(term)
+    return terms
 
 
-def _factor_terms(layout: QubitLayout, mode: int, k: int, h: int):
-    """(x, z, coefficient) per string of |k><h| on ``mode``."""
+def _factor_table(layout: QubitLayout, mode: int, k: int, h: int):
+    """The strings of |k><h| on ``mode``: their common magnitude and a
+    (key, coefficient) pair per string, key = x << N | z."""
     qc, qa = (1 << layout.qubit_index(mode, m) for m in (k, h))
     if qc == qa:
-        return ((0, 0, 0.5), (0, qc, -0.5))
-    x = qc | qa
-    return ((x, 0, 0.25), (x, qa, 0.25j), (x, qc, -0.25j), (x, x, 0.25))
+        return 0.5, ((0, 0.5), (qc, -0.5))
+    x = (qc | qa) << layout.num_qubits
+    return 0.25, ((x, 0.25), (x | qa, 0.25j), (x | qc, -0.25j),
+                  (x | qc | qa, 0.25))
+
+
+_IDENTITY = ((0, 1.0),)
 
 
 def map_to_pauli(terms: Iterable[SqTerm], layout: QubitLayout) -> PauliSum:
     """Direct mapping of transfer-operator products to a Pauli sum.
 
-    Each distinct (mode, k, h) factor's table is built once per call.
-    Factors scale magnitudes exactly (by 1/2 or 1/4), so one DROP_TOL test
-    per product is one per partial product; a cancelled string re-enters.
+    A term's factors act on disjoint qubits, so each string of the product
+    is the bitwise or of one string per factor, keyed by the one int
+    x << N | z while the sum is built.  Each distinct (mode, k, h) factor's
+    table is built once per call.  Every string of a factor has magnitude
+    1/2 or 1/4, a power of two, so all strings of a term have the same
+    magnitude, exactly: one DROP_TOL test per term is one per string.
+    Strings are added in order into one running sum, one dict update per
+    string; a string whose sum falls to DROP_TOL leaves the sum, and
+    re-enters at the end if a later term brings it back.
     """
-    total: dict[tuple[int, int], complex] = {}
+    n = layout.num_qubits
+    total: dict[int, complex] = {}
+    get = total.get
     tables: dict[tuple[int, int, int], tuple] = {}
     for term in terms:
-        partial = [(0, 0, complex(term.coefficient))]
+        coefficient = complex(term.coefficient)
+        magnitude = abs(coefficient)
+        strings = ((0, coefficient),)
+        entries = None
         for factor in term.factors:
+            if entries is not None:  # all factors but the last are folded in
+                strings = [(key | fk, c * fc)
+                           for key, c in strings for fk, fc in entries]
             table = tables.get(factor)
             if table is None:
-                table = tables[factor] = _factor_terms(layout, *factor)
-            partial = [(x | fx, z | fz, c * fc)
-                       for x, z, c in partial for fx, fz, fc in table]
-        for x, z, c in partial:
-            if abs(c) > DROP_TOL:
-                key = x, z
+                table = tables[factor] = _factor_table(layout, *factor)
+            scale, entries = table
+            magnitude *= scale
+        if not magnitude > DROP_TOL:  # a NaN term is skipped too
+            continue
+        for key, c in strings:
+            for fk, fc in entries or _IDENTITY:
+                string = key | fk
                 # 0.0 + c turns a first -0.0 part into +0.0
-                value = total.get(key, 0.0) + c
+                value = get(string, 0.0) + c * fc
                 if abs(value) > DROP_TOL:
-                    total[key] = value
+                    total[string] = value
                 else:
-                    total.pop(key, None)
-    return PauliSum.from_masks(layout.num_qubits, total)
+                    total.pop(string, None)
+    z_mask = (1 << n) - 1
+    return PauliSum.from_masks(
+        n, {(key >> n, key & z_mask): c for key, c in total.items()})
 
 
 def number_operator(layout: QubitLayout, mode: int) -> PauliSum:

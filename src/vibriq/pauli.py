@@ -54,14 +54,12 @@ def _parse(label: str, num_qubits: int) -> tuple[int, int]:
     return int(rev.translate(_X_BITS), 2), int(rev.translate(_Z_BITS), 2)
 
 
-def _label_order(keys: list[tuple[int, int]], num_qubits: int) -> np.ndarray:
-    """Positions of the (x, z) keys in label order, with no label built:
+def _label_order(raw: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Positions of strings in label order, from their x and z masks as
+    little-endian bytes, shape (strings, 2, bytes), with no label built:
     qubit q's letter is its index in IXYZ, (x ^ z)_q + 2 z_q, and labels
     compare qubit 0 first."""
-    size = (num_qubits + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(size, "little")
-                                 for key in keys for m in key), dtype=np.uint8)
-    x, z = np.unpackbits(raw.reshape(-1, 2, size), axis=2, count=num_qubits,
+    x, z = np.unpackbits(raw, axis=2, count=num_qubits,
                          bitorder="little").transpose(1, 0, 2)
     return np.lexsort(((x ^ z) + 2 * z).T[::-1])
 
@@ -147,8 +145,12 @@ class PauliSum:
     def masks(self) -> list[tuple[int, int, complex]]:
         """(x, z, coefficient) per term, in ``items`` order."""
         keys, coeffs = list(self._terms), list(self._terms.values())
+        size = (self._num_qubits + 7) // 8
+        raw = np.frombuffer(b"".join(m.to_bytes(size, "little")
+                                     for key in keys for m in key),
+                            dtype=np.uint8).reshape(-1, 2, size)
         return [(*keys[k], coeffs[k])
-                for k in _label_order(keys, self._num_qubits).tolist()]
+                for k in _label_order(raw, self._num_qubits).tolist()]
 
     def mask_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """int64 x and z masks and complex coefficients of the terms, in
@@ -222,6 +224,15 @@ class PauliSum:
         return PauliSum.from_masks(
             self._num_qubits,
             {k: c.conjugate() for k, c in self._terms.items()}, 0.0)
+
+
+def _sorted_mask_arrays(op: PauliSum
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``op.mask_arrays()`` in ``items`` order, with no Python list built."""
+    x, z, c = op.mask_arrays()
+    raw = np.stack((x, z), axis=1).astype("<i8", copy=False).view(np.uint8)
+    order = _label_order(raw.reshape(-1, 2, 8), op.num_qubits)
+    return x[order], z[order], c[order]
 
 
 def unique_strings(x: np.ndarray, z: np.ndarray,

@@ -47,7 +47,7 @@ import numpy as np
 from .circuits import (Block, Circuit, Excitation, ExcitationRotation, Gate,
                        PauliRotation, build_chc, build_uvcc, excitation_list)
 from .mapping import QubitLayout
-from .pauli import MAX_MASK_QUBITS, PauliSum, _stack, unique_strings
+from .pauli import PauliSum, _sorted_mask_arrays, _stack, unique_strings
 
 NORM_TOL = 1e-10
 
@@ -257,14 +257,10 @@ def _pauli_rows(op: PauliSum, indices):
     into the same arrays, so read it before the next; nothing over the
     states is built, and ``indices`` is not checked, before the first
     block is read."""
-    if op.num_qubits > MAX_MASK_QUBITS:
-        op.mask_arrays()  # refuses masks that int64 does not hold
-    terms = op.masks()
-    flips = np.array([x for x, _, _ in terms], dtype=np.int64)
+    flips, signs, weights = _sorted_mask_arrays(op)
     order = np.argsort(flips, kind="stable")
-    flips = flips[order]
-    signs = np.array([z for _, z, _ in terms], dtype=np.int64)[order]
-    weights = (np.array([c for _, _, c in terms], dtype=np.complex128)[order]
+    flips, signs = flips[order], signs[order]
+    weights = (weights[order]
                * _MINUS_I_POWERS[np.bitwise_count(flips & signs) % 4])
     real = not weights.imag.any()
     masks, counts = np.unique(flips, return_counts=True)

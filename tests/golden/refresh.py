@@ -1,7 +1,8 @@
 """Golden result files: a fixed set of sub-second ``vibriq`` commands and
 the files they wrote when this directory was last refreshed.
 
-    python tests/golden/refresh.py          # rewrite the PES and result files
+    python tests/golden/refresh.py          # rewrite the PES, result and
+                                            # fingerprint files
     python tests/golden/refresh.py --check  # compare a fresh run with them
 
 Run from a source checkout; the program is imported from its ``src``
@@ -14,12 +15,21 @@ A fresh run matches when every key, string, integer and boolean is equal
 and every float is within ``REL_TOL`` relative; byte identity is reported
 on its own.  A change that moves a file lists it and its largest relative
 change in ``CHANGES.md`` along with the refresh.
+
+``hamiltonians.json`` holds a fingerprint of the Hamiltonian set-up on
+each PES file at ``FINGERPRINT_MODALS`` modals per mode: a SHA-256 over
+the SQ terms (coefficient repr and type, factors) and the Pauli terms
+(x and z masks, coefficient repr), each in the order the library returns
+them, with the term counts beside it.  A fresh set-up must match it
+exactly, so a change that moves one coefficient bit or one term's place
+shows.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import shutil
@@ -31,6 +41,8 @@ GOLDEN_DIR = Path(__file__).resolve().parent
 ROOT = GOLDEN_DIR.parents[1]
 REL_TOL = 1e-12
 PES_MODES = (2, 3, 5)
+FINGERPRINT_MODALS = (2, 3)
+FINGERPRINTS = GOLDEN_DIR / "hamiltonians.json"
 
 # result file stem -> command line, without --out
 COMMANDS = {
@@ -133,6 +145,60 @@ def check(workdir: Path) -> list[str]:
     return lines
 
 
+def hamiltonian_fingerprints() -> dict:
+    """PES file name -> modals -> the set-up's fingerprint and term
+    counts, from the PES files in this directory, through the set-up chain
+    of the ``vqe``, ``qeom`` and ``exact`` commands at their default
+    primitive dimension."""
+    from vibriq.mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli
+    from vibriq.pes import load_pes, modal_operator_matrices, solve_modals
+
+    out = {}
+    for modes in PES_MODES:
+        pes = load_pes(GOLDEN_DIR / pes_name(modes))
+        per_modals = out[pes_name(modes)] = {}
+        for modals in FINGERPRINT_MODALS:
+            layout = QubitLayout((modals,) * pes.num_modes)
+            basis = solve_modals(pes, layout.modal_counts)
+            terms = build_sq_hamiltonian(
+                pes, modal_operator_matrices(basis, pes),
+                n_body=max(2, pes.max_coupling_order()))
+            x, z, c = map_to_pauli(terms, layout).mask_arrays()
+            digest = hashlib.sha256()
+            for t in terms:
+                digest.update(repr((repr(t.coefficient),
+                                    type(t.coefficient).__name__,
+                                    t.factors)).encode())
+            digest.update(b"|")
+            for key in zip(x.tolist(), z.tolist(), map(repr, c.tolist())):
+                digest.update(repr(key).encode())
+            per_modals[str(modals)] = {"sq_terms": len(terms),
+                                       "pauli_terms": len(x),
+                                       "sha256": digest.hexdigest()}
+    return out
+
+
+def check_fingerprints() -> list[str]:
+    """Compare fresh fingerprints with ``hamiltonians.json``; one line per
+    system.  Raises ``AssertionError`` at the first that differs."""
+    golden = json.loads(FINGERPRINTS.read_text())
+    fresh = hamiltonian_fingerprints()
+    if golden.keys() != fresh.keys():
+        raise AssertionError(f"{FINGERPRINTS.name}: systems {sorted(golden)} "
+                             f"became {sorted(fresh)}")
+    lines = []
+    for name, per_modals in golden.items():
+        for modals, expected in per_modals.items():
+            got = fresh[name].get(modals)
+            if got != expected:
+                raise AssertionError(f"{FINGERPRINTS.name}: {name} at "
+                                     f"{modals} modals: {expected} became "
+                                     f"{got}")
+            lines.append(f"{name} x{modals}: {got['sq_terms']} SQ and "
+                         f"{got['pauli_terms']} Pauli terms, identical")
+    return lines
+
+
 def copy_pes_files(workdir: Path) -> None:
     for modes in PES_MODES:
         shutil.copyfile(GOLDEN_DIR / pes_name(modes), workdir / pes_name(modes))
@@ -149,13 +215,15 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             copy_pes_files(Path(tmp))
             run_commands(Path(tmp))
-            print("\n".join(check(Path(tmp))))
+            print("\n".join(check(Path(tmp)) + check_fingerprints()))
         return 0
     from pesgen import write_pes
 
     for modes in PES_MODES:
         write_pes(GOLDEN_DIR / pes_name(modes), modes, 0)
     run_commands(GOLDEN_DIR)
+    FINGERPRINTS.write_text(json.dumps(hamiltonian_fingerprints(), indent=2)
+                            + "\n")
     return 0
 
 

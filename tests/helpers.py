@@ -191,6 +191,48 @@ def reference_q_power_matrix(power: int, dim: int) -> np.ndarray:
     return 0.5 * (qp + qp.T)
 
 
+def reference_one_body_projection(pes, coefficients: np.ndarray,
+                                  mode: int) -> np.ndarray:
+    """T + V^(l) of ``mode`` built afresh on the primitive basis of
+    ``coefficients`` (the harmonic diagonal, then each one-mode term of
+    ``mode`` in PES order times ``reference_q_power_matrix``), projected
+    as c^T H c and symmetrized as 0.5 (M + M^T)."""
+    dim = coefficients.shape[0]
+    h = np.diag(pes.frequencies[mode] * (np.arange(dim) + 0.5))
+    for term in pes.terms:
+        if list(term.powers) == [mode]:
+            h = h + term.coefficient * reference_q_power_matrix(
+                term.powers[mode], dim)
+    m = coefficients.T @ h @ coefficients
+    return 0.5 * (m + m.T)
+
+
+def pes_index_by_filtering(pes) -> tuple[dict, list, int]:
+    """(mode -> its one-mode terms, coupling terms, largest coupling order,
+    1 without coupling), each list filtered from ``pes.terms`` in order."""
+    one_mode = {mode: [t for t in pes.terms if set(t.powers) == {mode}]
+                for mode in range(len(pes.frequencies))}
+    coupling = [t for t in pes.terms if len(t.powers) >= 2]
+    return one_mode, coupling, max([len(t.powers) for t in coupling] + [1])
+
+
+def sq_term_problems(coefficient, factors) -> list[str]:
+    """What keeps (coefficient, factors) from being a valid SQ term as
+    ``SqTerm`` makes one: a float coefficient and a tuple of
+    (mode, create, annihilate) tuples of ints, modes strictly increasing."""
+    problems = []
+    if type(coefficient) is not float:
+        problems.append(f"coefficient {coefficient!r} is a "
+                        f"{type(coefficient).__name__}")
+    if type(factors) is not tuple or any(
+            type(f) is not tuple or len(f) != 3
+            or any(type(v) is not int for v in f) for f in factors):
+        problems.append(f"factors {factors!r} are not int triples")
+    elif any(a[0] >= b[0] for a, b in zip(factors, factors[1:])):
+        problems.append(f"modes of {factors!r} do not increase")
+    return problems
+
+
 def reference_sq_hamiltonian(pes, operators, drop_tol: float) -> list[tuple]:
     """(coefficient, factors) per term of the n-mode SQ Hamiltonian.
 

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import bench_pes
 from helpers import dense_from_sum, onv_rule_matrix, pauli_product, \
-    physical_onvs, random_sq_hamiltonian, reference_sq_hamiltonian
+    physical_onvs, random_sq_hamiltonian, reference_sq_hamiltonian, \
+    sq_term_problems
 from vibriq.circuits import excitation_list, excitation_sq_terms
 from vibriq.mapping import (QubitLayout, SqTerm, build_sq_hamiltonian,
                             map_to_pauli, number_operator, occupations,
@@ -249,6 +250,39 @@ def _assert_same_as_reference_loop(pes, counts):
         [(repr(c), type(c)) for c, _ in ref]
 
 
+def _assert_valid_terms(terms):
+    """Each built term is what a validated ``SqTerm`` makes of it."""
+    for t in terms:
+        assert sq_term_problems(t.coefficient, t.factors) == []
+        again = SqTerm(t.coefficient, t.factors)
+        assert again == t and repr(again) == repr(t)
+
+
+@pytest.mark.parametrize("num_modes", [2, 3, 5])
+def test_sq_terms_equal_validated_rebuilds(num_modes):
+    for seed in range(4):
+        pes = bench_pes(num_modes, seed)
+        for n in (2, 3, 4):
+            _assert_valid_terms(build_sq_hamiltonian(
+                pes, _operators(pes, [n] * num_modes)))
+    pes = PesExpansion((1150.0, 1480.0, 900.0),
+                       (PesTerm(np.float32(3.5), {2: 1, 0: 2, 1: 1}),
+                        PesTerm(7, {1: 2})), v0=4)
+    terms = build_sq_hamiltonian(pes, _operators(pes, [2, 3, 2]), n_body=3)
+    assert terms[0].factors == () and terms[0].coefficient == 4.0
+    _assert_valid_terms(terms)
+
+
+def test_sq_term_problems_oracle_flags_invalid_terms():
+    assert sq_term_problems(1.0, ((0, 1, 0), (2, 0, 1))) == []
+    assert sq_term_problems(1, ((0, 1, 0),))
+    assert sq_term_problems(np.float64(1.0), ((0, 1, 0),))
+    assert sq_term_problems(1.0, ((np.int64(0), 1, 0),))
+    assert sq_term_problems(1.0, [(0, 1, 0)])
+    assert sq_term_problems(1.0, ((1, 0, 0), (0, 1, 1)))
+    assert sq_term_problems(1.0, ((0, 0, 0), (0, 1, 1)))
+
+
 @pytest.mark.parametrize("num_modes", [2, 3, 5])
 def test_sq_expansion_matches_reference_loop_on_bench_pes(num_modes):
     for seed in range(6):
@@ -364,6 +398,34 @@ def test_direct_mapping_drops_like_product_form_near_tolerance():
         terms = _random_terms(rng, layout, 40, scale * DROP_TOL)
         terms += [SqTerm(scale * DROP_TOL, ()), SqTerm(4 * DROP_TOL, ())]
         _assert_same_as_product_form(terms, layout)
+
+
+def test_direct_mapping_drops_whole_terms_at_the_tolerance():
+    """Strings of magnitude exactly DROP_TOL are dropped, one ulp above
+    kept, whatever the factor count."""
+    layout = QubitLayout((2, 3, 2))
+    above = float(np.nextafter(1.0, 2.0))
+    for scale in (1.0, above):
+        terms = [SqTerm(scale * DROP_TOL, ()),
+                 SqTerm(2 * scale * DROP_TOL, ((1, 2, 2),)),
+                 SqTerm(-4 * scale * DROP_TOL, ((0, 1, 0),)),
+                 SqTerm(16 * scale * DROP_TOL, ((0, 0, 1), (2, 1, 0))),
+                 SqTerm(-32 * scale * DROP_TOL, ((0, 1, 1), (1, 0, 2),
+                                                 (2, 0, 1)))]
+        got = _assert_same_as_product_form(terms, layout)
+        # 55 strings, the identity twice
+        assert len(got) == (0 if scale == 1.0 else 54)
+
+
+def test_direct_mapping_skips_a_nan_term():
+    """A NaN coefficient adds nothing and takes no string out of the sum."""
+    layout = QubitLayout((2, 2))
+    terms = [SqTerm(1.0, ((0, 1, 0),)), SqTerm(0.5, ((1, 0, 0),)),
+             SqTerm(0.25, ())]
+    clean = map_to_pauli(terms, layout)
+    for factors in (((0, 1, 0),), ((0, 1, 0), (1, 0, 0)), ()):
+        got = map_to_pauli(terms + [SqTerm(float("nan"), factors)], layout)
+        assert list(got._terms.items()) == list(clean._terms.items())
 
 
 @pytest.mark.parametrize("counts", [(3, 3), (2, 2, 2)])

@@ -7,7 +7,8 @@ from conftest import build_qubit_hamiltonian
 from helpers import (assert_same_terms, dense_from_sum, pauli_product,
                      random_pauli_sum, reference_commutator)
 from vibriq import pauli
-from vibriq.pauli import MAX_MASK_QUBITS, PauliSum, commutator, commutators
+from vibriq.pauli import (MAX_MASK_QUBITS, PauliSum, _sorted_mask_arrays,
+                          commutator, commutators)
 
 
 def test_single_qubit_product_identity():
@@ -358,7 +359,7 @@ def _letters(x, z, num_qubits):
                    for q in range(num_qubits))
 
 
-@pytest.mark.parametrize("num_qubits", [1, 3, 8, 9, 17, 64, 90])
+@pytest.mark.parametrize("num_qubits", [1, 3, 8, 9, 17, 63, 64, 90])
 def test_masks_follow_items_order_on_random_sums(num_qubits):
     rng = np.random.default_rng(num_qubits)
     # a shared prefix over all but the last few qubits makes the order
@@ -381,6 +382,11 @@ def test_masks_follow_items_order_on_random_sums(num_qubits):
     np.testing.assert_allclose([c for _, _, c in masks],
                                [merged[label] for label in expected],
                                rtol=1e-15, atol=0)
+    if num_qubits <= MAX_MASK_QUBITS:
+        x, z, c = _sorted_mask_arrays(s)
+        assert x.dtype == z.dtype == np.int64 and c.dtype == np.complex128
+        assert list(zip(x.tolist(), z.tolist())) == [m[:2] for m in masks]
+        assert c.tobytes() == np.array([m[2] for m in masks]).tobytes()
 
 
 def test_simplify_idempotent_and_canonical_order():

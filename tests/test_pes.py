@@ -1,14 +1,20 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from helpers import pes_to_dict, reference_q_power_matrix, save_pes
-from vibriq.pes import (PesExpansion, PesTerm, ho_q_power_matrix, load_pes,
-                        modal_operator_matrices, modal_q_power_matrix,
+from conftest import bench_pes
+from helpers import (pes_index_by_filtering, pes_to_dict,
+                     reference_one_body_projection, reference_q_power_matrix,
+                     save_pes)
+from vibriq.pes import (ModalBasis, PesExpansion, PesTerm, ho_q_power_matrix,
+                        load_pes, modal_operator_matrices, modal_q_power_matrix,
                         one_body_matrix, pes_from_dict, solve_modals)
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def hermite_quadrature_q_matrix(power: int, dim: int) -> np.ndarray:
@@ -268,3 +274,152 @@ def test_pes_json_refuses_a_term_without_powers():
 def test_pes_dict_shape_follows_interchange_format(harmonic_pes):
     data = pes_to_dict(harmonic_pes)
     assert set(data) == {"num_modes", "units", "frequencies", "v0", "terms"}
+
+
+# -- the PES index and the one-body matrices, against fresh constructions ----
+
+def _random_pes(rng) -> PesExpansion:
+    """1- to 3-mode terms in random order, each term's powers listed in
+    random mode order, some modes without a one-mode term."""
+    num_modes = int(rng.integers(1, 6))
+    terms = []
+    for _ in range(int(rng.integers(0, 14))):
+        order = int(rng.integers(1, min(3, num_modes) + 1))
+        modes = rng.choice(num_modes, order, replace=False)
+        terms.append(PesTerm(float(rng.normal()),
+                             {int(m): int(rng.integers(1, 4)) for m in modes}))
+    freqs = tuple(float(w) for w in rng.uniform(500.0, 3000.0, num_modes))
+    return PesExpansion(freqs, tuple(terms), max_degree=9)
+
+
+def _assert_index_matches_filtering(pes):
+    one_mode, coupling, order = pes_index_by_filtering(pes)
+    for mode in range(pes.num_modes + 2):  # modes past the last have none
+        got = pes.one_mode_terms(mode)
+        assert [id(t) for t in got] == [id(t) for t in one_mode.get(mode, [])]
+    assert [id(t) for t in pes.coupling_terms()] == [id(t) for t in coupling]
+    assert pes.max_coupling_order() == order
+    for t in pes.terms:
+        assert t.modes == tuple(sorted(t.powers))
+
+
+def test_pes_index_matches_filtering():
+    for num_modes in (1, 2, 3, 5):
+        for seed in range(3):
+            _assert_index_matches_filtering(bench_pes(num_modes, seed))
+    for name in ("pes-2.json", "pes-3.json", "pes-5.json"):
+        _assert_index_matches_filtering(load_pes(GOLDEN_DIR / name))
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        _assert_index_matches_filtering(_random_pes(rng))
+    _assert_index_matches_filtering(PesExpansion((1000.0, 1500.0)))
+
+
+def test_pes_index_lists_are_the_callers_own():
+    pes = bench_pes(2, 0)
+    pes.coupling_terms().clear()
+    pes.one_mode_terms(0).clear()
+    _assert_index_matches_filtering(pes)
+
+
+@pytest.mark.parametrize("num_modes", [2, 3, 5])
+def test_projected_one_body_is_bit_equal_to_a_fresh_construction(num_modes):
+    for seed in range(3):
+        pes = bench_pes(num_modes, seed)
+        for modals, dim in ((2, 40), (3, 40), (4, 40), (3, 17)):
+            basis = solve_modals(pes, (modals,) * num_modes, dim=dim)
+            ops = modal_operator_matrices(basis, pes)
+            assert basis.pes is pes
+            for mode, c in enumerate(basis.coefficients):
+                ref = reference_one_body_projection(pes, c, mode)
+                got = basis.one_body[mode]
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+                assert ops.one_body[mode] is got
+                assert not got.flags.writeable
+
+
+def test_modal_operators_project_afresh_for_another_pes():
+    """Harmonic modals of an anharmonic PES, and a basis made by hand: the
+    one-body matrices are those of the PES passed in."""
+    pes = bench_pes(3, 1)
+    harmonic = solve_modals(PesExpansion(pes.frequencies), (3, 2, 3))
+    solved = solve_modals(pes, (3, 2, 3))
+    by_hand = ModalBasis(solved.coefficients, solved.energies)
+    for basis in (harmonic, by_hand):
+        ops = modal_operator_matrices(basis, pes)
+        for mode, c in enumerate(basis.coefficients):
+            ref = reference_one_body_projection(pes, c, mode)
+            assert ops.one_body[mode].tobytes() == ref.tobytes()
+    assert harmonic.one_body[0].tobytes() != \
+        modal_operator_matrices(harmonic, pes).one_body[0].tobytes()
+    # an equal PES that is another object is projected afresh, to the
+    # same bits
+    again = pes_from_dict(pes_to_dict(pes))
+    for a, b in zip(modal_operator_matrices(solved, again).one_body,
+                    solved.one_body):
+        assert a is not b and a.tobytes() == b.tobytes()
+
+
+# -- non-finite and non-integer input is refused, never rounded --------------
+
+def _pes_json(**changes):
+    data = {"frequencies": [1000.0, 1500.0], "num_modes": 2, "v0": 0.0,
+            "terms": [{"coeff": 2.0, "powers": {"0": 4}},
+                      {"coeff": 1.5, "powers": {"0": 1, "1": 1}}]}
+    term = changes.pop("term", None)
+    if term is not None:
+        data["terms"][1] = {**data["terms"][1], **term}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"term": {"powers": {"0": 2.5}}},
+     "the power 2.5 of mode '0' in PES term 1 is not an integer"),
+    ({"term": {"powers": {"0": 1, "1": True}}},
+     "the power True of mode '1' in PES term 1 is not an integer"),
+    ({"term": {"powers": {"0": 1, "1": 2.0}}},
+     "the power 2.0 of mode '1' in PES term 1 is not an integer"),
+    ({"term": {"coeff": math.nan}}, "the coeff of PES term 1 is nan"),
+    ({"term": {"coeff": math.inf}}, "the coeff of PES term 1 is inf"),
+    ({"term": {"coeff": -math.inf}}, "the coeff of PES term 1 is -inf"),
+    ({"term": {"coeff": True}}, "the coeff of PES term 1 is True"),
+    ({"term": {"coeff": "1.5"}}, "the coeff of PES term 1 is '1.5'"),
+    ({"v0": math.nan}, "v0 is nan, not a finite number"),
+    ({"v0": -math.inf}, "v0 is -inf, not a finite number"),
+    ({"frequencies": [1000.0, math.nan]}, "frequency 1 is nan"),
+    ({"frequencies": [math.inf, 1500.0]}, "frequency 0 is inf"),
+    ({"num_modes": 2.0}, "num_modes 2.0 is not an integer"),
+    ({"num_modes": True}, "num_modes True is not an integer"),
+    ({"term": {"powers": {"0": 1, "00": 2}}},
+     "a mode appears twice in PES term 1"),
+    ({"term": {"powers": {"a": 1}}}, "mode 'a' of PES term 1 is not an integer"),
+    ({"term": {"powers": {"0": 0}}}, r"PES term 1: invalid power Q_0\^0"),
+    ({"term": {"powers": {"0": 1, "2": 1}}},
+     "term 1 touches mode 2 but only 2 modes declared"),
+])
+def test_pes_json_refuses_what_it_would_otherwise_round(changes, message):
+    with pytest.raises(ValueError, match=message):
+        pes_from_dict(_pes_json(**changes))
+
+
+def test_pes_file_with_a_nan_literal_is_refused(tmp_path):
+    """Python's json reads NaN and Infinity; the PES loader refuses them."""
+    path = tmp_path / "pes.json"
+    path.write_text(json.dumps(_pes_json(term={"coeff": math.nan})))
+    assert "NaN" in path.read_text()
+    with pytest.raises(ValueError, match="the coeff of PES term 1 is nan"):
+        load_pes(path)
+    save_pes(pes_from_dict(_pes_json()), path)
+    assert load_pes(path) == pes_from_dict(_pes_json())
+
+
+def test_pes_objects_refuse_non_finite_numbers():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            PesTerm(bad, {0: 2})
+        with pytest.raises(ValueError, match="positive and finite"):
+            PesExpansion((1000.0, bad))
+        with pytest.raises(ValueError, match="not finite"):
+            PesExpansion((1000.0,), v0=bad)
