@@ -22,8 +22,7 @@ from .simulator import (AnsatzProgram, NoiseModel, ShotCounts, StateVector,
                         distribution_fidelity, expectation, expectation_value,
                         expectation_values, noisy_counts, noisy_distribution,
                         run_fidelity_experiment, sample)
-from .vqe import (VqeConfig, VqeResult, ansatz_program, build_ansatz,
-                  ground_state, minimize)
+from .vqe import VqeConfig, VqeResult, build_ansatz, ground_state, minimize
 from .qeom import (EomMatrices, EomOperators, build_eom_operators,
                    compute_matrices, double_commutator, eom_diagnostics,
                    excitation_energies, solve_pseudo_eigenproblem)

@@ -1,11 +1,12 @@
 """Exact statevector simulation, sampling, and depolarizing noise.
 
 Two noise-free paths lead to a state.  ``apply_circuit`` runs a
-gate-level ``Circuit`` gate by gate; it serves the noise model and is the
-reference in tests.  An ``AnsatzProgram`` runs the same ansatz as a few
-vectorized steps (basis permutations, Pauli rotations, one real Givens
-rotation per cluster excitation or per Pauli string with an odd number
-of Y) and is what the VQE objective uses.  It is compiled on a set of
+gate-level ``Circuit`` gate by gate; it gives the noise-fidelity
+experiment its ideal reference and is the reference in tests.  An
+``AnsatzProgram`` runs the same ansatz as a few vectorized steps (basis
+permutations, Pauli rotations, one real Givens rotation per cluster
+excitation or per Pauli string with an odd number of Y) and is what the
+VQE objective uses.  It is compiled on a set of
 basis states: all 2^N, or a subset every step maps to itself, such as
 the physical states a uvccsd ansatz never leaves or the per-register
 odd-parity states a chc ansatz never leaves; both programs have real
@@ -24,10 +25,13 @@ bitstrings render qubit 0 as the leftmost character.  The noise model is
 depolarization: after each gate, with the gate-class probability, one
 uniformly random non-identity Pauli acts on the gate's qubits (15 choices
 for a CNOT).  ``noisy_counts`` draws multinomial shots from the diagonal
-of the density matrix evolved through that exact channel.  The
-channel's Monte-Carlo unraveling, one pure state per run, lives in
-``tests/helpers.py`` as a test oracle, built on dense matrices apart
-from these kernels.
+of the density matrix evolved through that exact channel.  The density
+matrix is held as its real Pauli components Tr(P rho), a (4,)*N tensor
+on which a gate is its real Pauli-transfer matrix (Greenbaum,
+arXiv:1509.02921) and the channel one scale factor on the components
+that are not the identity on the gate's qubits.  The channel's
+Monte-Carlo unraveling, one pure state per run, and the dense density
+matrix live in ``tests/helpers.py`` as test oracles.
 
 Gate classes follow the published rates: H, RX(+-pi/2) and PHASE are
 U2-like, every other single-qubit rotation (including X) is U3-like, and
@@ -128,11 +132,15 @@ def bitstring(index: int, num_qubits: int) -> str:
 _FIXED_MATRICES = {
     "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
     "h": np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0),
+    "cnot": np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0]],
+                     dtype=np.complex128),
 }
 
 
 def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
-    """The 2x2 matrix of a single-qubit gate."""
+    """The matrix of a gate on its qubits: 2x2, or 4x4 for a CNOT, whose
+    index has the control as its high bit."""
     if kind in _FIXED_MATRICES:
         return _FIXED_MATRICES[kind]
     if kind == "phase":
@@ -176,19 +184,6 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> np.ndarray:
     out = view.copy()
     out[t0], out[t1] = view[t1], view[t0]
     return out.reshape(amps.shape)
-
-
-def _conjugate_by_gate(rho: np.ndarray, gate: Gate, angle: float | None,
-                       num_qubits: int) -> np.ndarray:
-    """U rho U^+: U on the row index (qubit q + N of the flattened rho),
-    its complex conjugate on the column index."""
-    if gate.kind == "cnot":
-        rows = _apply_cnot(rho.reshape(-1), *(q + num_qubits for q in gate.qubits))
-        return _apply_cnot(rows, *gate.qubits).reshape(rho.shape)
-    mat = _gate_matrix(gate.kind, angle)
-    q = gate.qubits[0]
-    rows = _apply_1q_matrix(rho.reshape(-1), mat, q + num_qubits)
-    return _apply_1q_matrix(rows.reshape(rho.shape), mat.conj(), q)
 
 
 def apply_circuit(circuit: Circuit, params: Sequence[float] = (),
@@ -683,73 +678,72 @@ class NoiseModel:
         return self.p_u3
 
 
-def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], num_qubits: int,
-                p: float) -> None:
-    """Mix p / (4^k - 1) of every non-identity P rho P on ``qubits`` into rho.
-
-    The sum of P rho P over all 4^k Paulis P on k qubits is
-    2^k Tr_k(rho) (x) I_k, nonzero only on the 2^k blocks whose row and
-    column agree on ``qubits``.  With P = I counted in that sum, the
-    channel is (1 - p - share) rho + share 2^k Tr_k(rho) (x) I_k, so the
-    second term is added to those blocks alone.  ``rho`` is C-contiguous
-    and changed in place through views of it.
-    """
-    share = p / ((1 << (2 * len(qubits))) - 1)
-    # rows and columns each split into (rest, bit, rest, bit, ..., rest)
-    # with the gate's qubits, highest first, as the bit axes
-    order = sorted(qubits, reverse=True)
-    shape, above = [], num_qubits
-    for q in order:
-        shape += [1 << (above - q - 1), 2]
-        above = q
-    shape.append(1 << above)
-    view = rho.reshape(shape * 2)
-    blocks = []
-    for bits in range(1 << len(qubits)):
-        index = [slice(None)] * len(shape)
-        for j, q in enumerate(qubits):
-            index[2 * order.index(q) + 1] = (bits >> j) & 1
-        blocks.append(view[tuple(index * 2)])
-    # the partial trace, one qubit at a time in gate order: each pass adds
-    # the pairs of blocks that differ in that qubit's bit
-    traced = blocks
-    while len(traced) > 1:
-        traced = [traced[i] + traced[i + 1] for i in range(0, len(traced), 2)]
-    traced = traced[0]
-    traced *= share * len(blocks)
-    rho *= 1.0 - p - share
-    for block in blocks:
-        block += traced
+# I, X, Y and Z, then the 16 two-qubit products, first qubit slowest
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_BASES = {2: _PAULIS, 4: np.einsum("aij,bkl->abikjl", _PAULIS,
+                                         _PAULIS).reshape(16, 4, 4)}
 
 
-def _check_density_matrix(num_qubits: int) -> None:
-    # a gate step holds up to four rho at once: rho, the row and column
-    # passes of ``_conjugate_by_gate`` and ``_depolarize``'s traced blocks
+def _transfer_matrix(kind: str, angle: float | None, p: float) -> np.ndarray:
+    """R_ab = Tr(P_a U P_b U^+) / 2^k of a gate on k qubits, then its
+    depolarization: mixing in p / (4^k - 1) of every non-identity P rho P
+    scales the non-identity rows by 1 - p 4^k / (4^k - 1)."""
+    u = _gate_matrix(kind, angle)
+    basis = _PAULI_BASES[len(u)]
+    r = np.einsum("aij,bji->ab", basis, u @ basis @ u.conj().T).real / len(u)
+    r[1:] *= 1.0 - p * len(r) / (len(r) - 1)
+    return r
+
+
+def _apply_on_axes(mat: np.ndarray, tensor: np.ndarray, axes) -> np.ndarray:
+    """``mat``, shaped (out axes, in axes), on the ``axes`` of ``tensor``."""
+    k = len(axes)
+    out = np.tensordot(mat, tensor, axes=(range(k, 2 * k), axes))
+    return np.moveaxis(out, range(k), axes)
+
+
+def _check_noisy_size(num_qubits: int) -> None:
+    # a gate step holds three tensors, the state, the copy ``tensordot``
+    # makes of it with the gate's axes first and the product, and 64 kB
+    # for the transfer matrix and the step's small objects
     check_bytes(f"a noisy simulation of {num_qubits} qubits "
-                "(4 density matrices)", 64 << 2 * num_qubits)
+                "(3 Pauli-transfer tensors)",
+                (24 << 2 * num_qubits) + (1 << 16))
+
+
+def _pauli_components(circuit: Circuit, params: Sequence[float],
+                      noise: NoiseModel) -> np.ndarray:
+    """r[P] = Tr(P rho) of the final rho of the exact depolarizing channel,
+    a real (4,)*N tensor whose axis i is qubit N - 1 - i, indexed I, X, Y, Z:
+    each gate applies its transfer matrix to its qubits' axes."""
+    n = circuit.num_qubits
+    _check_noisy_size(n)
+    params = np.asarray(params, dtype=float)
+    if params.shape != (circuit.num_parameters,):
+        raise ValueError(f"expected {circuit.num_parameters} parameters")
+    r = np.zeros((4,) * n)
+    r[(slice(None, None, 3),) * n] = 1.0  # |0><0| is the mean of {I, Z}^N
+    for gate in circuit.gates:
+        angle = gate.resolved_angle(params)
+        mat = _transfer_matrix(gate.kind, angle,
+                               noise.gate_probability(gate, angle))
+        k = len(gate.qubits)
+        r = _apply_on_axes(mat.reshape((4,) * 2 * k), r,
+                           [n - 1 - q for q in gate.qubits])
+    return r
 
 
 def noisy_distribution(circuit: Circuit, params: Sequence[float],
                        noise: NoiseModel) -> np.ndarray:
-    """Outcome probabilities diag(rho) of the exact depolarizing channel.
-
-    Each gate maps rho to U rho U^+; a noisy one on k qubits then mixes
-    in p / (4^k - 1) of every non-identity Pauli conjugation P rho P.
-    """
+    """Outcome probabilities diag(rho) of the exact depolarizing channel:
+    the Walsh-Hadamard transform of the {I, Z}^N components, over 2^N."""
     n = circuit.num_qubits
-    _check_density_matrix(n)
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.num_parameters,):
-        raise ValueError(f"expected {circuit.num_parameters} parameters")
-    rho = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    for gate in circuit.gates:
-        angle = gate.resolved_angle(params)
-        rho = _conjugate_by_gate(rho, gate, angle, n)
-        p = noise.gate_probability(gate, angle)
-        if p > 0.0:
-            _depolarize(rho, gate.qubits, n, p)
-    return np.diagonal(rho).real.copy()
+    z = _pauli_components(circuit, params, noise)[(slice(None, None, 3),) * n]
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
+    for axis in range(n):
+        z = _apply_on_axes(hadamard, z, [axis])
+    return z.reshape(-1) / (1 << n)
 
 
 def noisy_counts(circuit: Circuit, params: Sequence[float], noise: NoiseModel,
@@ -781,7 +775,7 @@ def run_fidelity_experiment(modal_counts: Sequence[int], trials: int = 10,
         raise ValueError("trials must be positive")
     noise = noise or NoiseModel()
     layout = QubitLayout(tuple(modal_counts))
-    _check_density_matrix(layout.num_qubits)
+    _check_noisy_size(layout.num_qubits)
     excitations = excitation_list(layout, 2)
     circuits = {"uvccsd": build_uvcc(layout, excitations),
                 "chc": build_chc(layout, excitations)}

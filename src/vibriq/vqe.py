@@ -367,15 +367,6 @@ def build_ansatz(layout: QubitLayout, config: VqeConfig) -> Circuit:
                                *_ansatz_blocks(layout, config))
 
 
-def ansatz_program(layout: QubitLayout, config: VqeConfig,
-                   indices: np.ndarray | None = None) -> AnsatzProgram:
-    """The ansatz of ``build_ansatz`` as vectorized noise-free steps, on the
-    basis states ``indices`` (all 2^N when ``None``)."""
-    blocks, num_parameters = _ansatz_blocks(layout, config)
-    return AnsatzProgram.compile(layout.num_qubits, blocks, num_parameters,
-                                 indices)
-
-
 def _objective(hamiltonian: PauliSum, layout: QubitLayout, config: VqeConfig
                ) -> tuple[str, Callable, AnsatzProgram]:
     """The route, the objective on the program's basis, and the program;

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.ma  # noqa: F401
 import pytest
 import scipy.sparse  # noqa: F401
+from hypothesis import settings
 
 from vibriq.mapping import QubitLayout, build_sq_hamiltonian, map_to_pauli
 from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
@@ -13,6 +14,14 @@ from vibriq.pes import (PesExpansion, PesTerm, modal_operator_matrices,
 # numpy.ma (loaded by the first np.unique) and scipy.sparse (by the first
 # compile) are imported above, before any test, so that a tracemalloc bound
 # counts what the code under test allocates, not a first import.
+
+# The property tests' default: the same examples on every run, nothing
+# stored between runs, no per-example deadline, and few enough examples
+# to keep the suite quick.  A deeper profile can be registered and chosen
+# with hypothesis's own ``--hypothesis-profile`` option.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=100)
+settings.load_profile("tier1")
 
 PESGEN_PATH = Path(__file__).resolve().parent.parent / "bench" / "pesgen.py"
 

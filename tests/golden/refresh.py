@@ -60,6 +60,8 @@ COMMANDS = {
     "resources": ["resources", "--modes", "3", "--modals", "2"],
     "noise-fidelity-2x2": ["noise-fidelity", "--modals", "2,2",
                            "--trials", "1"],
+    "noise-fidelity-2x4": ["noise-fidelity", "--modals", "2,4",
+                           "--trials", "3"],
 }
 
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from vibriq.mapping import QubitLayout, SqTerm
 from vibriq.pauli import PauliSum
-from vibriq.vqe import SIMPLEX_FATOL, SIMPLEX_XATOL
+from vibriq.simulator import AnsatzProgram
+from vibriq.vqe import SIMPLEX_FATOL, SIMPLEX_XATOL, _ansatz_blocks
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -314,6 +315,16 @@ def dense_circuit_unitary(circuit, params) -> np.ndarray:
         u = dense_gate_matrix(gate, gate.resolved_angle(params),
                               circuit.num_qubits) @ u
     return u
+
+
+def ansatz_program(layout: QubitLayout, config,
+                   indices: np.ndarray | None = None) -> AnsatzProgram:
+    """The ansatz of ``vqe.build_ansatz`` compiled as an ``AnsatzProgram``
+    on the basis states ``indices`` (all 2^N for ``None``): the library
+    code under test, built the way the VQE objective builds it."""
+    blocks, num_parameters = _ansatz_blocks(layout, config)
+    return AnsatzProgram.compile(layout.num_qubits, blocks, num_parameters,
+                                 indices)
 
 
 def density_matrix_simulation(circuit, params, noise) -> np.ndarray:

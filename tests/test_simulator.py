@@ -6,13 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from conftest import bench_pes, build_qubit_hamiltonian
-from helpers import (dense_circuit_unitary, dense_expectations,
-                     dense_from_label, dense_from_sum, dense_gate_matrix,
+from helpers import (ansatz_program, dense_circuit_unitary,
+                     dense_expectations, dense_from_label, dense_from_sum,
                      density_matrix_simulation, givens_rotation,
-                     noisy_trajectories,
-                     random_pauli_sum, random_sq_hamiltonian)
+                     noisy_trajectories, random_pauli_sum,
+                     random_sq_hamiltonian)
+from strategies import circuits, noise_models, parameters
 from vibriq.circuits import (Circuit, Gate, PauliRotation, build_chc,
                              build_uvcc, excitation_list, reference_circuit)
 from vibriq.exact import (dense_matrix, parity_indices, physical_block,
@@ -28,7 +30,6 @@ from vibriq.simulator import (MAX_BYTES, AnsatzProgram, NoiseModel,
                               sample)
 from vibriq.vqe import VqeConfig
 from vibriq import exact, simulator, vqe
-from vibriq.simulator import _conjugate_by_gate, _depolarize
 
 
 def random_circuit(rng, num_qubits, depth=30):
@@ -574,8 +575,8 @@ def test_givens_steps_match_a_fresh_rotation_bit_for_bit(ansatz, modals,
     layout = QubitLayout(modals)
     indices = {"physical": physical_indices, "parity": parity_indices,
                "full": lambda _: None}[basis](layout)
-    program = vqe.ansatz_program(layout, VqeConfig(ansatz=ansatz, depth=2),
-                                 indices)
+    program = ansatz_program(layout, VqeConfig(ansatz=ansatz, depth=2),
+                             indices)
     steps = [s for s in program.steps if isinstance(s, simulator.GivensStep)]
     assert steps
     rng = np.random.default_rng(sum(modals) + len(basis))
@@ -597,9 +598,9 @@ def test_programs_are_reentrant():
     """A program called twice, and two programs whose calls interleave,
     give the same arrays as each program called alone."""
     layout = QubitLayout((2, 3))
-    chc = vqe.ansatz_program(layout, VqeConfig(ansatz="chc"),
-                             parity_indices(layout))
-    uvcc = vqe.ansatz_program(layout, VqeConfig(), physical_indices(layout))
+    chc = ansatz_program(layout, VqeConfig(ansatz="chc"),
+                         parity_indices(layout))
+    uvcc = ansatz_program(layout, VqeConfig(), physical_indices(layout))
     rng = np.random.default_rng(71)
     x, y = (rng.uniform(-1.0, 1.0, p.num_parameters) for p in (chc, uvcc))
     first, alone = chc.amplitudes(x), uvcc.amplitudes(y)
@@ -748,40 +749,24 @@ def test_noisy_distribution_covers_every_gate_kind():
                                    oracle, rtol=0, atol=1e-12)
 
 
-def _random_matrix(rng, num_qubits):
-    dim = 1 << num_qubits
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-def test_cnot_conjugation_matches_dense_unitary():
+def test_pauli_components_match_the_density_matrix_oracle():
+    """Every component r[P] of the Pauli-transfer tensor, off-diagonal
+    Paulis included, against Tr(P rho) of the dense channel, on a random
+    3-qubit circuit with every gate kind and noise on every gate."""
     rng = np.random.default_rng(83)
-    rho = _random_matrix(rng, 3)
-    for control, target in itertools.permutations(range(3), 2):
-        gate = Gate("cnot", (control, target))
-        u = dense_gate_matrix(gate, None, 3)
-        np.testing.assert_allclose(_conjugate_by_gate(rho, gate, None, 3),
-                                   u @ rho @ u.conj().T, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("qubits", [(0,), (1,), (2,), (0, 2), (2, 0), (1, 2)])
-def test_depolarizing_mix_matches_explicit_pauli_sum(qubits):
-    """The whole matrix, off-diagonal blocks included, against
-    (1 - p) rho + p / (4^k - 1) sum over non-identity P of P rho P."""
-    rng = np.random.default_rng(89)
-    rho = _random_matrix(rng, 3)
-    p = 0.3
-    others = [ls for ls in itertools.product("IXYZ", repeat=len(qubits))
-              if set(ls) != {"I"}]
-    expected = (1 - p) * rho
-    for ls in others:
-        label = ["I"] * 3
-        for q, letter in zip(qubits, ls):
-            label[q] = letter
-        pauli = dense_from_label("".join(label))
-        expected += p / len(others) * (pauli @ rho @ pauli)
-    got = rho.copy()
-    _depolarize(got, qubits, 3, p)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+    noise = NoiseModel(p_u2=0.05, p_u3=0.1, p_cx=0.2)
+    circ = random_circuit(rng, 3, depth=60)
+    assert {g.kind for g in circ.gates} == {"x", "h", "rx", "ry", "rz",
+                                            "phase", "cnot"}
+    params = rng.uniform(-np.pi, np.pi, circ.num_parameters)
+    rho = density_matrix_simulation(circ, params, noise)
+    components = simulator._pauli_components(circ, params, noise)
+    assert components.shape == (4, 4, 4)
+    for index in itertools.product(range(4), repeat=3):
+        # axis i is qubit 2 - i; a label has qubit 0 leftmost
+        label = "".join("IXYZ"[a] for a in reversed(index))
+        expected = np.trace(dense_from_label(label) @ rho)
+        assert abs(components[index] - expected) <= 1e-12, label
 
 
 def test_noisy_distribution_full_strength_cnot():
@@ -803,6 +788,21 @@ def test_noisy_distribution_without_noise_is_ideal():
     np.testing.assert_allclose(noisy_distribution(circ, params, silent),
                                apply_circuit(circ, params).probabilities(),
                                rtol=0, atol=1e-12)
+
+
+@given(circuits(), parameters(), noise_models)
+def test_noisy_distribution_property_matches_the_density_matrix_oracle(
+        circ, params, noise):
+    oracle = np.diag(density_matrix_simulation(circ, params, noise)).real
+    np.testing.assert_allclose(noisy_distribution(circ, params, noise),
+                               oracle, rtol=0, atol=1e-12)
+
+
+@given(circuits(), parameters())
+def test_noiseless_distribution_property_is_the_ideal_one(circ, params):
+    np.testing.assert_allclose(
+        noisy_distribution(circ, params, NoiseModel(0.0, 0.0, 0.0)),
+        apply_circuit(circ, params).probabilities(), rtol=0, atol=1e-12)
 
 
 def test_noisy_counts_follow_oracle_diagonal():
@@ -845,8 +845,8 @@ _LAYOUT_13x2 = QubitLayout((2,) * 13)
                  id="parity basis"),
     pytest.param(lambda: run_fidelity_experiment((10, 10), trials=1,
                                                  shots=10),
-                 "a noisy simulation of 20 qubits (4 density matrices) needs "
-                 "70368745 MB",
+                 "a noisy simulation of 20 qubits (3 Pauli-transfer tensors) "
+                 "needs 26388280 MB",
                  id="density matrix"),
     pytest.param(lambda: simulator.embed(25, np.array([0]), np.ones(1)),
                  "a state of 25 qubits needs 537 MB", id="embedded state"),
@@ -875,8 +875,9 @@ def test_every_size_refusal_reads_the_same(refused, message):
 
 
 def test_budget_keeps_the_spectrum_and_noise_boundaries(monkeypatch):
-    """A 4096-state spectrum and an 11-qubit noisy simulation fill the
-    budget exactly and pass; one state or qubit more is refused."""
+    """A 4096-state spectrum fills the budget exactly and passes, and so
+    does an 11-qubit noisy simulation; one state or qubit more is
+    refused."""
     class Passed(Exception):
         pass
 
@@ -888,9 +889,9 @@ def test_budget_keeps_the_spectrum_and_noise_boundaries(monkeypatch):
         physical_spectrum(PauliSum.from_label("I"), QubitLayout((64, 64)))
     with pytest.raises(ValueError, match="dimension 4097 needs 269 MB"):
         physical_spectrum(PauliSum.from_label("I"), QubitLayout((17, 241)))
-    simulator._check_density_matrix(11)
-    with pytest.raises(ValueError, match="of 12 qubits .* needs 1074 MB"):
-        simulator._check_density_matrix(12)
+    simulator._check_noisy_size(11)
+    with pytest.raises(ValueError, match="of 12 qubits .* needs 403 MB"):
+        simulator._check_noisy_size(12)
     check_bytes("a full budget", MAX_BYTES)
 
 
@@ -900,7 +901,7 @@ def test_noisy_distribution_refuses_large_registers_before_allocating():
     assert circ.num_qubits == 13
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"13 qubits .* 4295 MB"):
+        with pytest.raises(ValueError, match=r"13 qubits .* 1611 MB"):
             noisy_distribution(circ, np.zeros(circ.num_parameters),
                                NoiseModel())
         _, peak = tracemalloc.get_traced_memory()
@@ -911,7 +912,7 @@ def test_noisy_distribution_refuses_large_registers_before_allocating():
 
 def test_density_matrix_budget_counts_the_noisy_peak(monkeypatch):
     """At 9 qubits a gate of every kind, each noisy, peaks above three
-    density matrices and within the bytes the budget counted."""
+    Pauli-transfer tensors and within the bytes the budget counted."""
     gates = (Gate("x", (0,)), Gate("h", (8,)), Gate("rx", (3,), 0.4),
              Gate("ry", (5,), -0.7), Gate("rz", (8,), 1.1),
              Gate("phase", (2,), 0.3), Gate("cnot", (0, 8)),
@@ -925,7 +926,7 @@ def test_density_matrix_budget_counts_the_noisy_peak(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 3 * (16 << 2 * 9) < peak <= counted[0]
+    assert 3 * (8 << 2 * 9) < peak <= counted[0]
     assert len(counted) == 1
 
 

@@ -11,11 +11,11 @@ from vibriq.mapping import (QubitLayout, number_operator, occupations,
 from vibriq.pauli import PauliSum
 from vibriq.simulator import (AnsatzProgram, StateVector, apply_circuit,
                               compile_pauli_sum, embed, expectation)
-from vibriq.vqe import (SIMPLEX_FATOL, VqeConfig, ansatz_program,
-                        build_ansatz, ground_state, minimize)
+from vibriq.vqe import (SIMPLEX_FATOL, VqeConfig, build_ansatz, ground_state,
+                        minimize)
 
 from conftest import bench_pes, build_qubit_hamiltonian
-from helpers import quadratic_form, scipy_nelder_mead
+from helpers import ansatz_program, quadratic_form, scipy_nelder_mead
 
 
 def test_quadratic_bowl():
