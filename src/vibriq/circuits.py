@@ -1,9 +1,10 @@
 """Parametrized ansatz circuits and exact resource counting.
 
-Gate angles are either constants or ``scale * theta[param]``.  Every
-excitation exponential is compiled with the standard Pauli-gadget recipe:
-basis changes (H for X, RX(+-pi/2) for Y), a CNOT ladder onto the last
-involved qubit, one RZ, and the mirror image.  A two-qubit string costs
+Gate angles are either constants or ``scale * theta[param]``.  One
+emitter lowers every rotation block, a cluster excitation's generator one
+Pauli string at a time, with the standard Pauli-gadget recipe: basis
+changes (H for X, RX(+-pi/2) for Y), a CNOT ladder onto the last involved
+qubit, one RZ, and the mirror image.  A two-qubit string costs
 2 CNOTs and a four-qubit string 6, which reproduces the published per-
 excitation budgets: 4 CNOTs per single and 48 per double for the cluster
 ansatz, 2 and 6 for its compact heuristic approximation.
@@ -18,7 +19,6 @@ compiled by the simulator into the vectorized steps of an
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -96,11 +96,12 @@ def generator_pauli(exc: Excitation, layout: QubitLayout) -> PauliSum:
 
 @lru_cache(maxsize=None)
 def _generator_pattern(order: int) -> tuple[tuple[str, float], ...]:
-    """Pauli letters (per role qubit) and imaginary weights of a generator.
+    """Pauli letters (one per involved qubit) and imaginary weights of a
+    generator.
 
-    Computed once on a canonical layout; the letters are indexed by role,
+    Computed once on a canonical layout; the letters are in role order,
     (occ, virt) for singles and (occ_l, virt_l, occ_m, virt_m) for doubles,
-    which matches ascending qubit order for every real excitation.
+    which is ascending qubit order for every real excitation.
     """
     layout = QubitLayout((2,) * order)
     exc = excitation_list(layout, order)[-1]
@@ -110,38 +111,6 @@ def _generator_pattern(order: int) -> tuple[tuple[str, float], ...]:
             raise AssertionError("generator coefficients must be imaginary")
         pattern.append((term.label, term.coefficient.imag))
     return tuple(pattern)
-
-
-@lru_cache(maxsize=None)
-def _uvcc_program(order: int) -> tuple[operator.itemgetter,
-                                       tuple[tuple[int, float], ...]]:
-    """Gate program of one cluster-excitation block on canonical roles.
-
-    Returns ``(pick, rotations)``: ``pick`` selects the block's gates, in
-    order, from the role bank (see ``_gate_bank``) followed by one RZ per
-    ``rotations`` entry (role, scale).  Compiled once per order from the
-    generic gadget emission, then stamped per excitation.
-    """
-    k = 2 * order
-    gates: list[Gate] = []
-    for letters, gamma in _generator_pattern(order):
-        pairs = [(q, letter) for q, letter in enumerate(letters)
-                 if letter != "I"]
-        _append_pauli_gadget(gates, pairs, 0, -2.0 * gamma)
-    slots = []
-    rotations = []
-    for g in gates:
-        q = g.qubits[0]
-        if g.kind == "h":
-            slots.append(q)
-        elif g.kind == "rx":
-            slots.append((1 if g.angle > 0 else 2) * k + q)
-        elif g.kind == "cnot":
-            slots.append(3 * k + q)
-        else:
-            slots.append(4 * k - 1 + len(rotations))
-            rotations.append((q, g.scale))
-    return operator.itemgetter(*slots), tuple(rotations)
 
 
 # -- gate emission -----------------------------------------------------------
@@ -267,32 +236,31 @@ def heuristic_blocks(kind: str, num_qubits: int,
     return blocks, param
 
 
-def _role_qubits(exc: Excitation) -> tuple[int, ...]:
-    if exc.order == 1:
-        return (exc.occupied_qubits[0], exc.virtual_qubits[0])
-    return (exc.occupied_qubits[0], exc.virtual_qubits[0],
-            exc.occupied_qubits[1], exc.virtual_qubits[1])
-
-
 @lru_cache(maxsize=4096)
-def _gate_bank(roles: tuple[int, ...]) -> tuple[Gate, ...]:
-    """H, RX(+pi/2) and RX(-pi/2) per role, then the role-ladder CNOTs."""
-    return (tuple(_fixed_gate("h", (q,)) for q in roles)
-            + tuple(_fixed_gate("rx", (q,), _HALF_PI) for q in roles)
-            + tuple(_fixed_gate("rx", (q,), -_HALF_PI) for q in roles)
-            + tuple(_fixed_gate("cnot", pair)
-                    for pair in zip(roles, roles[1:])))
+def _excitation_gates(qubits: tuple[int, ...]
+                      ) -> tuple[tuple[Gate, ...], tuple[int, ...]]:
+    """Gates of one cluster excitation on its ascending qubits, as for
+    param 0 and block scale 1, and the positions of their RZ gates."""
+    gates: list[Gate] = []
+    for letters, gamma in _generator_pattern(len(qubits) // 2):
+        pairs = [(q, letter) for q, letter in zip(qubits, letters)
+                 if letter != "I"]
+        _append_pauli_gadget(gates, pairs, 0, -2.0 * gamma)
+    return tuple(gates), tuple(i for i, g in enumerate(gates)
+                               if g.kind == "rz")
 
 
 def _append_excitation(gates: list[Gate], block: ExcitationRotation) -> None:
-    """Stamp the canonical cluster-excitation program onto its qubits."""
+    """The excitation's cached gates, each RZ bound to the block's param."""
     exc = block.excitation
-    roles = _role_qubits(exc)
-    pick, rotations = _uvcc_program(exc.order)
-    bank = _gate_bank(roles) + tuple(
-        Gate("rz", (roles[role],), None, block.param, scale * block.scale)
-        for role, scale in rotations)
-    gates.extend(pick(bank))
+    cached, rotations = _excitation_gates(
+        tuple(sorted(exc.occupied_qubits + exc.virtual_qubits)))
+    start = len(gates)
+    gates += cached
+    for i in rotations:
+        g = cached[i]
+        gates[start + i] = Gate("rz", g.qubits, None, block.param,
+                                g.scale * block.scale)
 
 
 def circuit_from_blocks(num_qubits: int, blocks: Iterable[Block],

@@ -74,6 +74,18 @@ def _modals_argument(text: str) -> str:
     return text
 
 
+def _threshold_argument(text: str) -> float:
+    """argparse type check: a nonnegative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid threshold {text!r}")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(
+            f"threshold must be nonnegative: {text!r}")
+    return value
+
+
 def _parse_modals(text: str, num_modes: int | None) -> tuple[int, ...]:
     parts = [int(p) for p in text.split(",") if p]
     if len(parts) == 1 and num_modes is not None:
@@ -129,8 +141,8 @@ def _vqe_config(args) -> VqeConfig:
 
 
 def _run_vqe(args) -> tuple:
-    pes, layout, hamiltonian = _hamiltonian_from_args(args)
     config = _vqe_config(args)
+    pes, layout, hamiltonian = _hamiltonian_from_args(args)
     result = ground_state(hamiltonian, layout, config)
     return layout, hamiltonian, config, result
 
@@ -236,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_vqe_options(p)
     p.add_argument("--order", type=int, default=2, choices=(1, 2))
-    p.add_argument("--threshold", type=float, default=1e-6)
+    p.add_argument("--threshold", type=_threshold_argument, default=1e-6)
     p.set_defaults(func=_cmd_qeom, stage="qeom")
 
     p = sub.add_parser("noise-fidelity",

@@ -183,6 +183,11 @@ def _solve_pencil(matrices: EomMatrices) -> tuple[np.ndarray, dict]:
                     "max_imag": float(imag.max(initial=0.0))}
 
 
+def _check_threshold(threshold: float) -> None:
+    if not threshold >= 0:
+        raise ValueError("threshold must be nonnegative")
+
+
 def solve_pseudo_eigenproblem(matrices: EomMatrices,
                               threshold: float = 1e-6) -> np.ndarray:
     """Positive excitation energies of the block generalized problem.
@@ -192,8 +197,7 @@ def solve_pseudo_eigenproblem(matrices: EomMatrices,
     with multiplicity.  Only real parts are kept: ``eom_diagnostics``
     counts the eigenvalues whose imaginary parts this drops.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(threshold)
     values, _ = matrices._pencil
     return np.sort(values.real[values.real > threshold])
 
@@ -215,6 +219,7 @@ def excitation_energies(ground: StateVector, h: PauliSum, layout: QubitLayout,
                         threshold: float = 1e-6) -> tuple[np.ndarray, EomMatrices,
                                                           EomOperators]:
     """End-to-end pipeline: pool, matrices, solved positive energies."""
+    _check_threshold(threshold)
     ops = build_eom_operators(layout, max_order)
     matrices = compute_matrices(ground, h, ops)
     energies = solve_pseudo_eigenproblem(matrices, threshold)

@@ -93,6 +93,11 @@ class VqeConfig:
             raise ValueError(f"unknown ansatz {self.ansatz!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        # checked for every ansatz, also the ones that ignore them
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+        if self.trotter_steps < 1:
+            raise ValueError("trotter_steps must be >= 1")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_evals < 1:

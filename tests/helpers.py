@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 
+from vibriq.circuits import Gate, generator_pauli
 from vibriq.mapping import QubitLayout, SqTerm
 from vibriq.pauli import PauliSum
 from vibriq.simulator import AnsatzProgram
@@ -315,6 +316,36 @@ def dense_circuit_unitary(circuit, params) -> np.ndarray:
         u = dense_gate_matrix(gate, gate.resolved_angle(params),
                               circuit.num_qubits) @ u
     return u
+
+
+def reference_uvcc_gates(layout: QubitLayout, excitations,
+                          trotter_steps: int) -> list:
+    """Gates of the Trotterized cluster ansatz, emitted straight from each
+    generator's Pauli strings: per string, H for X and RX(pi/2) for Y, a
+    CNOT ladder up the involved qubits, RZ(-2 gamma theta / steps) on the
+    last for the weight i*gamma, then the ladder and basis changes undone
+    in mirror order (RX(-pi/2) for Y)."""
+    into = {"X": ("h", None), "Y": ("rx", math.pi / 2.0)}
+    undo = {"X": ("h", None), "Y": ("rx", -math.pi / 2.0)}
+    gates = [Gate("x", (off,)) for off in layout.offsets]
+    for _ in range(trotter_steps):
+        for param, exc in enumerate(excitations):
+            for term in generator_pauli(exc, layout).terms:
+                involved = [(q, letter) for q, letter in enumerate(term.label)
+                            if letter != "I"]
+                qubits = [q for q, _ in involved]
+                ladder = [Gate("cnot", pair)
+                          for pair in zip(qubits, qubits[1:])]
+                gates += [Gate(into[letter][0], (q,), into[letter][1])
+                          for q, letter in involved]
+                gates += ladder
+                gates.append(Gate("rz", (qubits[-1],), None, param,
+                                  -2.0 * term.coefficient.imag
+                                  * (1.0 / trotter_steps)))
+                gates += ladder[::-1]
+                gates += [Gate(undo[letter][0], (q,), undo[letter][1])
+                          for q, letter in involved[::-1]]
+    return gates
 
 
 def ansatz_program(layout: QubitLayout, config,

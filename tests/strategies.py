@@ -10,7 +10,12 @@ import math
 from hypothesis import strategies as st
 
 from vibriq.circuits import Circuit, Gate
+from vibriq.mapping import QubitLayout
 from vibriq.simulator import NoiseModel
+
+# 1-5 modes of 1-5 modals each
+layouts = st.builds(QubitLayout, st.lists(st.integers(1, 5), min_size=1,
+                                          max_size=5).map(tuple))
 
 GATE_KINDS = ("x", "h", "rx", "ry", "rz", "phase", "cnot")
 NUM_PARAMETERS = 2

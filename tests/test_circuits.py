@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from helpers import dense_from_sum
+from helpers import dense_from_sum, reference_uvcc_gates
+from strategies import layouts
 from vibriq.circuits import (build_chc, build_heuristic, build_uvcc,
                              count_resources, excitation_list, generator_pauli,
                              reference_circuit)
@@ -224,3 +227,21 @@ def test_build_heuristic_rejects_bad_input():
         build_heuristic("swaprz", 4, 0)
     with pytest.raises(ValueError):
         build_heuristic("magic", 4, 1)
+
+
+@given(layouts, st.integers(1, 3))
+def test_uvcc_lowering_property_matches_the_gadget_oracle(layout,
+                                                          trotter_steps):
+    """The cluster ansatz equals one Pauli gadget per generator string,
+    gate for gate, and both ansatzes cost the published CNOTs: 4 per single
+    and 48 per double and Trotter step for uvcc, 2 and 6 for chc."""
+    excitations = excitation_list(layout, 2)
+    circuit = build_uvcc(layout, excitations, trotter_steps)
+    assert list(circuit.gates) == reference_uvcc_gates(layout, excitations,
+                                                       trotter_steps)
+    singles = sum(1 for e in excitations if e.order == 1)
+    doubles = len(excitations) - singles
+    assert count_resources(circuit)["cx"] == \
+        trotter_steps * (4 * singles + 48 * doubles)
+    assert count_resources(build_chc(layout, excitations))["cx"] == \
+        2 * singles + 6 * doubles

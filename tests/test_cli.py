@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vibriq import cli
 from vibriq.cli import main
 from conftest import bench_pesgen
 from helpers import save_pes
@@ -260,14 +261,43 @@ def test_one_modal_per_mode_gives_the_exact_eigenvalue(tmp_path,
             assert result["stop_reason"] == "tolerance"
 
 
-def test_qeom_refuses_negative_threshold(tmp_path, coupled_pes_file, capsys):
+def test_qeom_refuses_negative_threshold(tmp_path, coupled_pes_file, capsys,
+                                         monkeypatch):
+    """The parser refuses the threshold, before any VQE has run."""
+    def ground_state(*args, **kwargs):
+        raise AssertionError("VQE ran before the threshold was checked")
+
+    monkeypatch.setattr(cli, "ground_state", ground_state)
     out = tmp_path / "qeom.json"
-    assert run(["qeom", "--pes", coupled_pes_file, "--modals", "2",
-                "--threshold=-1e9", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "error in qeom" in err
-    assert "threshold must be nonnegative" in err
+    for threshold in ("-1e9", "-1", "nan"):
+        with pytest.raises(SystemExit) as info:
+            run(["qeom", "--pes", coupled_pes_file, "--modals", "2",
+                 f"--threshold={threshold}", "--out", str(out)])
+        assert info.value.code == 2
+        assert "threshold must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_depth_and_trotter_steps_below_one_refused(tmp_path, coupled_pes_file,
+                                                   capsys, monkeypatch):
+    """Every ansatz refuses them, also the ones that ignore them, before
+    the Hamiltonian is built."""
+    def solve_modals(*args, **kwargs):
+        raise AssertionError("modals solved before the ansatz was checked")
+
+    monkeypatch.setattr(cli, "solve_modals", solve_modals)
+    out = str(tmp_path / "out.json")
+    cases = [("vqe optimization", ["vqe", "--pes", coupled_pes_file]),
+             ("resource estimation", ["resources", "--modes", "2"])]
+    for stage, argv in cases:
+        for ansatz, option, message in (
+                ("chc", "--trotter-steps", "trotter_steps must be >= 1"),
+                ("uvccsd", "--depth", "depth must be >= 1")):
+            assert run([*argv, "--modals", "2", "--ansatz", ansatz,
+                        option, "0", "--out", out]) == 1
+            err = capsys.readouterr().err.strip()
+            assert err == f"error in {stage}: {message}"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_noise_fidelity_subcommand(tmp_path):

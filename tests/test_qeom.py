@@ -5,7 +5,7 @@ from scipy import linalg
 from conftest import build_qubit_hamiltonian
 from helpers import (assert_same_terms, dense_from_sum, random_pauli_sum,
                      reference_commutator)
-from vibriq import pauli
+from vibriq import pauli, qeom
 from vibriq.exact import (ground_state_vector, physical_indices,
                           physical_spectrum)
 from vibriq.pauli import PauliSum, commutator
@@ -333,6 +333,21 @@ def test_negative_threshold_refused(harmonic_system):
         solve_pseudo_eigenproblem(mats, threshold=-1e9)
     np.testing.assert_allclose(solve_pseudo_eigenproblem(mats, threshold=0.0),
                                [1000.0, 1500.0, 2500.0], atol=1e-8)
+
+
+def test_pipeline_refuses_a_bad_threshold_before_the_pool(harmonic_system,
+                                                         monkeypatch):
+    """A negative or NaN threshold is refused before any operator is built."""
+    layout, _, h = harmonic_system
+    _, ground = ground_state_vector(h, layout)
+
+    def pool(*args, **kwargs):
+        raise AssertionError("pool built before the threshold was checked")
+
+    monkeypatch.setattr(qeom, "build_eom_operators", pool)
+    for threshold in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            excitation_energies(ground, h, layout, threshold=threshold)
 
 
 def test_diagnostics_of_the_harmonic_ground_state(harmonic_system):

@@ -63,6 +63,14 @@ def test_unknown_optimizer_refused_before_anything_is_compiled(monkeypatch):
                      VqeConfig(ansatz="chc", optimizer="bfgs"))
 
 
+@pytest.mark.parametrize("ansatz", ["uvccsd", "chc", "swaprz", "ryrz"])
+def test_depth_and_trotter_steps_below_one_refused(ansatz):
+    with pytest.raises(ValueError, match="^depth must be >= 1$"):
+        VqeConfig(ansatz=ansatz, depth=0)
+    with pytest.raises(ValueError, match="^trotter_steps must be >= 1$"):
+        VqeConfig(ansatz=ansatz, trotter_steps=-1)
+
+
 def test_empty_start_is_evaluated_once_and_returned():
     for optimizer in ("nelder-mead", "spsa"):
         result = minimize(lambda p: 7.5, [], VqeConfig(optimizer=optimizer))
